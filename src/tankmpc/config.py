@@ -7,6 +7,7 @@ is line oriented and errors always name the offending line or field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,12 @@ from .tank import DEFAULT_LEVELS, DEFAULT_PARAMS, TankParams
 
 class ConfigError(Exception):
     """Invalid configuration text or values."""
+
+
+#: Most controller samples one run may take (sim.t_end / sim.ts + 1).  It
+#: bounds the memory (the log alone holds 80 bytes a sample) and the run
+#: time of any config that parses.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,13 @@ def parse_config_text(text: str) -> dict:
 
 
 def _build(values: dict) -> RunConfig:
+    for key, value in values.items():
+        # an endless pulse is the one legitimate infinity
+        if key in _FLOAT_KEYS and not math.isfinite(value):
+            if not key.endswith(".duration"):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+            if value != math.inf:
+                raise ConfigError(f"{key} must be finite or inf, got {value!r}")
     base = default_run_config()
     sc = base.scenario
 
@@ -148,6 +162,10 @@ def _build(values: dict) -> RunConfig:
         l1, l2 = scenario.op_levels
         if not (l1 > l2 > 0):
             raise ValueError(f"operating levels need l1 > l2 > 0, got l1={l1}, l2={l2}")
+        samples = scenario.t_end / scenario.ts  # a float: this may overflow
+        if samples >= MAX_SAMPLES:
+            raise ValueError(f"sim.t_end / sim.ts = {samples:.3g} samples, "
+                             f"more than the {MAX_SAMPLES} allowed")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(scenario=scenario, output_path=values.get("output.path"))

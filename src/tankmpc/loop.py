@@ -1,8 +1,8 @@
 """Closed-loop receding-horizon simulation over a configured scenario.
 
-Per sample: read the plant levels, form the setpoint, solve for the
-control move, hold the absolute flows over the interval, and advance
-the nonlinear plant with Runge-Kutta substeps.  The controller always
+Per sample: read the plant levels, form the setpoint, apply the
+fixed-gain control move, hold the absolute flows over the interval,
+and advance the nonlinear plant with Runge-Kutta substeps.  The controller always
 runs on the linearized model while the plant stays nonlinear, exactly
 the mismatch the scheme is meant to tolerate.
 """
@@ -120,82 +120,74 @@ class SimulationError(RuntimeError):
 
 def run_closed_loop(scenario: Scenario) -> SimulationLog:
     """Run the full sample-control-hold-integrate loop for a scenario."""
-    op = make_operating_point(scenario.params, *scenario.op_levels)
-    lin = linearize(scenario.params, op)
+    params = scenario.params
+    op = make_operating_point(params, *scenario.op_levels)
+    lin = linearize(params, op)
     disc = zoh_discretize(lin, scenario.ts)
     aug = augment(disc)
     pred = build_prediction(aug, scenario.mpc)
 
     n = scenario.n_samples()
-    cols = {name: np.zeros(n) for name in SimulationLog.COLUMNS}
+    rows = np.zeros((n, len(SimulationLog.COLUMNS)))
     ts = scenario.ts
     dt = ts / scenario.substeps
     sp1, sp2 = scenario.setpoints
     dist = scenario.disturbance
-    fi_bar = np.array([op.fi1_bar, op.fi2_bar])
+    fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
+    clamp = scenario.clamp_flows
 
-    plant = PlantState(t=0.0, dev=DeviationState(0.0, 0.0))
+    plant = PlantState(0.0, DeviationState(0.0, 0.0))
     lin_state = np.zeros(2)  # diagnostic linear-plant state
     ctrl = ControllerState.initial(np.zeros(2), n_inputs=2)
     clamped_at: int | None = None
 
-    def absolute_flows(u_dev, t: float) -> tuple[float, float]:
-        """Feed flows actually entering the plant at time t."""
+    def feed(t):
+        """Flows entering beyond the control (u1, u2) held this sample: the
+        disturbance and, with clamp_flows, the correction that floors each
+        absolute feed at zero."""
         d1, d2 = disturbance_inflows(dist, op, t)
-        f1 = fi_bar[0] + u_dev[0] + d1
-        f2 = fi_bar[1] + u_dev[1] + d2
-        if scenario.clamp_flows:
-            f1, f2 = max(f1, 0.0), max(f2, 0.0)
-        return f1, f2
+        if not clamp:
+            return d1, d2
+        return (max(fi1_bar + u1 + d1, 0.0) - fi1_bar - u1,
+                max(fi2_bar + u2 + d2, 0.0) - fi2_bar - u2)
 
     for k in range(n):
         t_k = k * ts
-        if scenario.linear_plant:
-            y = lin_state.copy()
-        else:
-            y = np.array([plant.dev.h1, plant.dev.h2])
+        y = lin_state.copy() if scenario.linear_plant else np.array(plant.dev)
         r = np.array([sp1.value(t_k), sp2.value(t_k)])
 
         try:
             ctrl, u = receding_step(ctrl, pred, scenario.mpc, aug, y, r)
         except Exception as exc:
             raise SimulationError(k, t_k, exc) from exc
+        u1, u2 = u.tolist()
 
-        fi1_abs, fi2_abs = absolute_flows(u, t_k)
-        d1_k, d2_k = disturbance_inflows(dist, op, t_k)
-        if scenario.clamp_flows and clamped_at is None:
-            if fi_bar[0] + u[0] + d1_k < 0 or fi_bar[1] + u[1] + d2_k < 0:
+        d_k = disturbance_flow(dist, op, t_k)
+        d1_k, d2_k = dist.route(d_k)
+        fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
+        if clamp:
+            if clamped_at is None and (fi1_abs < 0 or fi2_abs < 0):
                 clamped_at = k
                 logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
+            fi1_abs, fi2_abs = max(fi1_abs, 0.0), max(fi2_abs, 0.0)
 
-        row = (t_k, r[0], r[1], y[0], y[1], u[0], u[1],
-               disturbance_flow(dist, op, t_k), fi1_abs, fi2_abs)
-        for name, val in zip(SimulationLog.COLUMNS, row):
-            cols[name][k] = val
+        rows[k] = (t_k, r[0], r[1], y[0], y[1], u1, u2, d_k, fi1_abs, fi2_abs)
 
         if k == n - 1:
             break
 
         if scenario.linear_plant:
             # ZOH linear plant: disturbance sampled at t_k and held
-            v = u + np.array([d1_k, d2_k])
-            lin_state = disc.ad @ lin_state + disc.bd @ v
-        else:
-            def extra_inflow(t, u=u):
-                # whatever enters beyond the held control: disturbance and,
-                # if enabled, the nonnegative-flow clamp correction
-                f1, f2 = absolute_flows(u, t)
-                return f1 - fi_bar[0] - u[0], f2 - fi_bar[1] - u[1]
+            lin_state = disc.ad @ lin_state + disc.bd @ np.array([u1 + d1_k, u2 + d2_k])
+            continue
 
-            try:
-                for _ in range(scenario.substeps):
-                    plant = rk4_step(
-                        scenario.params, op, plant, (u[0], u[1]), extra_inflow, dt
-                    )
-            except Exception as exc:
-                raise SimulationError(k, t_k, exc) from exc
+        try:
+            for _ in range(scenario.substeps):
+                plant = rk4_step(params, op, plant, (u1, u2), feed, dt)
+        except Exception as exc:
+            raise SimulationError(k, t_k, exc) from exc
 
-    return SimulationLog(**cols)
+    return SimulationLog(**dict(zip(SimulationLog.COLUMNS, rows.T.copy())))
 
 
 @dataclass

@@ -12,8 +12,11 @@ and minimizing ||Rs - Y||^2 + rw*||dU||^2 has the closed-form solution
 
     dU = (phi.T phi + rw I)^-1 phi.T (Rs - psi @ x).
 
-Only the first control increment is applied; the problem is re-solved
-at every sample with a fresh measurement.
+Only the first control increment is applied.  The model is time
+invariant, so the first m rows of that map are a fixed gain, computed
+once: du(k) = kr @ r - kx @ x(k), with r the setpoint held over the
+horizon (Wang, Model Predictive Control System Design and
+Implementation Using MATLAB, Springer 2009, ch. 1).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .discretize import DiscreteModel
 
@@ -101,22 +103,25 @@ def augment(model: DiscreteModel) -> AugmentedModel:
 
 @dataclass(frozen=True)
 class PredictionMatrices:
-    """Horizon maps and the pre-factored cost Hessian.
+    """Horizon maps, the cost Hessian and the first-move gains.
 
     psi : (Np*q, n+q)   block row k is C A^(k+1)
     phi : (Np*q, Nc*m)  block (i, j) is C A^(i-j) B for i >= j, else 0
     hessian : phi.T phi + rw I, symmetrized
+    kr : (m, q)    first-move gain on the setpoint
+    kx : (m, n+q)  first-move gain on the augmented state [dx_m; y]
     """
 
     psi: np.ndarray
     phi: np.ndarray
     hessian: np.ndarray
-    cho: tuple  # scipy cho_factor of hessian
+    kr: np.ndarray
+    kx: np.ndarray
     q: int
     m: int
 
     def __post_init__(self):
-        for mat in (self.psi, self.phi, self.hessian):
+        for mat in (self.psi, self.phi, self.hessian, self.kr, self.kx):
             mat.setflags(write=False)
 
     @property
@@ -127,18 +132,22 @@ class PredictionMatrices:
     def nc_horizon(self) -> int:
         return self.phi.shape[1] // self.m
 
-    def stack_setpoint(self, r) -> np.ndarray:
-        """Repeat the q-entry setpoint down the prediction horizon."""
+    def check_setpoint(self, r) -> np.ndarray:
+        """The q-entry setpoint as a float vector; size and finiteness checked."""
         r = np.asarray(r, dtype=float).reshape(-1)
         if r.size != self.q:
             raise ValueError(f"setpoint has {r.size} entries, expected {self.q}")
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise ValueError("setpoint entries must be finite")
-        return np.tile(r, self.np_horizon)
+        return r
+
+    def stack_setpoint(self, r) -> np.ndarray:
+        """Repeat the q-entry setpoint down the prediction horizon."""
+        return np.tile(self.check_setpoint(r), self.np_horizon)
 
 
 def build_prediction(aug: AugmentedModel, cfg: MpcConfig) -> PredictionMatrices:
-    """Assemble psi, phi and factor the Hessian for the horizon pair.
+    """Assemble psi, phi, the Hessian and the first-move gains.
 
     Raises numpy.linalg.LinAlgError if rw = 0 and phi.T phi is
     singular; the closed-form law assumes the Hessian is invertible.
@@ -161,8 +170,10 @@ def build_prediction(aug: AugmentedModel, cfg: MpcConfig) -> PredictionMatrices:
 
     h = phi.T @ phi
     h = (h + h.T) * 0.5 + cfg.rw * np.eye(nctl * m)
-    cho = cho_factor(h)
-    return PredictionMatrices(psi=psi, phi=phi, hessian=h, cho=cho, q=q, m=m)
+    np.linalg.cholesky(h)  # raises LinAlgError unless h is positive definite
+    first = np.linalg.solve(h, phi.T)[:m]  # first-move rows of h^-1 phi.T
+    kr = first.reshape(m, npred, q).sum(axis=1)
+    return PredictionMatrices(psi=psi, phi=phi, hessian=h, kr=kr, kx=first @ psi, q=q, m=m)
 
 
 def cost(pred: PredictionMatrices, cfg: MpcConfig, x, r, du) -> float:
@@ -186,12 +197,12 @@ def cost_gradient(pred: PredictionMatrices, cfg: MpcConfig, x, r, du) -> np.ndar
 
 
 def solve_optimal(pred: PredictionMatrices, x, r) -> np.ndarray:
-    """Minimizer of the tracking cost: two triangular solves per call."""
+    """Minimizer of the tracking cost over the control horizon, by a dense solve."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != pred.psi.shape[1]:
         raise ValueError(f"state has {x.size} entries, expected {pred.psi.shape[1]}")
     rhs = pred.phi.T @ (pred.stack_setpoint(r) - pred.psi @ x)
-    return cho_solve(pred.cho, rhs)
+    return np.linalg.solve(pred.hessian, rhs)
 
 
 @dataclass(frozen=True)
@@ -200,10 +211,9 @@ class ControllerState:
 
     prev_plant_state: np.ndarray  # last measured plant state (= output here)
     prev_control: np.ndarray  # last applied control, deviation flows
-    augmented_x: np.ndarray  # [delta x_m; y] formed at the last sample
 
     def __post_init__(self):
-        for name in ("prev_plant_state", "prev_control", "augmented_x"):
+        for name in ("prev_plant_state", "prev_control"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(-1)
             if v.flags.writeable:
                 v.setflags(write=False)
@@ -217,11 +227,7 @@ class ControllerState:
         state increment zero, so there is no derivative kick at start.
         """
         y = np.asarray(measurement, dtype=float).reshape(-1).copy()
-        return cls(
-            prev_plant_state=y,
-            prev_control=np.zeros(n_inputs),
-            augmented_x=np.concatenate([np.zeros(y.size), y]),
-        )
+        return cls(prev_plant_state=y, prev_control=np.zeros(n_inputs))
 
 
 def receding_step(
@@ -232,19 +238,23 @@ def receding_step(
     measurement,
     r,
 ) -> tuple[ControllerState, np.ndarray]:
-    """One controller sample: measure, solve, apply the first increment.
+    """One controller sample: measure, apply the first optimal increment.
 
     The output matrix is the identity for the tank plant, so the
     measured output *is* the plant state and the state increment is the
     difference of consecutive measurements; no observer is needed.
     Returns the updated controller state and the absolute control u(k)
     (still in deviation flows relative to the operating point).
+
+    The increment is kr @ r - kx @ [dx; y].  In the velocity form the
+    y-block of kx equals kr (every output row of psi carries an identity
+    on y), so it is applied as kr @ (r - y) - kx_dx @ dx: a plant held
+    at its setpoint then gets exactly zero move.
     """
     y = np.asarray(measurement, dtype=float).reshape(-1)
     if y.size != aug.q:
         raise ValueError(f"measurement has {y.size} entries, expected {aug.q}")
+    r = pred.check_setpoint(r)
     dx = y - ctrl.prev_plant_state
-    x = np.concatenate([dx, y])
-    du_seq = solve_optimal(pred, x, r)
-    u = ctrl.prev_control + du_seq[: aug.m]
-    return ControllerState(prev_plant_state=y.copy(), prev_control=u, augmented_x=x), u
+    u = ctrl.prev_control + (pred.kr @ (r - y) - pred.kx[:, : aug.n] @ dx)
+    return ControllerState(prev_plant_state=y.copy(), prev_control=u), u

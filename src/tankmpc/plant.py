@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .tank import DeviationState, OperatingPoint, TankParams, nonlinear_derivatives
 
@@ -21,8 +21,7 @@ logger = logging.getLogger(__name__)
 InflowFunc = Callable[[float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(NamedTuple):
     """Simulation clock plus the level deviations."""
 
     t: float
@@ -50,6 +49,16 @@ class DisturbanceProfile:
         if self.target not in ("tank1", "tank2", "both"):
             raise ValueError(f"unknown disturbance target {self.target!r}")
 
+    def route(self, f: float) -> tuple[float, float]:
+        """Disturbance flow f split into (tank 1, tank 2) feed flows."""
+        if f == 0.0:
+            return 0.0, 0.0
+        if self.target == "tank1":
+            return f, 0.0
+        if self.target == "tank2":
+            return 0.0, f
+        return f, f
+
 
 #: Profile that injects nothing; keeps scenario wiring uniform.
 NO_DISTURBANCE = DisturbanceProfile()
@@ -66,14 +75,7 @@ def disturbance_inflows(
     profile: DisturbanceProfile, op: OperatingPoint, t: float
 ) -> tuple[float, float]:
     """Disturbance flow routed to the configured feed channel(s)."""
-    f = disturbance_flow(profile, op, t)
-    if f == 0.0:
-        return 0.0, 0.0
-    if profile.target == "tank1":
-        return f, 0.0
-    if profile.target == "tank2":
-        return 0.0, f
-    return f, f
+    return profile.route(disturbance_flow(profile, op, t))
 
 
 def rk4_step(
@@ -89,19 +91,19 @@ def rk4_step(
     inflow_dev holds the zero-order-held control flows; disturbance, if
     given, maps absolute time to extra (tank1, tank2) feed flows and is
     evaluated at the stage times t, t+dt/2 and t+dt.  Physical levels
-    are floored at zero with a logged warning if the step crosses.
+    are floored at zero; the step that empties a tank logs a warning.
     """
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
     u1, u2 = inflow_dev
+    lo1, lo2 = -op.l1, -op.l2
 
     def f(t: float, h1: float, h2: float) -> tuple[float, float]:
         d1, d2 = disturbance(t) if disturbance is not None else (0.0, 0.0)
         # floor stage states at empty so hard drains stay integrable
-        stage = DeviationState(max(h1, -op.l1), max(h2, -op.l2))
-        return nonlinear_derivatives(params, op, stage, u1 + d1, u2 + d2)
+        return nonlinear_derivatives(params, op, (max(h1, lo1), max(h2, lo2)), u1 + d1, u2 + d2)
 
-    t, h1, h2 = state.t, state.dev.h1, state.dev.h2
+    t, (h1, h2) = state
     k1 = f(t, h1, h2)
     k2 = f(t + dt / 2, h1 + dt / 2 * k1[0], h2 + dt / 2 * k1[1])
     k3 = f(t + dt / 2, h1 + dt / 2 * k2[0], h2 + dt / 2 * k2[1])
@@ -112,12 +114,14 @@ def rk4_step(
     if not (math.isfinite(h1_new) and math.isfinite(h2_new)):
         raise ArithmeticError(f"plant state non-finite at t={t + dt:.6g}")
 
-    # floor physical levels at empty
-    if op.l1 + h1_new < 0:
-        logger.warning("tank 1 ran empty at t=%.4g s; level clamped to 0", t + dt)
-        h1_new = -op.l1
-    if op.l2 + h2_new < 0:
-        logger.warning("tank 2 ran empty at t=%.4g s; level clamped to 0", t + dt)
-        h2_new = -op.l2
+    # floor physical levels at empty; warn only on the step that empties a tank
+    if h1_new < lo1:
+        if h1 > lo1:
+            logger.warning("tank 1 ran empty at t=%.4g s; level clamped to 0", t + dt)
+        h1_new = lo1
+    if h2_new < lo2:
+        if h2 > lo2:
+            logger.warning("tank 2 ran empty at t=%.4g s; level clamped to 0", t + dt)
+        h2_new = lo2
 
-    return PlantState(t=t + dt, dev=DeviationState(h1_new, h2_new))
+    return PlantState(t + dt, DeviationState(h1_new, h2_new))

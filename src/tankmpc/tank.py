@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ class OperatingPoint:
             raise ValueError(f"need l1 > l2 >= 0, got l1={self.l1}, l2={self.l2}")
 
 
-@dataclass(frozen=True)
-class DeviationState:
+class DeviationState(NamedTuple):
     """Tank levels expressed as deviations from the operating point."""
 
     h1: float
@@ -116,26 +116,14 @@ class LinearModel:
         return self.c.shape[0]
 
 
-def _signed_sqrt(x: float) -> float:
-    """sqrt(|x|) with the sign of x; models reversible head-driven flow."""
-    return math.copysign(math.sqrt(abs(x)), x)
-
-
-def _sqrt_nonneg(x: float, what: str) -> float:
-    # strictly one-way flow: the argument is a physical level
-    if x < -SQRT_CLAMP_TOL:
-        raise ValueError(f"{what} is negative ({x:.6g}); square-root law undefined")
-    return math.sqrt(max(x, 0.0))
-
-
 def coupling_flow(alpha1: float, head: float) -> float:
     """Flow through the coupling valve for a (possibly negative) head difference.
 
     The orifice law is only stated for positive head; the signed
-    extension keeps the dynamics well defined when tank 2 rises above
-    tank 1 during large transients.
+    extension sqrt(|head|) * sign(head) keeps the dynamics well defined
+    when tank 2 rises above tank 1 during large transients.
     """
-    return alpha1 * _signed_sqrt(head)
+    return alpha1 * math.copysign(math.sqrt(abs(head)), head)
 
 
 def nonlinear_derivatives(
@@ -149,7 +137,7 @@ def nonlinear_derivatives(
 
     Parameters
     ----------
-    state : DeviationState
+    state : DeviationState or any (h1, h2) pair
         Levels relative to the operating point; physical levels are
         (l1 + h1, l2 + h2) and must be nonnegative.
     fi1, fi2 : float
@@ -160,16 +148,17 @@ def nonlinear_derivatives(
     (dh1_dt, dh2_dt) in m/s.  Exactly (0, 0) at h = 0, fi = 0 by
     construction: the steady outflow terms cancel.
     """
-    lvl1 = op.l1 + state.h1
-    lvl2 = op.l2 + state.h2
+    h1, h2 = state
+    lvl1 = op.l1 + h1
+    lvl2 = op.l2 + h2
     if lvl1 < -SQRT_CLAMP_TOL or lvl2 < -SQRT_CLAMP_TOL:
         raise ValueError(f"physical level negative: tank1={lvl1:.6g}, tank2={lvl2:.6g}")
 
-    head0 = op.l1 - op.l2
-    # coupling flow deviation; signed sqrt so reverse flow is physical
-    q12 = coupling_flow(params.alpha1, lvl1 - lvl2) - coupling_flow(params.alpha1, head0)
-    # tank-2 outlet flow deviation; strictly one-way
-    q2 = params.alpha2 * (_sqrt_nonneg(lvl2, "tank 2 level") - math.sqrt(op.l2))
+    # coupling flow deviation; signed sqrt so reverse flow is physical (the
+    # steady head l1 - l2 of an OperatingPoint is positive)
+    q12 = coupling_flow(params.alpha1, lvl1 - lvl2) - params.alpha1 * math.sqrt(op.l1 - op.l2)
+    # tank-2 outlet flow deviation; strictly one-way, roundoff below empty reads as empty
+    q2 = params.alpha2 * (math.sqrt(max(lvl2, 0.0)) - math.sqrt(op.l2))
 
     dh1 = (fi1 - q12) / params.a1
     dh2 = (fi2 - q2 + q12) / params.a2

@@ -50,6 +50,27 @@ class TestLinearize:
         assert a[0, 0] == 0.0 and a[0, 1] == 0.0 and a[1, 0] == 0.0
         assert a[1, 1] < 0
 
+    @pytest.mark.parametrize("line, message", [
+        ("setpoint.h1.start = nan", "setpoint.h1.start must be finite"),
+        ("operating.l1 = inf", "operating.l1 must be finite"),
+        ("sim.t_end = 1e12", "samples, more than"),
+    ])
+    def test_non_finite_or_absurd_value_exit_2(self, tmp_path, capsys, line, message):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        code, out, err = run_cli(["simulate", "--config", str(conf),
+                                  "--out", str(tmp_path / "run.csv")], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and message in err  # one line, no traceback
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_endless_pulse_accepted(self, tmp_path, capsys):
+        conf = tmp_path / "endless.conf"
+        conf.write_text("setpoint.h1.duration = inf\nsim.t_end = 0.5\n")
+        code, _, _ = run_cli(["simulate", "--config", str(conf),
+                              "--out", str(tmp_path / "run.csv")], capsys)
+        assert code == 0
+
     def test_unreadable_config_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(["linearize", "--config", str(tmp_path / "nope.conf")], capsys)
         assert code == 2 and "cannot read" in err

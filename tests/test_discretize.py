@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tankmpc import DEFAULT_PARAMS, LinearModel, linearize, make_operating_point, zoh_discretize
+from tankmpc.discretize import expm
 
 from oracles import expm_by_eig
 
@@ -81,3 +83,39 @@ def test_rejects_bad_inputs():
     bad = LinearModel(a=[[np.inf]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
     with pytest.raises(ValueError, match="finite"):
         zoh_discretize(bad, 0.05)
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 60.0])
+def test_expm_matches_scipy(norm):
+    """Every Pade degree, and scaling with up to 4 squarings, against scipy.
+
+    Errors are normwise, relative to the largest entry.  From a norm of
+    about 5 on, scipy's own error reaches 1e-13..1e-12 (checked against a
+    40-digit reference), so the tolerance allows for it.
+    """
+    rng = np.random.default_rng(int(norm * 1000))
+    for _ in range(30):
+        n = int(rng.integers(1, 7))
+        a = rng.normal(size=(n, n))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        ref = scipy.linalg.expm(a)
+        assert np.max(np.abs(expm(a) - ref)) <= 2e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("scale", [0.05, 1.0, 10.0, 30.0])
+def test_expm_matches_eigendecomposition(scale):
+    """Symmetric matrices have an orthogonal eigenbasis, so the oracle is
+    accurate; 1-norms reach ~340, up to 6 squarings."""
+    rng = np.random.default_rng(int(scale * 100))
+    for _ in range(30):
+        n = int(rng.integers(2, 6))
+        g = rng.normal(size=(n, n))
+        a = (g + g.T) * scale
+        ref = expm_by_eig(a, 1.0)
+        assert np.max(np.abs(expm(a) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_expm_of_zero_and_diagonal():
+    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    d = np.array([-40.0, -1.0, 0.5, 3.0])
+    assert np.max(np.abs(expm(np.diag(d)) - np.diag(np.exp(d)))) <= 1e-14 * np.exp(3.0)

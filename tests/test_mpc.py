@@ -276,6 +276,64 @@ class TestSolveOptimal:
             assert np.allclose(scaled, tau * base, rtol=1e-12, atol=1e-14)
 
 
+class TestFirstMoveGain:
+    @pytest.mark.parametrize("npred, nctl, rw", [
+        (10, 3, 1.0), (1, 1, 0.5), (20, 5, 0.01), (40, 3, 100.0), (6, 6, 0.2),
+    ])
+    def test_gain_equals_first_optimal_move(self, npred, nctl, rw):
+        """kr @ r - kx @ x is the first block of the full-horizon optimum.
+
+        Both sides carry roundoff of order cond(H) * eps: with rw = 0.01
+        and Nc = 5, cond(H) is ~2.5e4 and each side is ~1e-12 off a
+        50-digit reference, so the tolerance grows with cond(H) there.
+        """
+        pred = build_prediction(tank_augmented(), MpcConfig(npred, nctl, rw))
+        assert pred.kr.shape == (2, 2) and pred.kx.shape == (2, 4)
+        tol = max(1e-12, 10 * np.linalg.cond(pred.hessian) * np.finfo(float).eps)
+        rng = np.random.default_rng(npred * 100 + nctl)
+        for _ in range(1000):
+            x = rng.uniform(-1, 1, 4)
+            r = rng.uniform(-1, 1, 2)
+            du = pred.kr @ r - pred.kx @ x
+            assert np.max(np.abs(du - solve_optimal(pred, x, r)[:2])) < tol
+
+    def test_gain_on_random_systems(self):
+        rng = np.random.default_rng(67)
+        for _ in range(50):
+            a, b, c, q, m, npred, nctl = random_system(rng)
+            aug = AugmentedModel(a=a, b=b, c=c, n=a.shape[0] - q, m=m, q=q)
+            pred = build_prediction(aug, MpcConfig(npred, nctl, rw=float(rng.uniform(0.1, 2))))
+            x = rng.uniform(-1, 1, a.shape[0])
+            r = rng.uniform(-1, 1, q)
+            du = pred.kr @ r - pred.kx @ x
+            assert np.allclose(du, solve_optimal(pred, x, r)[:m], rtol=1e-10, atol=1e-12)
+
+    def test_receding_step_applies_first_optimal_move(self):
+        aug = tank_augmented()
+        cfg = MpcConfig(10, 3)
+        pred = build_prediction(aug, cfg)
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            prev_y = rng.uniform(-1, 1, 2)
+            prev_u = rng.uniform(-1, 1, 2)
+            y = rng.uniform(-1, 1, 2)
+            r = rng.uniform(-1, 1, 2)
+            ctrl = ControllerState(prev_plant_state=prev_y, prev_control=prev_u)
+            _, u = receding_step(ctrl, pred, cfg, aug, y, r)
+            du = solve_optimal(pred, np.concatenate([y - prev_y, y]), r)[:2]
+            assert np.max(np.abs(u - (prev_u + du))) < 1e-12
+
+    def test_setpoint_checked(self):
+        aug = tank_augmented()
+        cfg = MpcConfig(10, 3)
+        pred = build_prediction(aug, cfg)
+        ctrl = ControllerState.initial(np.zeros(2), n_inputs=2)
+        with pytest.raises(ValueError, match="entries"):
+            receding_step(ctrl, pred, cfg, aug, np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            receding_step(ctrl, pred, cfg, aug, np.zeros(2), [np.nan, 0.0])
+
+
 class TestRecedingStep:
     def setup_method(self):
         self.aug = tank_augmented()
@@ -284,8 +342,7 @@ class TestRecedingStep:
 
     def test_steady_at_setpoint_means_no_move(self):
         y = np.array([0.25, 0.15])
-        ctrl = ControllerState(prev_plant_state=y, prev_control=np.array([0.1, -0.2]),
-                               augmented_x=np.concatenate([np.zeros(2), y]))
+        ctrl = ControllerState(prev_plant_state=y, prev_control=np.array([0.1, -0.2]))
         new_ctrl, u = receding_step(ctrl, self.pred, self.cfg, self.aug, y, y)
         assert np.array_equal(u, ctrl.prev_control)
         assert np.array_equal(new_ctrl.prev_control, u)

@@ -14,9 +14,11 @@ from tankmpc import (
     TankParams,
     disturbance_flow,
     disturbance_inflows,
+    loads_config,
     make_operating_point,
     nonlinear_derivatives,
     rk4_step,
+    run_closed_loop,
     zoh_discretize,
     linearize,
 )
@@ -176,6 +178,29 @@ class TestRk4Step:
                 state = rk4_step(DEFAULT_PARAMS, op, state, (0.0, -50.0), None, 0.0125)
         assert state.dev.h2 == -0.5  # physical level clamped at empty
         assert any("ran empty" in rec.message for rec in caplog.records)
+
+    def test_empty_tank_logged_once_per_event(self, caplog):
+        # drain tank 2 twice, refilling in between: two events, two warnings
+        op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
+        state = PlantState(t=0.0, dev=DeviationState(0.0, 0.0))
+        with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
+            for inflow in ((0.0, -50.0), (0.0, 50.0), (0.0, -50.0)):
+                for _ in range(100):
+                    state = rk4_step(DEFAULT_PARAMS, op, state, inflow, None, 0.0125)
+        assert state.dev.h2 == -0.5
+        empties = [rec for rec in caplog.records if "ran empty" in rec.message]
+        assert len(empties) == 2 and all("tank 2" in rec.message for rec in empties)
+
+    def test_closed_loop_emptying_logged_once(self, caplog):
+        # a setpoint at the bottom of tank 2 holds it empty for ~100 samples
+        scenario = loads_config("setpoint.h2.amplitude = -3.5\nmpc.rw = 0.01\n").scenario
+        with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
+            log = run_closed_loop(scenario)
+        at_empty = log.h2 == -scenario.op_levels[1]
+        assert at_empty.sum() > 50
+        events = int(at_empty[0]) + int(np.sum(at_empty[1:] & ~at_empty[:-1]))
+        assert events == 1
+        assert sum("ran empty" in rec.message for rec in caplog.records) == events
 
     def test_non_finite_state_raises(self):
         state = PlantState(t=0.0, dev=DeviationState(0.0, 0.0))
