@@ -27,6 +27,10 @@ class ConfigError(Exception):
 #: time of any config that parses.
 MAX_SAMPLES = 1_000_000
 
+#: Most RK4 steps one run may take (sim.t_end / sim.ts * sim.substeps).  It
+#: bounds the run time the way MAX_SAMPLES bounds the memory.
+MAX_RK4_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -166,6 +170,10 @@ def _build(values: dict) -> RunConfig:
         if samples >= MAX_SAMPLES:
             raise ValueError(f"sim.t_end / sim.ts = {samples:.3g} samples, "
                              f"more than the {MAX_SAMPLES} allowed")
+        if samples * scenario.substeps > MAX_RK4_STEPS:
+            raise ValueError(f"sim.t_end / sim.ts * sim.substeps = "
+                             f"{samples * scenario.substeps:.3g} RK4 steps, "
+                             f"more than the {MAX_RK4_STEPS} allowed")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(scenario=scenario, output_path=values.get("output.path"))

@@ -21,7 +21,9 @@ Implementation Using MATLAB, Springer 2009, ch. 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +112,8 @@ class PredictionMatrices:
     hessian : phi.T phi + rw I, symmetrized
     kr : (m, q)    first-move gain on the setpoint
     kx : (m, n+q)  first-move gain on the augmented state [dx_m; y]
+    kr_rows, kx_dx_rows : kr and the dx_m block kx[:, :n] as tuples of
+        float rows, the form the per-sample law reads them in
     """
 
     psi: np.ndarray
@@ -119,10 +123,15 @@ class PredictionMatrices:
     kx: np.ndarray
     q: int
     m: int
+    kr_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    kx_dx_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for mat in (self.psi, self.phi, self.hessian, self.kr, self.kx):
             mat.setflags(write=False)
+        n = self.psi.shape[1] - self.q
+        object.__setattr__(self, "kr_rows", tuple(map(tuple, self.kr.tolist())))
+        object.__setattr__(self, "kx_dx_rows", tuple(map(tuple, self.kx[:, :n].tolist())))
 
     @property
     def np_horizon(self) -> int:
@@ -132,18 +141,14 @@ class PredictionMatrices:
     def nc_horizon(self) -> int:
         return self.phi.shape[1] // self.m
 
-    def check_setpoint(self, r) -> np.ndarray:
-        """The q-entry setpoint as a float vector; size and finiteness checked."""
+    def stack_setpoint(self, r) -> np.ndarray:
+        """Repeat the q-entry setpoint down the prediction horizon."""
         r = np.asarray(r, dtype=float).reshape(-1)
         if r.size != self.q:
             raise ValueError(f"setpoint has {r.size} entries, expected {self.q}")
         if not np.isfinite(r).all():
             raise ValueError("setpoint entries must be finite")
-        return r
-
-    def stack_setpoint(self, r) -> np.ndarray:
-        """Repeat the q-entry setpoint down the prediction horizon."""
-        return np.tile(self.check_setpoint(r), self.np_horizon)
+        return np.tile(r, self.np_horizon)
 
 
 def build_prediction(aug: AugmentedModel, cfg: MpcConfig) -> PredictionMatrices:
@@ -205,19 +210,11 @@ def solve_optimal(pred: PredictionMatrices, x, r) -> np.ndarray:
     return np.linalg.solve(pred.hessian, rhs)
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """History the receding-horizon controller carries between samples."""
 
-    prev_plant_state: np.ndarray  # last measured plant state (= output here)
-    prev_control: np.ndarray  # last applied control, deviation flows
-
-    def __post_init__(self):
-        for name in ("prev_plant_state", "prev_control"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            if v.flags.writeable:
-                v.setflags(write=False)
-            object.__setattr__(self, name, v)
+    prev_plant_state: tuple[float, ...]  # last measured plant state (= output here)
+    prev_control: tuple[float, ...]  # last applied control, deviation flows
 
     @classmethod
     def initial(cls, measurement, n_inputs: int) -> "ControllerState":
@@ -226,8 +223,8 @@ class ControllerState:
         Seeding the history with the first measurement makes the first
         state increment zero, so there is no derivative kick at start.
         """
-        y = np.asarray(measurement, dtype=float).reshape(-1).copy()
-        return cls(prev_plant_state=y, prev_control=np.zeros(n_inputs))
+        y = tuple(np.asarray(measurement, dtype=float).reshape(-1).tolist())
+        return cls(prev_plant_state=y, prev_control=(0.0,) * n_inputs)
 
 
 def receding_step(
@@ -237,7 +234,7 @@ def receding_step(
     aug: AugmentedModel,
     measurement,
     r,
-) -> tuple[ControllerState, np.ndarray]:
+) -> tuple[ControllerState, tuple[float, float]]:
     """One controller sample: measure, apply the first optimal increment.
 
     The output matrix is the identity for the tank plant, so the
@@ -249,12 +246,23 @@ def receding_step(
     The increment is kr @ r - kx @ [dx; y].  In the velocity form the
     y-block of kx equals kr (every output row of psi carries an identity
     on y), so it is applied as kr @ (r - y) - kx_dx @ dx: a plant held
-    at its setpoint then gets exactly zero move.
+    at its setpoint then gets exactly zero move.  The law is written out
+    in floats for the tank's two inputs and two outputs.
     """
-    y = np.asarray(measurement, dtype=float).reshape(-1)
-    if y.size != aug.q:
-        raise ValueError(f"measurement has {y.size} entries, expected {aug.q}")
-    r = pred.check_setpoint(r)
-    dx = y - ctrl.prev_plant_state
-    u = ctrl.prev_control + (pred.kr @ (r - y) - pred.kx[:, : aug.n] @ dx)
-    return ControllerState(prev_plant_state=y.copy(), prev_control=u), u
+    if len(measurement) != aug.q:
+        raise ValueError(f"measurement has {len(measurement)} entries, expected {aug.q}")
+    if len(r) != pred.q:
+        raise ValueError(f"setpoint has {len(r)} entries, expected {pred.q}")
+    y1, y2 = measurement
+    r1, r2 = r
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise ValueError("setpoint entries must be finite")
+    (kr11, kr12), (kr21, kr22) = pred.kr_rows
+    (kx11, kx12), (kx21, kx22) = pred.kx_dx_rows
+    p1, p2 = ctrl.prev_plant_state
+    u1, u2 = ctrl.prev_control
+    e1, e2 = r1 - y1, r2 - y2
+    dx1, dx2 = y1 - p1, y2 - p2
+    u = (u1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2)),
+         u2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2)))
+    return ControllerState((y1, y2), u), u

@@ -100,3 +100,12 @@ def random_system(rng, max_dim=6, max_np=12):
     npred = int(rng.integers(1, max_np + 1))
     nctl = int(rng.integers(1, npred + 1))
     return a, b, c, int(q), int(m), npred, nctl
+
+
+def csv_text_by_value(log):
+    """A SimulationLog's CSV, one format(v, ".9g") call per value."""
+    cols = [getattr(log, name) for name in log.COLUMNS]
+    lines = [",".join(log.COLUMNS)]
+    for k in range(len(log)):
+        lines.append(",".join(format(col[k], ".9g") for col in cols))
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,16 @@
 """Command-line interface: output contracts and exit codes."""
 
+import contextlib
+import io
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tankmpc.cli import main
 
@@ -54,6 +61,7 @@ class TestLinearize:
         ("setpoint.h1.start = nan", "setpoint.h1.start must be finite"),
         ("operating.l1 = inf", "operating.l1 must be finite"),
         ("sim.t_end = 1e12", "samples, more than"),
+        ("sim.substeps = 100000000", "RK4 steps, more than"),
     ])
     def test_non_finite_or_absurd_value_exit_2(self, tmp_path, capsys, line, message):
         conf = tmp_path / "bad.conf"
@@ -148,3 +156,58 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc_info:
             main(["sweep", "--param", "ts", "--values", "1", "--out-dir", "x"])
         assert exc_info.value.code == 2
+
+
+def _either(valid, invalid):
+    """Values from both sides of a documented limit, valid three times in four
+    so that a config of several keys still runs now and then."""
+    return st.one_of(valid, valid, valid, st.sampled_from(invalid))
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+# Each key draws cheap valid values (a run stays under ~100 samples of at
+# most 8 substeps) or values on the far side of the key's documented limit.
+CONFIG_VALUES = {
+    "sim.ts": _either(st.floats(0.01, 0.5), [0.0, -0.05, 1e-300, 1e-9, 1e300] + _NON_FINITE),
+    "sim.t_end": _either(st.floats(0.01, 1.0), [0.0, -1.0, 1e7, 1e12, 1e300] + _NON_FINITE),
+    "sim.substeps": _either(st.integers(1, 8), [0, -1, 10**8, 10**30]),
+    "mpc.np": _either(st.integers(1, 30), [0, -3]),
+    "mpc.nc": _either(st.integers(1, 10), [0, -1, 31]),
+    "mpc.rw": _either(st.floats(1e-3, 1e3), [0.0, -1.0] + _NON_FINITE),
+    "plant.a1": _either(st.floats(0.01, 1.0), [0.0, -0.1, 1e-300, 1e300] + _NON_FINITE),
+    "plant.alpha1": _either(st.floats(0.0, 5.0), [-1.0, 1e300] + _NON_FINITE),
+    "plant.alpha2": _either(st.floats(0.1, 5.0), [0.0, -1.0] + _NON_FINITE),
+    "operating.l1": _either(st.floats(3.6, 10.0), [0.0, -1.0, 3.5] + _NON_FINITE),
+    "operating.l2": _either(st.floats(0.1, 3.9), [0.0, -1.0, 4.0] + _NON_FINITE),
+    "setpoint.h1.amplitude": _either(st.floats(-4.0, 4.0), [1e308, -1e308] + _NON_FINITE),
+    "setpoint.h2.duration": _either(st.floats(0.0, 2.0), [-1.0, math.inf, math.nan]),
+    "disturbance.magnitude": _either(st.floats(-300.0, 300.0), [1e308] + _NON_FINITE),
+    "disturbance.duration": _either(st.floats(0.0, 2.0), [-1.0, math.inf, math.nan]),
+    "disturbance.target": st.sampled_from(["tank1", "tank2", "both", "tank3"]),
+    "sim.clamp_flows": st.sampled_from(["true", "false"]),
+    "sim.linear_plant": st.sampled_from(["true", "false"]),
+}
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.sampled_from(sorted(CONFIG_VALUES)), st.none(), max_size=8)
+       .flatmap(lambda keys: st.fixed_dictionaries({k: CONFIG_VALUES[k] for k in keys})))
+@example({"setpoint.h1.amplitude": 1e308})  # the plant overflows: exit 3
+@example({"sim.substeps": 10**8})  # too many RK4 steps: exit 2
+def test_simulate_exits_with_a_documented_code(values):
+    """Any config runs (0) or fails with one line: 2 config, 3 runtime.
+
+    Derandomized, so the suite sees the same configs on every run.
+    """
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "run.conf"
+        conf.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(conf), "--out", str(Path(tmp) / "run.csv")])
+    assert code in (0, 2, 3), text
+    if code:
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue(), text

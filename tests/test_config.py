@@ -10,7 +10,7 @@ from tankmpc import (
     loads_config,
     bundled_config_path,
 )
-from tankmpc.config import with_mpc_value
+from tankmpc.config import MAX_RK4_STEPS, with_mpc_value
 
 
 def test_empty_text_gives_defaults():
@@ -85,3 +85,13 @@ def test_sweep_value_substitution():
         with_mpc_value(cfg, "ts", 0.1)
     with pytest.raises(ValueError):
         with_mpc_value(cfg, "np", 2)  # below the control horizon
+
+
+def test_rk4_step_count_bounded():
+    # the bundled run takes 300 samples; unbounded, this substep count hung the run
+    with pytest.raises(ConfigError, match="RK4 steps, more than"):
+        loads_config("sim.substeps = 100000000\n")
+    cfg = loads_config(f"sim.substeps = {MAX_RK4_STEPS // 300}\n")
+    assert cfg.scenario.substeps == MAX_RK4_STEPS // 300
+    with pytest.raises(ConfigError, match="RK4 steps"):
+        loads_config(f"sim.substeps = {MAX_RK4_STEPS // 300 + 1}\n")

@@ -13,11 +13,15 @@ from tankmpc import (
     Scenario,
     SetpointPulse,
     SimulationError,
+    SimulationLog,
     default_run_config,
     run_closed_loop,
     summarize,
 )
+from tankmpc.loop import CSV_BLOCK
 from tankmpc.plant import NO_DISTURBANCE
+
+from oracles import csv_text_by_value
 
 
 def make_scenario(**overrides):
@@ -173,6 +177,27 @@ class TestCsvContract:
         assert fields[7] == format(0.1 * 1.5556349186104048, ".9g")
         assert all(len(f.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 10
                    for f in fields)
+
+
+    def test_block_encoder_matches_per_value_format(self):
+        """Byte for byte the per-value encoder, across a block boundary and
+        on the values whose spelling differs most between formatters."""
+        n = CSV_BLOCK + 7
+        rng = np.random.default_rng(13)
+        cols = {name: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+                for name in SimulationLog.COLUMNS}
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1.8e308,
+                   -1.8e308, 0.1, 123456789.5]
+        for j, v in enumerate(special):
+            name = SimulationLog.COLUMNS[j % len(SimulationLog.COLUMNS)]
+            cols[name][j] = v
+            cols[name][CSV_BLOCK - 1 + j % 2] = v
+        empty = SimulationLog(**{name: np.zeros(0) for name in SimulationLog.COLUMNS})
+        for log in (SimulationLog(**cols), empty):
+            got, want = log.to_csv_text().split("\n"), csv_text_by_value(log).split("\n")
+            diff = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
+            same = len(got) == len(want) and not diff  # a bare string diff of 4000 lines is slow
+            assert same, f"{len(got)} vs {len(want)} lines, first differing line {diff[:1]}"
 
 
 class TestSummarize:
