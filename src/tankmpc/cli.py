@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 partial sweep failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -119,7 +120,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results: list[tuple[float, str]] = []  # (value, summary line or FAILED)
+    results: list[tuple[str, str]] = []  # (raw value, summary line or FAILED)
     any_failed = False
     for raw in raw_values:
         try:
@@ -138,25 +139,26 @@ def cmd_sweep(args) -> int:
                         break
                     worst = max(worst or 0.0, m.settling_time)
                 settle.append(f"{name}: {worst if isinstance(worst, str) else f'{worst:.3g} s'}")
-            results.append((float(value), f"{args.param}={raw}  " + "  ".join(settle)
+            results.append((raw, f"{args.param}={raw}  " + "  ".join(settle)
                             + f"  -> {out_path.name}"))
-        except (ConfigError, ValueError, SimulationError, np.linalg.LinAlgError) as exc:
+        except (ValueError, SimulationError) as exc:  # ConfigError and LinAlgError included
             any_failed = True
-            results.append((float("inf") if _nansafe(raw) is None else _nansafe(raw),
-                            f"{args.param}={raw}  FAILED: {exc}"))
+            results.append((raw, f"{args.param}={raw}  FAILED: {exc}"))
             print(f"value {raw}: FAILED ({exc})", file=sys.stderr)
 
     print(f"sweep over {args.param}:")
-    for _, line in sorted(results, key=lambda kv: kv[0]):
+    for _, line in sorted(results, key=lambda kv: _value_order(kv[0])):
         print(" ", line)
     return EXIT_PARTIAL if any_failed else EXIT_OK
 
 
-def _nansafe(raw: str):
+def _value_order(raw: str) -> tuple[int, float]:
+    """Sort key of a swept value: numbers ascending, then NaN and non-numbers."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        return None
+        return (1, 0.0)
+    return (1, 0.0) if math.isnan(value) else (0, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,13 +190,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and LinAlgError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SimulationError, np.linalg.LinAlgError, ArithmeticError, OSError) as exc:
+    except (SimulationError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -8,7 +8,7 @@ is line oriented and errors always name the offending line or field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +18,7 @@ from .plant import DisturbanceProfile
 from .tank import DEFAULT_LEVELS, DEFAULT_PARAMS, TankParams
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration text or values."""
 
 
@@ -30,6 +30,10 @@ MAX_SAMPLES = 1_000_000
 #: Most RK4 steps one run may take (sim.t_end / sim.ts * sim.substeps).  It
 #: bounds the run time the way MAX_SAMPLES bounds the memory.
 MAX_RK4_STEPS = 10_000_000
+
+#: Largest mpc.np * mpc.nc: phi holds np * nc blocks and the gain solve grows
+#: with nc cubed.  It bounds the controller's set-up memory and time, and mpc.np.
+MAX_HORIZON_PRODUCT = 250_000
 
 
 @dataclass(frozen=True)
@@ -57,32 +61,54 @@ def default_run_config() -> RunConfig:
     return RunConfig(scenario=scenario)
 
 
-_FLOAT_KEYS = {
-    "plant.a1", "plant.a2", "plant.alpha1", "plant.alpha2",
-    "operating.l1", "operating.l2",
-    "mpc.rw",
-    "sim.ts", "sim.t_end",
-    "setpoint.h1.amplitude", "setpoint.h1.start", "setpoint.h1.duration",
-    "setpoint.h2.amplitude", "setpoint.h2.start", "setpoint.h2.duration",
-    "disturbance.magnitude", "disturbance.start", "disturbance.duration",
-}
-_INT_KEYS = {"mpc.np", "mpc.nc", "sim.substeps"}
-_BOOL_KEYS = {"sim.clamp_flows", "sim.linear_plant"}
-_STR_KEYS = {"disturbance.target", "output.path"}
-ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+def _flat(cfg: RunConfig) -> dict:
+    """Every config key of cfg and its value, in canonical order: the one
+    list of keys that parsing, validation and the canonical text go through."""
+    sc = cfg.scenario
+    sp1, sp2 = sc.setpoints
+    values = {
+        "plant.a1": sc.params.a1,
+        "plant.a2": sc.params.a2,
+        "plant.alpha1": sc.params.alpha1,
+        "plant.alpha2": sc.params.alpha2,
+        "operating.l1": sc.op_levels[0],
+        "operating.l2": sc.op_levels[1],
+        "mpc.np": sc.mpc.np_horizon,
+        "mpc.nc": sc.mpc.nc_horizon,
+        "mpc.rw": sc.mpc.rw,
+        "sim.ts": sc.ts,
+        "sim.t_end": sc.t_end,
+        "sim.substeps": sc.substeps,
+        "sim.clamp_flows": sc.clamp_flows,
+        "sim.linear_plant": sc.linear_plant,
+        "setpoint.h1.amplitude": sp1.amplitude,
+        "setpoint.h1.start": sp1.start,
+        "setpoint.h1.duration": sp1.duration,
+        "setpoint.h2.amplitude": sp2.amplitude,
+        "setpoint.h2.start": sp2.start,
+        "setpoint.h2.duration": sp2.duration,
+        "disturbance.magnitude": sc.disturbance.magnitude,
+        "disturbance.start": sc.disturbance.start,
+        "disturbance.duration": sc.disturbance.duration,
+        "disturbance.target": sc.disturbance.target,
+    }
+    if cfg.output_path is not None:
+        values["output.path"] = cfg.output_path
+    return values
+
+
+#: The type of every config key's value, from the defaults.
+_TYPES = {key: type(value) for key, value in _flat(default_run_config()).items()}
+_TYPES["output.path"] = str
 
 
 def _parse_value(key: str, raw: str, lineno: int):
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
+        if _TYPES[key] is bool:
             if raw.lower() in ("true", "false"):
                 return raw.lower() == "true"
             raise ValueError("expected true or false")
-        return raw
+        return _TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {raw!r} ({exc})") from None
 
@@ -98,7 +124,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in ALL_KEYS:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -106,62 +132,30 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _build(values: dict) -> RunConfig:
+def _build(values: dict, base: RunConfig = default_run_config()) -> RunConfig:
+    """Validate values and build a RunConfig; keys not in values keep base's."""
     for key, value in values.items():
         # an endless pulse is the one legitimate infinity
-        if key in _FLOAT_KEYS and not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             if not key.endswith(".duration"):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
             if value != math.inf:
                 raise ConfigError(f"{key} must be finite or inf, got {value!r}")
-    base = default_run_config()
-    sc = base.scenario
-
-    def get(key, fallback):
-        return values.get(key, fallback)
-
+    # "setpoint.h1.start" -> sections["setpoint.h1"]["start"]: a SetpointPulse field
+    sections: dict = {}
+    for key, value in {**_flat(base), **values}.items():
+        section, _, field = key.rpartition(".")
+        sections.setdefault(section, {})[field] = value
+    op, mpc = sections["operating"], sections["mpc"]
     try:
-        params = TankParams(
-            a1=get("plant.a1", sc.params.a1),
-            a2=get("plant.a2", sc.params.a2),
-            alpha1=get("plant.alpha1", sc.params.alpha1),
-            alpha2=get("plant.alpha2", sc.params.alpha2),
-        )
-        mpc = MpcConfig(
-            np_horizon=get("mpc.np", sc.mpc.np_horizon),
-            nc_horizon=get("mpc.nc", sc.mpc.nc_horizon),
-            rw=get("mpc.rw", sc.mpc.rw),
-        )
-        sp1, sp2 = sc.setpoints
-        setpoints = (
-            SetpointPulse(
-                amplitude=get("setpoint.h1.amplitude", sp1.amplitude),
-                start=get("setpoint.h1.start", sp1.start),
-                duration=get("setpoint.h1.duration", sp1.duration),
-            ),
-            SetpointPulse(
-                amplitude=get("setpoint.h2.amplitude", sp2.amplitude),
-                start=get("setpoint.h2.start", sp2.start),
-                duration=get("setpoint.h2.duration", sp2.duration),
-            ),
-        )
-        disturbance = DisturbanceProfile(
-            start=get("disturbance.start", sc.disturbance.start),
-            duration=get("disturbance.duration", sc.disturbance.duration),
-            magnitude=get("disturbance.magnitude", sc.disturbance.magnitude),
-            target=get("disturbance.target", sc.disturbance.target),
-        )
         scenario = Scenario(
-            params=params,
-            op_levels=(get("operating.l1", sc.op_levels[0]), get("operating.l2", sc.op_levels[1])),
-            mpc=mpc,
-            ts=get("sim.ts", sc.ts),
-            t_end=get("sim.t_end", sc.t_end),
-            setpoints=setpoints,
-            disturbance=disturbance,
-            substeps=get("sim.substeps", sc.substeps),
-            clamp_flows=get("sim.clamp_flows", sc.clamp_flows),
-            linear_plant=get("sim.linear_plant", sc.linear_plant),
+            params=TankParams(**sections["plant"]),
+            op_levels=(op["l1"], op["l2"]),
+            mpc=MpcConfig(np_horizon=mpc["np"], nc_horizon=mpc["nc"], rw=mpc["rw"]),
+            setpoints=(SetpointPulse(**sections["setpoint.h1"]),
+                       SetpointPulse(**sections["setpoint.h2"])),
+            disturbance=DisturbanceProfile(**sections["disturbance"]),
+            **sections["sim"],
         )
         l1, l2 = scenario.op_levels
         if not (l1 > l2 > 0):
@@ -174,9 +168,13 @@ def _build(values: dict) -> RunConfig:
             raise ValueError(f"sim.t_end / sim.ts * sim.substeps = "
                              f"{samples * scenario.substeps:.3g} RK4 steps, "
                              f"more than the {MAX_RK4_STEPS} allowed")
+        horizons = scenario.mpc.np_horizon * scenario.mpc.nc_horizon
+        if horizons > MAX_HORIZON_PRODUCT:
+            raise ValueError(f"mpc.np * mpc.nc = {horizons}, "
+                             f"more than the {MAX_HORIZON_PRODUCT} allowed")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(scenario=scenario, output_path=values.get("output.path"))
+    return RunConfig(scenario=scenario, output_path=sections.get("output", {}).get("path"))
 
 
 def loads_config(text: str) -> RunConfig:
@@ -200,37 +198,7 @@ def _fmt(value) -> str:
 
 def dumps_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig to canonical config text (full key set)."""
-    sc = cfg.scenario
-    sp1, sp2 = sc.setpoints
-    pairs = [
-        ("plant.a1", sc.params.a1),
-        ("plant.a2", sc.params.a2),
-        ("plant.alpha1", sc.params.alpha1),
-        ("plant.alpha2", sc.params.alpha2),
-        ("operating.l1", sc.op_levels[0]),
-        ("operating.l2", sc.op_levels[1]),
-        ("mpc.np", sc.mpc.np_horizon),
-        ("mpc.nc", sc.mpc.nc_horizon),
-        ("mpc.rw", sc.mpc.rw),
-        ("sim.ts", sc.ts),
-        ("sim.t_end", sc.t_end),
-        ("sim.substeps", sc.substeps),
-        ("sim.clamp_flows", sc.clamp_flows),
-        ("sim.linear_plant", sc.linear_plant),
-        ("setpoint.h1.amplitude", sp1.amplitude),
-        ("setpoint.h1.start", sp1.start),
-        ("setpoint.h1.duration", sp1.duration),
-        ("setpoint.h2.amplitude", sp2.amplitude),
-        ("setpoint.h2.start", sp2.start),
-        ("setpoint.h2.duration", sp2.duration),
-        ("disturbance.magnitude", sc.disturbance.magnitude),
-        ("disturbance.start", sc.disturbance.start),
-        ("disturbance.duration", sc.disturbance.duration),
-        ("disturbance.target", sc.disturbance.target),
-    ]
-    if cfg.output_path is not None:
-        pairs.append(("output.path", cfg.output_path))
-    return "\n".join(f"{k} = {_fmt(v)}" for k, v in pairs) + "\n"
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in _flat(cfg).items())
 
 
 def bundled_config_path() -> Path:
@@ -239,14 +207,11 @@ def bundled_config_path() -> Path:
 
 
 def with_mpc_value(cfg: RunConfig, name: str, value) -> RunConfig:
-    """Copy of cfg with one MPC parameter (rw, np, nc) replaced."""
-    mpc = cfg.scenario.mpc
-    if name == "rw":
-        mpc = MpcConfig(mpc.np_horizon, mpc.nc_horizon, float(value))
-    elif name == "np":
-        mpc = MpcConfig(int(value), mpc.nc_horizon, mpc.rw)
-    elif name == "nc":
-        mpc = MpcConfig(mpc.np_horizon, int(value), mpc.rw)
-    else:
+    """Copy of cfg with one MPC parameter (rw, np, nc) replaced.
+
+    The new value passes every check a config file's value would.
+    """
+    if name not in ("rw", "np", "nc"):
         raise ConfigError(f"unknown sweep parameter {name!r} (expected rw, np or nc)")
-    return replace(cfg, scenario=replace(cfg.scenario, mpc=mpc))
+    key = f"mpc.{name}"
+    return _build({key: _TYPES[key](value)}, base=cfg)

@@ -158,7 +158,7 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
         r = (sp1.value(t_k), sp2.value(t_k))
 
         try:
-            ctrl, (u1, u2) = receding_step(ctrl, pred, scenario.mpc, aug, y, r)
+            ctrl, (u1, u2) = receding_step(ctrl, pred, y, r)
         except Exception as exc:
             raise SimulationError(k, t_k, exc) from exc
 
@@ -230,11 +230,8 @@ def _segment_metrics(name, t, y, target, step, i0, i1) -> StepMetrics:
     # settled once the signal stays in the band through the segment end,
     # and only if it dwells there long enough to mean it
     in_band = np.abs(seg_y - target) <= band if band > 0 else seg_y == target
-    trailing = 0
-    for ok in in_band[::-1]:
-        if not ok:
-            break
-        trailing += 1
+    outside = np.flatnonzero(~in_band)
+    trailing = len(seg_y) - (int(outside[-1]) + 1 if outside.size else 0)
     settled = trailing >= SETTLE_DWELL
     settling_time = float(seg_t[len(seg_y) - trailing] - seg_t[0]) if settled else None
 
@@ -264,7 +261,7 @@ def summarize(log: SimulationLog, scenario: Scenario) -> SummaryMetrics:
         raise ValueError("empty simulation log")
     out = SummaryMetrics()
     for name, r, y in (("h1", log.r1, log.h1), ("h2", log.r2, log.h2)):
-        edges = [0] + [k for k in range(1, len(log)) if r[k] != r[k - 1]]
+        edges = [0] + (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist()
         bounds = edges + [len(log)]
         metrics = []
         for e, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):

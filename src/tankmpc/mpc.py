@@ -230,8 +230,6 @@ class ControllerState(NamedTuple):
 def receding_step(
     ctrl: ControllerState,
     pred: PredictionMatrices,
-    cfg: MpcConfig,
-    aug: AugmentedModel,
     measurement,
     r,
 ) -> tuple[ControllerState, tuple[float, float]]:
@@ -249,8 +247,8 @@ def receding_step(
     at its setpoint then gets exactly zero move.  The law is written out
     in floats for the tank's two inputs and two outputs.
     """
-    if len(measurement) != aug.q:
-        raise ValueError(f"measurement has {len(measurement)} entries, expected {aug.q}")
+    if len(measurement) != pred.q:
+        raise ValueError(f"measurement has {len(measurement)} entries, expected {pred.q}")
     if len(r) != pred.q:
         raise ValueError(f"setpoint has {len(r)} entries, expected {pred.q}")
     y1, y2 = measurement

@@ -109,3 +109,21 @@ def csv_text_by_value(log):
     for k in range(len(log)):
         lines.append(",".join(format(col[k], ".9g") for col in cols))
     return "\n".join(lines) + "\n"
+
+
+def settling_by_loop(t, r, y, dwell):
+    """(t_edge, settling time or None) per setpoint segment of one output,
+    by element-wise loops over the log."""
+    edges = [0] + [k for k in range(1, len(r)) if r[k] != r[k - 1]]
+    out = []
+    for e, (i0, i1) in enumerate(zip(edges, edges[1:] + [len(r)])):
+        target = r[i0]
+        step = target - (y[0] if e == 0 else r[i0 - 1])
+        band = 0.02 * max(abs(target), abs(step))
+        trailing = 0
+        for k in range(i1 - 1, i0 - 1, -1):
+            if not (abs(y[k] - target) <= band if band > 0 else y[k] == target):
+                break
+            trailing += 1
+        out.append((t[i0], t[i1 - trailing] - t[i0] if trailing >= dwell else None))
+    return out

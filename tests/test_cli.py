@@ -152,6 +152,14 @@ class TestSweep:
         assert not (out_dir / "np_2.csv").exists()
         assert "FAILED" in err or "FAILED" in out
 
+    def test_nan_and_non_numeric_values_sort_last(self, tmp_path, capsys):
+        code, out, err = run_cli(["sweep", "--param", "rw", "--values", "10,nan,0.1,x,1",
+                                  "--out-dir", str(tmp_path / "rw")], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "rw=nan  FAILED: mpc.rw must be finite, got nan" in out
+        pos = [out.index(f"rw={v} ") for v in ("0.1", "1", "10", "nan", "x")]
+        assert pos == sorted(pos)
+
     def test_rejects_unknown_param(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["sweep", "--param", "ts", "--values", "1", "--out-dir", "x"])
@@ -172,8 +180,8 @@ CONFIG_VALUES = {
     "sim.ts": _either(st.floats(0.01, 0.5), [0.0, -0.05, 1e-300, 1e-9, 1e300] + _NON_FINITE),
     "sim.t_end": _either(st.floats(0.01, 1.0), [0.0, -1.0, 1e7, 1e12, 1e300] + _NON_FINITE),
     "sim.substeps": _either(st.integers(1, 8), [0, -1, 10**8, 10**30]),
-    "mpc.np": _either(st.integers(1, 30), [0, -3]),
-    "mpc.nc": _either(st.integers(1, 10), [0, -1, 31]),
+    "mpc.np": _either(st.integers(1, 30), [0, -3, 10**9]),
+    "mpc.nc": _either(st.integers(1, 10), [0, -1, 31, 10**9]),
     "mpc.rw": _either(st.floats(1e-3, 1e3), [0.0, -1.0] + _NON_FINITE),
     "plant.a1": _either(st.floats(0.01, 1.0), [0.0, -0.1, 1e-300, 1e300] + _NON_FINITE),
     "plant.alpha1": _either(st.floats(0.0, 5.0), [-1.0, 1e300] + _NON_FINITE),

@@ -1,5 +1,7 @@
 """Config parsing, validation diagnostics, and round-tripping."""
 
+import math
+
 import pytest
 
 from tankmpc import (
@@ -10,7 +12,44 @@ from tankmpc import (
     loads_config,
     bundled_config_path,
 )
-from tankmpc.config import MAX_RK4_STEPS, with_mpc_value
+from tankmpc.config import (
+    MAX_HORIZON_PRODUCT,
+    MAX_RK4_STEPS,
+    _flat,
+    parse_config_text,
+    with_mpc_value,
+)
+
+#: Every key of the schema: a valid value other than its default, and
+#: the field of the RunConfig it must land in.
+NON_DEFAULT = {
+    "plant.a1": (0.21, lambda c: c.scenario.params.a1),
+    "plant.a2": (0.17, lambda c: c.scenario.params.a2),
+    "plant.alpha1": (2.3, lambda c: c.scenario.params.alpha1),
+    "plant.alpha2": (1.8, lambda c: c.scenario.params.alpha2),
+    "operating.l1": (4.2, lambda c: c.scenario.op_levels[0]),
+    "operating.l2": (3.4, lambda c: c.scenario.op_levels[1]),
+    "mpc.np": (12, lambda c: c.scenario.mpc.np_horizon),
+    "mpc.nc": (4, lambda c: c.scenario.mpc.nc_horizon),
+    "mpc.rw": (0.7, lambda c: c.scenario.mpc.rw),
+    "sim.ts": (0.04, lambda c: c.scenario.ts),
+    "sim.t_end": (14.0, lambda c: c.scenario.t_end),
+    "sim.substeps": (5, lambda c: c.scenario.substeps),
+    "sim.clamp_flows": (True, lambda c: c.scenario.clamp_flows),
+    "sim.linear_plant": (True, lambda c: c.scenario.linear_plant),
+    "setpoint.h1.amplitude": (0.45, lambda c: c.scenario.setpoints[0].amplitude),
+    "setpoint.h1.start": (0.6, lambda c: c.scenario.setpoints[0].start),
+    "setpoint.h1.duration": (4.5, lambda c: c.scenario.setpoints[0].duration),
+    "setpoint.h2.amplitude": (0.35, lambda c: c.scenario.setpoints[1].amplitude),
+    "setpoint.h2.start": (0.7, lambda c: c.scenario.setpoints[1].start),
+    "setpoint.h2.duration": (5.5, lambda c: c.scenario.setpoints[1].duration),
+    "disturbance.magnitude": (12.0, lambda c: c.scenario.disturbance.magnitude),
+    "disturbance.start": (7.0, lambda c: c.scenario.disturbance.start),
+    "disturbance.duration": (2.5, lambda c: c.scenario.disturbance.duration),
+    "disturbance.target": ("both", lambda c: c.scenario.disturbance.target),
+    "output.path": ("out.csv", lambda c: c.output_path),
+}
+DEFAULTS = _flat(default_run_config())
 
 
 def test_empty_text_gives_defaults():
@@ -66,6 +105,20 @@ def test_round_trip_identity():
     assert loads_config(dumps_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_each_key_round_trips_alone(key):
+    value, field = NON_DEFAULT[key]
+    cfg = loads_config(f"{key} = {value}\n")
+    assert field(cfg) == value
+    assert parse_config_text(dumps_config(cfg)) == {**DEFAULTS, key: value}
+
+
+def test_schema_keys():
+    assert set(NON_DEFAULT) == set(DEFAULTS) | {"output.path"}
+    bundled = parse_config_text(bundled_config_path().read_text(encoding="utf-8"))
+    assert list(bundled) == list(DEFAULTS)
+
+
 def test_bundled_config_equals_defaults():
     cfg = load_config(bundled_config_path())
     assert cfg == default_run_config()
@@ -95,3 +148,31 @@ def test_rk4_step_count_bounded():
     assert cfg.scenario.substeps == MAX_RK4_STEPS // 300
     with pytest.raises(ConfigError, match="RK4 steps"):
         loads_config(f"sim.substeps = {MAX_RK4_STEPS // 300 + 1}\n")
+
+
+def test_horizon_product_bounded():
+    assert loads_config("mpc.np = 500\nmpc.nc = 500\n").scenario.mpc.nc_horizon == 500
+    cfg = loads_config(f"mpc.np = {MAX_HORIZON_PRODUCT}\nmpc.nc = 1\n")
+    assert cfg.scenario.mpc.np_horizon == MAX_HORIZON_PRODUCT
+    with pytest.raises(ConfigError, match=r"mpc\.np \* mpc\.nc = 250001, more than the 250000"):
+        loads_config(f"mpc.np = {MAX_HORIZON_PRODUCT + 1}\nmpc.nc = 1\n")
+    with pytest.raises(ConfigError, match=r"mpc\.np \* mpc\.nc = 250500"):
+        loads_config("mpc.np = 501\nmpc.nc = 500\n")
+
+
+def _outcome(make):
+    try:
+        return dumps_config(make())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name, value", [
+    *[("rw", v) for v in (0.5, 0.0, -1.0, math.nan, math.inf, -math.inf)],
+    *[("np", v) for v in (3, 2, 0, -1, 83333, 83334, 10**9)],  # at the bundled nc = 3
+    *[("nc", v) for v in (1, 10, 11, 0, -1, 10**9)],  # at the bundled np = 10
+])
+def test_swept_value_checked_like_config_value(name, value):
+    cfg = default_run_config()
+    assert (_outcome(lambda: with_mpc_value(cfg, name, value))
+            == _outcome(lambda: loads_config(f"mpc.{name} = {value}\n")))

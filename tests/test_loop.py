@@ -18,10 +18,10 @@ from tankmpc import (
     run_closed_loop,
     summarize,
 )
-from tankmpc.loop import CSV_BLOCK
+from tankmpc.loop import CSV_BLOCK, SETTLE_DWELL
 from tankmpc.plant import NO_DISTURBANCE
 
-from oracles import csv_text_by_value
+from oracles import csv_text_by_value, settling_by_loop
 
 
 def make_scenario(**overrides):
@@ -221,6 +221,21 @@ class TestSummarize:
             assert rising.rise_time is not None and 0 < rising.rise_time < 1.0
             assert 0 < rising.settling_time < 2.0
         assert m.max_control_step["u1"] > 0
+
+    def test_segments_and_settling_match_loops(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            runs = rng.integers(1, 3 * SETTLE_DWELL, size=int(rng.integers(1, 6)))
+            r = np.repeat(rng.choice([0.0, 0.5, -0.3], size=runs.size), runs)
+            # a share of samples, from none to all, leaves the band
+            out = rng.random(r.size) < rng.choice([0.0, 0.05, 0.3, 1.0])
+            y = r + np.where(out, 0.1, 1e-3) * rng.standard_normal(r.size)
+            t = np.arange(r.size) * 0.05
+            zero = np.zeros(r.size)
+            log = SimulationLog(t, r, zero, y, zero, zero, zero, zero, zero, zero)
+            got = [(m.t_edge, m.settling_time)
+                   for m in summarize(log, DEFAULT_SCENARIO).outputs["h1"]]
+            assert got == settling_by_loop(t, r, y, SETTLE_DWELL)
 
     def test_unsettled_run_is_marked_not_crashed(self):
         sc = make_scenario(t_end=0.7, setpoints=(

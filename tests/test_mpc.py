@@ -319,7 +319,7 @@ class TestFirstMoveGain:
             y = rng.uniform(-1, 1, 2)
             r = rng.uniform(-1, 1, 2)
             ctrl = ControllerState(prev_plant_state=prev_y, prev_control=prev_u)
-            _, u = receding_step(ctrl, pred, cfg, aug, y, r)
+            _, u = receding_step(ctrl, pred, y, r)
             du = solve_optimal(pred, np.concatenate([y - prev_y, y]), r)[:2]
             assert np.max(np.abs(u - (prev_u + du))) < 1e-12
 
@@ -329,9 +329,9 @@ class TestFirstMoveGain:
         pred = build_prediction(aug, cfg)
         ctrl = ControllerState.initial(np.zeros(2), n_inputs=2)
         with pytest.raises(ValueError, match="entries"):
-            receding_step(ctrl, pred, cfg, aug, np.zeros(2), np.zeros(3))
+            receding_step(ctrl, pred, np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="finite"):
-            receding_step(ctrl, pred, cfg, aug, np.zeros(2), [np.nan, 0.0])
+            receding_step(ctrl, pred, np.zeros(2), [np.nan, 0.0])
 
 
 class TestRecedingStep:
@@ -343,13 +343,13 @@ class TestRecedingStep:
     def test_steady_at_setpoint_means_no_move(self):
         y = np.array([0.25, 0.15])
         ctrl = ControllerState(prev_plant_state=y, prev_control=np.array([0.1, -0.2]))
-        new_ctrl, u = receding_step(ctrl, self.pred, self.cfg, self.aug, y, y)
+        new_ctrl, u = receding_step(ctrl, self.pred, y, y)
         assert np.array_equal(u, ctrl.prev_control)
         assert np.array_equal(new_ctrl.prev_control, u)
 
     def test_first_step_at_operating_point(self):
         ctrl = ControllerState.initial(np.zeros(2), n_inputs=2)
-        _, u = receding_step(ctrl, self.pred, self.cfg, self.aug, np.zeros(2), np.zeros(2))
+        _, u = receding_step(ctrl, self.pred, np.zeros(2), np.zeros(2))
         assert np.array_equal(u, np.zeros(2))
 
     def test_integral_action_holds_output(self):
@@ -362,7 +362,7 @@ class TestRecedingStep:
     def test_measurement_dimension_checked(self):
         ctrl = ControllerState.initial(np.zeros(2), n_inputs=2)
         with pytest.raises(ValueError):
-            receding_step(ctrl, self.pred, self.cfg, self.aug, np.zeros(3), np.zeros(2))
+            receding_step(ctrl, self.pred, np.zeros(3), np.zeros(2))
 
     def test_frozen_first_moves_after_setpoint_edge(self):
         """Regression trace recorded once the solver passed its oracles."""
