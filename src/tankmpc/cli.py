@@ -1,7 +1,7 @@
 """Command-line front end: linearize, simulate, sweep.
 
 Exit codes: 0 success, 1 partial sweep failure, 2 configuration error,
-3 runtime (solver/integrator/IO) error.
+3 runtime (solver/integrator/IO/out-of-memory) error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from .config import (
     ConfigError,
     RunConfig,
+    _parse_value,
     default_run_config,
     load_config,
     with_mpc_value,
@@ -124,7 +125,7 @@ def cmd_sweep(args) -> int:
     any_failed = False
     for raw in raw_values:
         try:
-            value = float(raw) if args.param == "rw" else int(raw)
+            value = _parse_value(f"mpc.{args.param}", raw)
             run_cfg = with_mpc_value(cfg, args.param, value)
             log = run_closed_loop(run_cfg.scenario)
             out_path = out_dir / f"{args.param}_{raw}.csv"
@@ -195,6 +196,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (SimulationError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

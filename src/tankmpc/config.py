@@ -102,7 +102,8 @@ _TYPES = {key: type(value) for key, value in _flat(default_run_config()).items()
 _TYPES["output.path"] = str
 
 
-def _parse_value(key: str, raw: str, lineno: int):
+def _parse_value(key: str, raw: str):
+    """The raw text of key's value, as the key's type."""
     try:
         if _TYPES[key] is bool:
             if raw.lower() in ("true", "false"):
@@ -110,7 +111,7 @@ def _parse_value(key: str, raw: str, lineno: int):
             raise ValueError("expected true or false")
         return _TYPES[key](raw)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {raw!r} ({exc})") from None
+        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -128,7 +129,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw, lineno)
+        try:
+            values[key] = _parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return values
 
 

@@ -4,7 +4,8 @@ Per sample: read the plant levels, form the setpoint, apply the
 fixed-gain control move, hold the absolute flows over the interval,
 and advance the nonlinear plant with Runge-Kutta substeps.  The controller always
 runs on the linearized model while the plant stays nonlinear, exactly
-the mismatch the scheme is meant to tolerate.
+the mismatch the scheme is meant to tolerate.  The setpoints and the
+disturbance at the sample times are computed once per run.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import numpy as np
 
 from .discretize import zoh_discretize
 from .mpc import ControllerState, MpcConfig, augment, build_prediction, receding_step
-from .plant import (  # noqa: F401  (disturbance_inflows, rk4_step: boundaries perfbench traces)
+from .plant import (  # noqa: F401  (unused here; perfbench/tracing.BOUNDARIES
+    # names disturbance_flow, disturbance_inflows and rk4_step in this module)
     NO_DISTURBANCE,
     DisturbanceProfile,
     disturbance_flow,
     disturbance_inflows,
-    make_stepper,
-    pulse_feed,
+    make_advance,
     rk4_step,
 )
 from .tank import TankParams, linearize, make_operating_point
@@ -33,7 +34,7 @@ logger = logging.getLogger(__name__)
 #: Samples a signal must stay inside the settling band to count as settled.
 SETTLE_DWELL = 10
 
-#: Rows the CSV encoder formats at a time.
+#: Rows the CSV encoder formats, and the loop turns into floats, at a time.
 CSV_BLOCK = 4096
 
 
@@ -120,6 +121,22 @@ class SimulationLog:
         return "".join(parts)
 
 
+#: Log columns the loop fills sample by sample; t, r1, r2 and u3 are known up front.
+_LOOP_COLUMNS = ("h1", "h2", "u1", "u2", "fi1_abs", "fi2_abs")
+
+
+def _pulse(t: np.ndarray, start: float, duration: float, value: float) -> np.ndarray:
+    """value on [start, start + duration) and 0.0 elsewhere, at the times t."""
+    return np.where((start <= t) & (t < start + duration), value, 0.0)
+
+
+def _rows(*cols: np.ndarray):
+    """The columns' rows as tuples of floats, converted CSV_BLOCK rows at a
+    time so that a long run holds no full-length lists of floats."""
+    for i in range(0, len(cols[0]), CSV_BLOCK):
+        yield from zip(*(col[i : i + CSV_BLOCK].tolist() for col in cols))
+
+
 class SimulationError(RuntimeError):
     """A sub-module failure, annotated with the sample it happened at."""
 
@@ -138,32 +155,38 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     pred = build_prediction(aug, scenario.mpc)
 
     n = scenario.n_samples()
-    rows = np.zeros((n, len(SimulationLog.COLUMNS)))
     ts = scenario.ts
-    substeps = range(scenario.substeps)
     sp1, sp2 = scenario.setpoints
     dist = scenario.disturbance
+    # the scenario's signals at the sample times, once per run
+    t_col = np.arange(n) * ts  # k * ts, bit for bit
+    r1_col = _pulse(t_col, sp1.start, sp1.duration, sp1.amplitude)
+    r2_col = _pulse(t_col, sp2.start, sp2.duration, sp2.amplitude)
+    flow = dist.flow(op)
+    u3_col = _pulse(t_col, dist.start, dist.duration, flow)
+    p1, p2 = dist.route(flow)
+    d1_col = _pulse(t_col, dist.start, dist.duration, p1)
+    d2_col = _pulse(t_col, dist.start, dist.duration, p2)
+
+    rows = np.zeros((n, len(_LOOP_COLUMNS)))
     fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
     clamp = scenario.clamp_flows
-    step = make_stepper(params, op, ts / scenario.substeps, pulse_feed(dist, op, clamp))
+    advance = make_advance(params, op, ts / scenario.substeps, scenario.substeps, dist, clamp)
 
     t, h1, h2 = 0.0, 0.0, 0.0  # plant clock and level deviations
     lin_state = np.zeros(2)  # diagnostic linear-plant state
     ctrl = ControllerState.initial((0.0, 0.0), n_inputs=2)
     clamped_at: int | None = None
 
-    for k in range(n):
-        t_k = k * ts
+    samples = _rows(t_col, r1_col, r2_col, d1_col, d2_col)
+    for k, (t_k, r1_k, r2_k, d1_k, d2_k) in enumerate(samples):
         y = tuple(lin_state.tolist()) if scenario.linear_plant else (h1, h2)
-        r = (sp1.value(t_k), sp2.value(t_k))
 
         try:
-            ctrl, (u1, u2) = receding_step(ctrl, pred, y, r)
+            ctrl, (u1, u2) = receding_step(ctrl, pred, y, (r1_k, r2_k))
         except Exception as exc:
             raise SimulationError(k, t_k, exc) from exc
 
-        d_k = disturbance_flow(dist, op, t_k)
-        d1_k, d2_k = dist.route(d_k)
         fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
         if clamp:
             if clamped_at is None and (fi1_abs < 0 or fi2_abs < 0):
@@ -171,7 +194,7 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
                 logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
             fi1_abs, fi2_abs = max(fi1_abs, 0.0), max(fi2_abs, 0.0)
 
-        rows[k] = (t_k, r[0], r[1], y[0], y[1], u1, u2, d_k, fi1_abs, fi2_abs)
+        rows[k] = (y[0], y[1], u1, u2, fi1_abs, fi2_abs)
 
         if k == n - 1:
             break
@@ -182,12 +205,12 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
             continue
 
         try:
-            for _ in substeps:
-                t, h1, h2 = step(t, h1, h2, u1, u2)
+            t, h1, h2 = advance(t, h1, h2, u1, u2)
         except Exception as exc:
             raise SimulationError(k, t_k, exc) from exc
 
-    return SimulationLog(**dict(zip(SimulationLog.COLUMNS, rows.T.copy())))
+    logged = dict(zip(_LOOP_COLUMNS, rows.T.copy()))
+    return SimulationLog(t=t_col, r1=r1_col, r2=r2_col, u3=u3_col, **logged)
 
 
 @dataclass

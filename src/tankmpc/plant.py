@@ -2,10 +2,11 @@
 
 The true square-root dynamics are integrated with a fixed-step
 classical Runge-Kutta scheme between controller samples; the control
-flows are held constant over each step while the disturbance flow is
-resolved at the integrator stage times.  `make_stepper` binds one run's
-constants into a step on plain floats; `rk4_step` is a one-off call of
-the same step.
+flows are held constant over each sample while the disturbance flow is
+resolved at the integrator stage times.  `make_advance` binds one run's
+constants into one kernel on plain floats that runs all substeps of a
+controller sample, with the rate equations and the pulse feed inline;
+`rk4_step` is a one-off call of the same kernel.
 """
 
 from __future__ import annotations
@@ -19,18 +20,13 @@ from .tank import (  # noqa: F401  (nonlinear_derivatives: a boundary perfbench 
     DeviationState,
     OperatingPoint,
     TankParams,
-    level_rates,
     nonlinear_derivatives,
 )
 
 logger = logging.getLogger(__name__)
 
-# additive inflows (tank 1, tank 2) as a function of absolute time
-InflowFunc = Callable[[float], tuple[float, float]]
-# total feed-flow deviations (fi1, fi2) at time t with the control (u1, u2) held
-FeedFunc = Callable[[float, float, float], tuple[float, float]]
-# one RK4 step: (t, h1, h2, u1, u2) -> (t + dt, h1, h2)
-StepFunc = Callable[[float, float, float, float, float], tuple[float, float, float]]
+# one controller sample: (t, h1, h2, u1, u2) -> (t, h1, h2) after all its substeps
+AdvanceFunc = Callable[[float, float, float, float, float], tuple[float, float, float]]
 
 
 class PlantState(NamedTuple):
@@ -94,74 +90,112 @@ def disturbance_inflows(
     return profile.route(disturbance_flow(profile, op, t))
 
 
-def pulse_feed(profile: DisturbanceProfile, op: OperatingPoint, clamp_flows: bool) -> FeedFunc:
-    """One run's feed: feed(t, u1, u2) -> total feed-flow deviations (fi1, fi2).
+def make_advance(
+    params: TankParams,
+    op: OperatingPoint,
+    dt: float,
+    substeps: int,
+    profile: DisturbanceProfile,
+    clamp_flows: bool,
+) -> AdvanceFunc:
+    """One controller sample of the nonlinear plant: `substeps` classical
+    Runge-Kutta steps of size dt, on plain floats.
 
-    That is the held control plus the routed disturbance pulse, whose
-    window [start, start + duration) and flows are resolved here, once.
-    With clamp_flows each absolute feed is floored at zero.
-    """
-    start, end = profile.start, profile.start + profile.duration
-    p1, p2 = profile.route(profile.flow(op))
-    fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
-
-    def feed(t: float, u1: float, u2: float) -> tuple[float, float]:
-        d1, d2 = (p1, p2) if start <= t < end else (0.0, 0.0)
-        if clamp_flows:
-            d1 = max(fi1_bar + u1 + d1, 0.0) - fi1_bar - u1
-            d2 = max(fi2_bar + u2 + d2, 0.0) - fi2_bar - u2
-        return u1 + d1, u2 + d2
-
-    return feed
-
-
-def make_stepper(params: TankParams, op: OperatingPoint, dt: float, feed: FeedFunc) -> StepFunc:
-    """One classical Runge-Kutta step of the nonlinear plant, on plain floats.
-
-    Returns step(t, h1, h2, u1, u2) -> (t + dt, h1, h2) with the plant
-    constants, the step size and the feed bound once.  The control
-    (u1, u2) is held over the step; the feed is evaluated at the stage
-    times t, t + dt/2 and t + dt.  Physical levels are floored at zero,
-    and the step that empties a tank logs a warning.
+    Returns advance(t, h1, h2, u1, u2) -> (t, h1, h2) after the last step,
+    with the plant constants, the step size and the disturbance pulse
+    bound once.  The control (u1, u2) is held over the call.  The feed,
+    held control plus the routed pulse on [start, start + duration), is
+    resolved once per call into its pulse-on and pulse-off values (with
+    clamp_flows each absolute feed floored at zero), and each stage picks
+    one by its time t, t + dt/2 or t + dt.  The rates are those of
+    `tank.level_rates`, written inline in the same expression order.
+    Physical levels are floored at zero, the step that empties a tank
+    logs a warning, and a non-finite state raises ArithmeticError.
     """
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
-    rates = level_rates(params, op)
-    lo1, lo2 = -op.l1, -op.l2
+    a1, a2, alpha1, alpha2 = params.a1, params.a2, params.alpha1, params.alpha2
+    l1, l2 = op.l1, op.l2
+    fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
+    q12_bar = alpha1 * math.sqrt(l1 - l2)
+    sqrt_l2 = math.sqrt(l2)
+    lo1, lo2 = -l1, -l2
     half, sixth = dt / 2, dt / 6
-    inf = math.inf
+    start, end = profile.start, profile.start + profile.duration
+    p1, p2 = profile.route(profile.flow(op))
+    steps = range(substeps)
+    sqrt, inf = math.sqrt, math.inf
 
-    def step(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float, float]:
-        fa1, fa2 = feed(t, u1, u2)
-        fm1, fm2 = feed(t + half, u1, u2)
-        fb1, fb2 = feed(t + dt, u1, u2)
-        # floor stage states at empty so hard drains stay integrable
-        s1, s2 = h1, h2
-        k11, k12 = rates(s1 if s1 > lo1 else lo1, s2 if s2 > lo2 else lo2, fa1, fa2)
-        s1, s2 = h1 + half * k11, h2 + half * k12
-        k21, k22 = rates(s1 if s1 > lo1 else lo1, s2 if s2 > lo2 else lo2, fm1, fm2)
-        s1, s2 = h1 + half * k21, h2 + half * k22
-        k31, k32 = rates(s1 if s1 > lo1 else lo1, s2 if s2 > lo2 else lo2, fm1, fm2)
-        s1, s2 = h1 + dt * k31, h2 + dt * k32
-        k41, k42 = rates(s1 if s1 > lo1 else lo1, s2 if s2 > lo2 else lo2, fb1, fb2)
+    def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float, float]:
+        if clamp_flows:
+            fon = (u1 + (max(fi1_bar + u1 + p1, 0.0) - fi1_bar - u1),
+                   u2 + (max(fi2_bar + u2 + p2, 0.0) - fi2_bar - u2))
+            foff = (u1 + (max(fi1_bar + u1 + 0.0, 0.0) - fi1_bar - u1),
+                    u2 + (max(fi2_bar + u2 + 0.0, 0.0) - fi2_bar - u2))
+        else:
+            # off the pulse the routed flow is 0.0, and u + 0.0 turns a -0.0 into 0.0
+            fon, foff = (u1 + p1, u2 + p2), (u1 + 0.0, u2 + 0.0)
+        # Every stage floors its levels at empty, so hard drains stay
+        # integrable and the physical levels x1, x2 are never negative:
+        # level_rates' domain check and its guard on sqrt(x2) cannot fire.
+        # A step starts from the floored end of the one before, and its
+        # feed is the one its predecessor's last stage picked at that time.
+        f1 = h1 if h1 > lo1 else lo1
+        f2 = h2 if h2 > lo2 else lo2
+        g1, g2 = fon if start <= t < end else foff
+        for _ in steps:
+            tm, te = t + half, t + dt
+            x1 = l1 + f1
+            x2 = l2 + f2
+            hd = x1 - x2
+            q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
+            k11 = (g1 - q12) / a1
+            k12 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
 
-        h1_new = h1 + sixth * (k11 + 2 * k21 + 2 * k31 + k41)
-        h2_new = h2 + sixth * (k12 + 2 * k22 + 2 * k32 + k42)
-        if not (-inf < h1_new < inf and -inf < h2_new < inf):
-            raise ArithmeticError(f"plant state non-finite at t={t + dt:.6g}")
+            g1, g2 = fon if start <= tm < end else foff
+            s1, s2 = h1 + half * k11, h2 + half * k12
+            x1 = l1 + (s1 if s1 > lo1 else lo1)
+            x2 = l2 + (s2 if s2 > lo2 else lo2)
+            hd = x1 - x2
+            q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
+            k21 = (g1 - q12) / a1
+            k22 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
 
-        # floor physical levels at empty; warn only on the step that empties a tank
-        if h1_new < lo1:
-            if h1 > lo1:
-                logger.warning("tank 1 ran empty at t=%.4g s; level clamped to 0", t + dt)
-            h1_new = lo1
-        if h2_new < lo2:
-            if h2 > lo2:
-                logger.warning("tank 2 ran empty at t=%.4g s; level clamped to 0", t + dt)
-            h2_new = lo2
-        return t + dt, h1_new, h2_new
+            s1, s2 = h1 + half * k21, h2 + half * k22
+            x1 = l1 + (s1 if s1 > lo1 else lo1)
+            x2 = l2 + (s2 if s2 > lo2 else lo2)
+            hd = x1 - x2
+            q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
+            k31 = (g1 - q12) / a1
+            k32 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
 
-    return step
+            g1, g2 = fon if start <= te < end else foff
+            s1, s2 = h1 + dt * k31, h2 + dt * k32
+            x1 = l1 + (s1 if s1 > lo1 else lo1)
+            x2 = l2 + (s2 if s2 > lo2 else lo2)
+            hd = x1 - x2
+            q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
+            k41 = (g1 - q12) / a1
+            k42 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
+
+            n1 = h1 + sixth * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+            n2 = h2 + sixth * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
+            if not (-inf < n1 < inf and -inf < n2 < inf):
+                raise ArithmeticError(f"plant state non-finite at t={te:.6g}")
+            # floor physical levels at empty; warn only on the step that empties a tank
+            if n1 < lo1:
+                if h1 > lo1:
+                    logger.warning("tank 1 ran empty at t=%.4g s; level clamped to 0", te)
+                n1 = lo1
+            if n2 < lo2:
+                if h2 > lo2:
+                    logger.warning("tank 2 ran empty at t=%.4g s; level clamped to 0", te)
+                n2 = lo2
+            t, h1, h2 = te, n1, n2
+            f1, f2 = n1, n2
+        return t, h1, h2
+
+    return advance
 
 
 def rk4_step(
@@ -169,20 +203,16 @@ def rk4_step(
     op: OperatingPoint,
     state: PlantState,
     inflow_dev: tuple[float, float],
-    disturbance: InflowFunc | None,
+    disturbance: DisturbanceProfile | None,
     dt: float,
 ) -> PlantState:
     """Advance the nonlinear plant one classical Runge-Kutta step.
 
     inflow_dev holds the zero-order-held control flows; disturbance, if
-    given, maps absolute time to extra (tank1, tank2) feed flows and is
-    evaluated at the stage times t, t+dt/2 and t+dt.  The step itself is
-    `make_stepper`'s.
+    given, is the feed pulse, resolved at the stage times t, t+dt/2 and
+    t+dt.  The step is one substep of `make_advance`'s kernel.
     """
-    def feed(t: float, u1: float, u2: float) -> tuple[float, float]:
-        d1, d2 = disturbance(t) if disturbance is not None else (0.0, 0.0)
-        return u1 + d1, u2 + d2
-
+    profile = NO_DISTURBANCE if disturbance is None else disturbance
     t, (h1, h2) = state
-    t, h1, h2 = make_stepper(params, op, dt, feed)(t, h1, h2, *inflow_dev)
+    t, h1, h2 = make_advance(params, op, dt, 1, profile, False)(t, h1, h2, *inflow_dev)
     return PlantState(t, DeviationState(h1, h2))

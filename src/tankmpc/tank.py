@@ -123,7 +123,9 @@ def level_rates(params: TankParams, op: OperatingPoint) -> Callable[..., tuple[f
     (h1, h2) relative to the operating point and feed-flow deviations
     (fi1, fi2) from the steady feeds.  Physical levels (l1 + h1, l2 + h2)
     must be nonnegative.  The rates are exactly (0, 0) at h = 0, fi = 0:
-    the steady outflow terms cancel.
+    the steady outflow terms cancel.  `plant.make_advance` writes these
+    expressions inline, in the same order, so its steps match an RK4
+    built on this function bit for bit.
     """
     a1, a2, alpha1, alpha2 = params.a1, params.a2, params.alpha1, params.alpha2
     l1, l2 = op.l1, op.l2

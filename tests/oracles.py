@@ -5,6 +5,8 @@ dense solves, step-by-step recursions.  None of it shares code with the
 package internals it verifies.
 """
 
+import math
+
 import numpy as np
 
 
@@ -127,3 +129,36 @@ def settling_by_loop(t, r, y, dwell):
             trailing += 1
         out.append((t[i0], t[i1 - trailing] - t[i0] if trailing >= dwell else None))
     return out
+
+
+def rk4_by_derivatives(params, op, t, h, u, dt, substeps, profile, clamp_flows):
+    """`substeps` classical Runge-Kutta steps of the plant, (t, h1, h2) after
+    them, from tank.nonlinear_derivatives with the feed looked up by
+    plant.disturbance_inflows at every stage time.  Stage levels are floored
+    at empty, as is each step's end, which must be finite."""
+    from tankmpc import disturbance_inflows, nonlinear_derivatives
+
+    lo = (-op.l1, -op.l2)
+    bars = (op.fi1_bar, op.fi2_bar)
+
+    def rates(s, at):
+        d = disturbance_inflows(profile, op, at)
+        if clamp_flows:
+            d = [max(bar + ui + di, 0.0) - bar - ui for bar, ui, di in zip(bars, u, d)]
+        fi = [ui + di for ui, di in zip(u, d)]
+        floored = [si if si > loi else loi for si, loi in zip(s, lo)]
+        return nonlinear_derivatives(params, op, floored, *fi)
+
+    h = list(h)
+    for _ in range(substeps):
+        k1 = rates(h, t)
+        k2 = rates([hi + dt / 2 * ki for hi, ki in zip(h, k1)], t + dt / 2)
+        k3 = rates([hi + dt / 2 * ki for hi, ki in zip(h, k2)], t + dt / 2)
+        k4 = rates([hi + dt * ki for hi, ki in zip(h, k3)], t + dt)
+        h = [hi + dt / 6 * (a + 2 * b + 2 * c + d)
+             for hi, a, b, c, d in zip(h, k1, k2, k3, k4)]
+        if not all(math.isfinite(hi) for hi in h):
+            raise ArithmeticError("plant state non-finite")
+        h = [loi if hi < loi else hi for hi, loi in zip(h, lo)]
+        t = t + dt
+    return t, h[0], h[1]

@@ -160,10 +160,31 @@ class TestSweep:
         pos = [out.index(f"rw={v} ") for v in ("0.1", "1", "10", "nan", "x")]
         assert pos == sorted(pos)
 
+    def test_unparsable_value_named_like_a_config_value(self, tmp_path, capsys):
+        code, out, err = run_cli(["sweep", "--param", "np", "--values", "x,10",
+                                  "--out-dir", str(tmp_path / "np")], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "np=x  FAILED: bad value for 'mpc.np': 'x' (" in out
+        assert (tmp_path / "np" / "np_10.csv").exists()
+
     def test_rejects_unknown_param(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["sweep", "--param", "ts", "--values", "1", "--out-dir", "x"])
         assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("message, line", [
+    ("cannot allocate the log", "error: out of memory (cannot allocate the log)\n"),
+    ("", "error: out of memory\n"),
+])
+def test_out_of_memory_exits_3_with_one_line(monkeypatch, tmp_path, capsys, message, line):
+    def exhausted(scenario):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("tankmpc.cli.run_closed_loop", exhausted)
+    code, out, err = run_cli(["simulate", "--out", str(tmp_path / "run.csv")], capsys)
+    assert code == 3 and err == line
+    assert not (tmp_path / "run.csv").exists()
 
 
 def _either(valid, invalid):

@@ -15,6 +15,9 @@ from tankmpc import (
     SimulationError,
     SimulationLog,
     default_run_config,
+    disturbance_flow,
+    disturbance_inflows,
+    make_operating_point,
     run_closed_loop,
     summarize,
 )
@@ -108,6 +111,47 @@ class TestRunClosedLoop:
         # absolute flow reconstruction on the disturbed channel
         assert np.allclose(log.fi1_abs, 1.5556349186104046 + log.u1 + log.u3, atol=1e-12)
         assert np.allclose(log.fi2_abs, 1.9989395988248397 + log.u2, atol=1e-12)
+
+    def test_signal_columns_match_per_sample_values(self):
+        # t, r1, r2 and u3 are built once per run and the routed disturbance is
+        # read from precomputed lists; each must equal its per-sample value at
+        # k * ts, bit for bit, with window edges on sample times or between them
+        rng = np.random.default_rng(11)
+
+        def window(ts, t_end):
+            k = int(rng.integers(0, 1 + round(t_end / ts)))
+            start = k * ts if rng.random() < 0.5 else float(rng.uniform(0.0, t_end))
+            duration = float(rng.choice([0.0, math.inf, int(rng.integers(1, 8)) * ts,
+                                         rng.uniform(0.0, t_end)]))
+            return {"start": start, "duration": duration}
+
+        for case in range(41):
+            ts, t_end = float(rng.uniform(0.02, 0.2)), float(rng.uniform(0.5, 3.0))
+            if case == 40:  # more samples than the loop converts to floats at a time
+                ts, t_end = 0.001, (CSV_BLOCK + 2) * 0.001
+            r1, r2 = (SetpointPulse(amplitude=float(rng.choice([-0.0, 0.4, -0.3])),
+                                    **window(ts, t_end)) for _ in range(2))
+            dist = DisturbanceProfile(magnitude=float(rng.uniform(-90.0, 90.0)),
+                                      target=str(rng.choice(["tank1", "tank2", "both"])),
+                                      **window(ts, t_end))
+            sc = make_scenario(ts=ts, t_end=t_end, setpoints=(r1, r2), disturbance=dist,
+                               substeps=1)
+            op = make_operating_point(sc.params, *sc.op_levels)
+            log = run_closed_loop(sc)
+            times = [k * ts for k in range(sc.n_samples())]
+
+            def hexes(values):
+                return [float(v).hex() for v in values]
+
+            assert hexes(log.t) == hexes(times), case
+            assert hexes(log.r1) == hexes(r1.value(t) for t in times), case
+            assert hexes(log.r2) == hexes(r2.value(t) for t in times), case
+            assert hexes(log.u3) == hexes(disturbance_flow(dist, op, t) for t in times), case
+            routed = [disturbance_inflows(dist, op, t) for t in times]
+            assert hexes(log.fi1_abs) == hexes(op.fi1_bar + u + d for u, (d, _)
+                                               in zip(log.u1.tolist(), routed)), case
+            assert hexes(log.fi2_abs) == hexes(op.fi2_bar + u + d for u, (_, d)
+                                               in zip(log.u2.tolist(), routed)), case
 
     def test_determinism_bit_identical(self):
         a = run_closed_loop(DEFAULT_SCENARIO).to_csv_text()

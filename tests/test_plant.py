@@ -1,6 +1,7 @@
 """Nonlinear plant integration and the disturbance pulse."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from tankmpc import (
     zoh_discretize,
     linearize,
 )
+from tankmpc.plant import NO_DISTURBANCE, make_advance
+
+from oracles import random_tank_params, rk4_by_derivatives
 
 DEFAULT_OP = make_operating_point(DEFAULT_PARAMS, 4.0, 3.5)
 
@@ -159,14 +163,10 @@ class TestRk4Step:
         # than one covering all of it
         full = DisturbanceProfile(start=0.0, duration=1.0, magnitude=10.0, target="tank1")
         half = DisturbanceProfile(start=0.00625, duration=1.0, magnitude=10.0, target="tank1")
-
-        def fn(profile):
-            return lambda t: disturbance_inflows(profile, DEFAULT_OP, t)
-
         s_full = integrate_fixed(DEFAULT_PARAMS, DEFAULT_OP, (0.0, 0.0), (0.0, 0.0), 0.0125, 1,
-                                 disturbance=fn(full))
+                                 disturbance=full)
         s_half = integrate_fixed(DEFAULT_PARAMS, DEFAULT_OP, (0.0, 0.0), (0.0, 0.0), 0.0125, 1,
-                                 disturbance=fn(half))
+                                 disturbance=half)
         assert s_full.dev.h1 > s_half.dev.h1 > 0.0
 
     def test_level_floor_logged(self, caplog):
@@ -211,3 +211,75 @@ class TestRk4Step:
         state = PlantState(t=0.0, dev=DeviationState(0.0, 0.0))
         with pytest.raises(ValueError):
             rk4_step(DEFAULT_PARAMS, DEFAULT_OP, state, (0.0, 0.0), None, 0.0)
+
+
+def stage_times(t, dt, substeps):
+    """The stage times of `substeps` steps, summed the way the kernel sums them."""
+    times = []
+    for _ in range(substeps):
+        times += [t, t + dt / 2, t + dt]
+        t = t + dt
+    return times
+
+
+def outcome(run):
+    """A step's result as exact hex floats (sign of zero included), or its error."""
+    try:
+        return [x.hex() for x in run()]
+    except ArithmeticError:
+        return "ArithmeticError"
+
+
+class TestAdvanceKernel:
+    def test_matches_rk4_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        for case in range(400):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            substeps = int(rng.integers(1, 9))
+            dt = float(rng.uniform(1e-3, 0.1))
+            t0 = float(rng.uniform(0.0, 20.0))
+            # pulse edges on a stage time or halfway between two of them
+            times = stage_times(t0, dt, substeps)
+            edges = []
+            for _ in range(2):
+                i = int(rng.integers(len(times) - 1))
+                edges.append(times[i] if rng.random() < 0.5 else (times[i] + times[i + 1]) / 2)
+            start, end = sorted(edges)
+            profile = DisturbanceProfile(start=start, duration=end - start,
+                                         magnitude=float(rng.uniform(-300.0, 300.0)),
+                                         target=str(rng.choice(["tank1", "tank2", "both"])))
+            # levels from below empty to well above the operating point
+            h = (rng.uniform(-1.2, 1.0, 2) * [l1, l2]).tolist()
+            u = (rng.uniform(-2.0, 2.0, 2) * op.fi1_bar).tolist()
+            if rng.random() < 0.2:
+                h, u = rng.choice([0.0, -0.0], 2).tolist(), rng.choice([0.0, -0.0], 2).tolist()
+            clamp = bool(rng.integers(2))
+            advance = make_advance(params, op, dt, substeps, profile, clamp)
+            got = outcome(lambda: advance(t0, *h, *u))
+            want = outcome(lambda: rk4_by_derivatives(params, op, t0, h, u, dt, substeps,
+                                                      profile, clamp))
+            assert got == want, f"case {case}"
+
+    def test_empty_tank_floored_and_warned_once(self, caplog):
+        # 8 substeps a call drain tank 2 over several calls: one event, one warning
+        op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
+        advance = make_advance(DEFAULT_PARAMS, op, 0.0125, 8, NO_DISTURBANCE, False)
+        state = (0.0, 0.0, 0.0)
+        with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
+            for _ in range(25):
+                want = rk4_by_derivatives(DEFAULT_PARAMS, op, state[0], state[1:], (0.0, -50.0),
+                                          0.0125, 8, NO_DISTURBANCE, False)
+                state = advance(*state, 0.0, -50.0)
+                assert outcome(lambda: state) == outcome(lambda: want)
+        assert state[2] == -0.5
+        empties = [rec for rec in caplog.records if "ran empty" in rec.message]
+        assert len(empties) == 1 and "tank 2" in empties[0].message
+
+    @pytest.mark.parametrize("h, u", [((0.0, 0.0), (math.inf, 0.0)),
+                                      ((0.0, 0.0), (0.0, math.nan)),
+                                      ((math.nan, 0.0), (0.0, 0.0))])
+    def test_non_finite_state_raises(self, h, u):
+        advance = make_advance(DEFAULT_PARAMS, DEFAULT_OP, 0.0125, 4, NO_DISTURBANCE, True)
+        with pytest.raises(ArithmeticError):
+            advance(0.0, *h, *u)
