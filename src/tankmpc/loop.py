@@ -5,7 +5,8 @@ fixed-gain control move, hold the absolute flows over the interval,
 and advance the nonlinear plant with Runge-Kutta substeps.  The controller always
 runs on the linearized model while the plant stays nonlinear, exactly
 the mismatch the scheme is meant to tolerate.  The setpoints and the
-disturbance at the sample times are computed once per run.
+disturbance at the sample times are computed once per run, and the
+controller is set up once for consecutive runs of the same plant.
 """
 
 from __future__ import annotations
@@ -130,13 +131,6 @@ def _pulse(t: np.ndarray, start: float, duration: float, value: float) -> np.nda
     return np.where((start <= t) & (t < start + duration), value, 0.0)
 
 
-def _rows(*cols: np.ndarray):
-    """The columns' rows as tuples of floats, converted CSV_BLOCK rows at a
-    time so that a long run holds no full-length lists of floats."""
-    for i in range(0, len(cols[0]), CSV_BLOCK):
-        yield from zip(*(col[i : i + CSV_BLOCK].tolist() for col in cols))
-
-
 class SimulationError(RuntimeError):
     """A sub-module failure, annotated with the sample it happened at."""
 
@@ -145,14 +139,31 @@ class SimulationError(RuntimeError):
         self.sample_index = sample_index
 
 
+#: The last controller set-up, (key, (op, disc, pred)).  One entry: a study
+#: runs one plant many times, so consecutive runs share their set-up.
+_memo: tuple[str, tuple] | None = None
+
+
+def _controller(scenario: Scenario):
+    """The operating point, the sampled model and the prediction gains of
+    the scenario's plant, set up once for consecutive runs of the same
+    plant, levels, sampling period and horizons (compared bit for bit,
+    the sign of zero included)."""
+    global _memo
+    key = repr((scenario.params, scenario.op_levels, scenario.ts, scenario.mpc))
+    entry = _memo
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    op = make_operating_point(scenario.params, *scenario.op_levels)
+    disc = zoh_discretize(linearize(scenario.params, op), scenario.ts)
+    pred = build_prediction(augment(disc), scenario.mpc)
+    _memo = (key, (op, disc, pred))
+    return op, disc, pred
+
+
 def run_closed_loop(scenario: Scenario) -> SimulationLog:
     """Run the full sample-control-hold-integrate loop for a scenario."""
-    params = scenario.params
-    op = make_operating_point(params, *scenario.op_levels)
-    lin = linearize(params, op)
-    disc = zoh_discretize(lin, scenario.ts)
-    aug = augment(disc)
-    pred = build_prediction(aug, scenario.mpc)
+    op, disc, pred = _controller(scenario)
 
     n = scenario.n_samples()
     ts = scenario.ts
@@ -168,49 +179,59 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     d1_col = _pulse(t_col, dist.start, dist.duration, p1)
     d2_col = _pulse(t_col, dist.start, dist.duration, p2)
 
-    rows = np.zeros((n, len(_LOOP_COLUMNS)))
+    width = len(_LOOP_COLUMNS)
+    rows = np.empty(n * width)  # the loop columns, row by row
     fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
     clamp = scenario.clamp_flows
-    advance = make_advance(params, op, ts / scenario.substeps, scenario.substeps, dist, clamp)
+    linear = scenario.linear_plant
+    advance = make_advance(scenario.params, op, ts / scenario.substeps, scenario.substeps,
+                           dist, clamp)
 
     t, h1, h2 = 0.0, 0.0, 0.0  # plant clock and level deviations
     lin_state = np.zeros(2)  # diagnostic linear-plant state
     ctrl = ControllerState.initial((0.0, 0.0), n_inputs=2)
     clamped_at: int | None = None
+    last = n - 1
 
-    samples = _rows(t_col, r1_col, r2_col, d1_col, d2_col)
-    for k, (t_k, r1_k, r2_k, d1_k, d2_k) in enumerate(samples):
-        y = tuple(lin_state.tolist()) if scenario.linear_plant else (h1, h2)
+    # CSV_BLOCK samples at a time: their signals read as floats, and their
+    # logged values gathered in one flat list of floats
+    for i in range(0, n, CSV_BLOCK):
+        block = [col[i : i + CSV_BLOCK].tolist() for col in (t_col, r1_col, r2_col, d1_col, d2_col)]
+        logged = []
+        for k, (t_k, r1_k, r2_k, d1_k, d2_k) in enumerate(zip(*block), i):
+            y = tuple(lin_state.tolist()) if linear else (h1, h2)
 
-        try:
-            ctrl, (u1, u2) = receding_step(ctrl, pred, y, (r1_k, r2_k))
-        except Exception as exc:
-            raise SimulationError(k, t_k, exc) from exc
+            try:
+                ctrl, (u1, u2) = receding_step(ctrl, pred, y, (r1_k, r2_k))
+            except Exception as exc:
+                raise SimulationError(k, t_k, exc) from exc
 
-        fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
-        if clamp:
-            if clamped_at is None and (fi1_abs < 0 or fi2_abs < 0):
-                clamped_at = k
-                logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
-            fi1_abs, fi2_abs = max(fi1_abs, 0.0), max(fi2_abs, 0.0)
+            fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
+            if clamp:
+                if clamped_at is None and (fi1_abs < 0 or fi2_abs < 0):
+                    clamped_at = k
+                    logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
+                fi1_abs, fi2_abs = max(fi1_abs, 0.0), max(fi2_abs, 0.0)
 
-        rows[k] = (y[0], y[1], u1, u2, fi1_abs, fi2_abs)
+            logged += (y[0], y[1], u1, u2, fi1_abs, fi2_abs)
 
-        if k == n - 1:
-            break
+            if k == last:
+                break
 
-        if scenario.linear_plant:
-            # ZOH linear plant: disturbance sampled at t_k and held
-            lin_state = disc.ad @ lin_state + disc.bd @ np.array([u1 + d1_k, u2 + d2_k])
-            continue
+            if linear:
+                # ZOH linear plant: disturbance sampled at t_k and held
+                lin_state = disc.ad @ lin_state + disc.bd @ np.array([u1 + d1_k, u2 + d2_k])
+                continue
 
-        try:
-            t, h1, h2 = advance(t, h1, h2, u1, u2)
-        except Exception as exc:
-            raise SimulationError(k, t_k, exc) from exc
+            try:
+                t, h1, h2 = advance(t, h1, h2, u1, u2)
+            except Exception as exc:
+                raise SimulationError(k, t_k, exc) from exc
+        rows[i * width : i * width + len(logged)] = logged
 
-    logged = dict(zip(_LOOP_COLUMNS, rows.T.copy()))
-    return SimulationLog(t=t_col, r1=r1_col, r2=r2_col, u3=u3_col, **logged)
+    cols = rows.reshape(n, width).T.copy()
+    return SimulationLog(t=t_col, r1=r1_col, r2=r2_col, u3=u3_col,
+                         **dict(zip(_LOOP_COLUMNS, cols)))
 
 
 @dataclass

@@ -112,8 +112,8 @@ class PredictionMatrices:
     hessian : phi.T phi + rw I, symmetrized
     kr : (m, q)    first-move gain on the setpoint
     kx : (m, n+q)  first-move gain on the augmented state [dx_m; y]
-    kr_rows, kx_dx_rows : kr and the dx_m block kx[:, :n] as tuples of
-        float rows, the form the per-sample law reads them in
+    gains : kr and the dx_m block kx[:, :n], row by row, as one flat tuple
+        of floats, the form the per-sample law reads them in
     """
 
     psi: np.ndarray
@@ -123,15 +123,14 @@ class PredictionMatrices:
     kx: np.ndarray
     q: int
     m: int
-    kr_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    kx_dx_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    gains: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for mat in (self.psi, self.phi, self.hessian, self.kr, self.kx):
             mat.setflags(write=False)
         n = self.psi.shape[1] - self.q
-        object.__setattr__(self, "kr_rows", tuple(map(tuple, self.kr.tolist())))
-        object.__setattr__(self, "kx_dx_rows", tuple(map(tuple, self.kx[:, :n].tolist())))
+        gains = self.kr.ravel().tolist() + self.kx[:, :n].ravel().tolist()
+        object.__setattr__(self, "gains", tuple(gains))
 
     @property
     def np_horizon(self) -> int:
@@ -255,12 +254,12 @@ def receding_step(
     r1, r2 = r
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise ValueError("setpoint entries must be finite")
-    (kr11, kr12), (kr21, kr22) = pred.kr_rows
-    (kx11, kx12), (kx21, kx22) = pred.kx_dx_rows
+    kr11, kr12, kr21, kr22, kx11, kx12, kx21, kx22 = pred.gains
     p1, p2 = ctrl.prev_plant_state
     u1, u2 = ctrl.prev_control
     e1, e2 = r1 - y1, r2 - y2
     dx1, dx2 = y1 - p1, y2 - p2
     u = (u1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2)),
          u2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2)))
-    return ControllerState((y1, y2), u), u
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(ControllerState, ((y1, y2), u)), u

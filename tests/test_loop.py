@@ -14,6 +14,7 @@ from tankmpc import (
     SetpointPulse,
     SimulationError,
     SimulationLog,
+    TankParams,
     default_run_config,
     disturbance_flow,
     disturbance_inflows,
@@ -204,6 +205,99 @@ class TestRunClosedLoop:
             make_scenario(t_end=-1.0)
         with pytest.raises(ValueError):
             make_scenario(substeps=0)
+
+
+def _memo_scenarios():
+    """Variants of the bundled plant, most of them sharing its controller set-up."""
+    base = DEFAULT_SCENARIO
+    dist = base.disturbance
+    zero_a1 = TankParams(base.params.a1, base.params.a2, 0.0, base.params.alpha2)
+    minus_zero_a1 = TankParams(base.params.a1, base.params.a2, -0.0, base.params.alpha2)
+    return [
+        base,
+        make_scenario(setpoints=constant_setpoints(0.2, -0.1)),
+        make_scenario(setpoints=(SetpointPulse(-2.0, 0.5, 5.0), SetpointPulse(-1.5, 0.5, 5.0))),
+        make_scenario(setpoints=(SetpointPulse(-2.0, 0.5, 5.0), SetpointPulse(-1.5, 0.5, 5.0)),
+                      clamp_flows=True),
+        make_scenario(disturbance=DisturbanceProfile(8.03, 2.0, 10.0, "tank1")),
+        make_scenario(disturbance=DisturbanceProfile(1.0, 1.0, -200.0, "both"), clamp_flows=True),
+        make_scenario(disturbance=DisturbanceProfile(2.0, 3.0, 35.0, "tank2")),
+        make_scenario(disturbance=DisturbanceProfile(8.0, 2.0, -0.0, "tank1")),
+        make_scenario(disturbance=NO_DISTURBANCE),
+        make_scenario(linear_plant=True),
+        make_scenario(linear_plant=True, clamp_flows=True,
+                      disturbance=DisturbanceProfile(8.0, 2.0, -150.0, "tank1")),
+        make_scenario(t_end=3.0),
+        make_scenario(mpc=MpcConfig(10, 3, 0.5)),
+        make_scenario(mpc=MpcConfig(10, 3, 0.01)),
+        make_scenario(mpc=MpcConfig(20, 3, 1.0)),
+        make_scenario(mpc=MpcConfig(20, 5, 0.01)),
+        make_scenario(ts=0.1, t_end=8.0),
+        make_scenario(ts=0.025, t_end=4.0, substeps=2),
+        make_scenario(params=zero_a1, disturbance=dist, t_end=4.0),
+        make_scenario(params=minus_zero_a1, disturbance=dist, t_end=4.0),
+        make_scenario(params=minus_zero_a1, disturbance=dist, t_end=4.0, linear_plant=True),
+    ]
+
+
+#: A plant no scenario above shares, run to force a fresh controller set-up.
+OTHER_PLANT = make_scenario(params=TankParams(0.2, 0.16, 2.1, 1.8), t_end=0.5)
+
+
+def _log_bytes(log):
+    return [getattr(log, name).tobytes() for name in log.COLUMNS]
+
+
+class TestControllerMemo:
+    def test_logs_independent_of_the_runs_before(self):
+        scenarios = _memo_scenarios()
+        expected = []
+        for sc in scenarios:
+            run_closed_loop(OTHER_PLANT)
+            expected.append(_log_bytes(run_closed_loop(sc)))
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            order = rng.permutation(len(scenarios))
+            for i in order:
+                assert _log_bytes(run_closed_loop(scenarios[i])) == expected[i], i
+
+    def test_one_set_up_per_plant(self, monkeypatch):
+        import tankmpc.loop as loop
+
+        builds = []
+        real = loop.build_prediction
+
+        def counting(aug, cfg):
+            builds.append(cfg)
+            return real(aug, cfg)
+
+        monkeypatch.setattr(loop, "build_prediction", counting)
+        sc = make_scenario(mpc=MpcConfig(10, 3, 0.777), t_end=1.0)
+        for amplitude in (0.1, 0.2, 0.3, 0.4, 0.5):
+            run_closed_loop(make_scenario(mpc=sc.mpc, t_end=1.0,
+                                          setpoints=constant_setpoints(amplitude, 0.0)))
+        assert len(builds) == 1
+
+        changed = make_scenario(mpc=MpcConfig(10, 3, 0.778), t_end=1.0)
+        run_closed_loop(changed)
+        assert len(builds) == 2
+        run_closed_loop(changed)
+        assert len(builds) == 2
+
+        # keys compare bit for bit: the sign of a zero plant constant counts
+        for alpha1 in (0.0, -0.0, -0.0):
+            params = TankParams(DEFAULT_PARAMS.a1, DEFAULT_PARAMS.a2, alpha1, DEFAULT_PARAMS.alpha2)
+            run_closed_loop(make_scenario(mpc=changed.mpc, params=params, t_end=0.5))
+        assert len(builds) == 4
+        run_closed_loop(changed)
+        assert len(builds) == 5
+
+        # a set-up that raises (tank 2 empty at the operating point) leaves
+        # the previous entry in place
+        with pytest.raises(ValueError):
+            run_closed_loop(make_scenario(op_levels=(4.0, 0.0)))
+        run_closed_loop(changed)
+        assert len(builds) == 5
 
 
 class TestCsvContract:
