@@ -207,11 +207,18 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
                 raise SimulationError(k, t_k, exc) from exc
 
             fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
-            if clamp:
-                if clamped_at is None and (fi1_abs < 0 or fi2_abs < 0):
+            if clamp and (fi1_abs < 0 or fi2_abs < 0):
+                if clamped_at is None:
                     clamped_at = k
                     logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
-                fi1_abs, fi2_abs = max(fi1_abs, 0.0), max(fi2_abs, 0.0)
+                # the controller remembers the deviation the floored feed
+                # applies, not the one it commanded, so it does not wind up
+                a1, a2 = u1, u2
+                if fi1_abs < 0:
+                    fi1_abs, a1 = 0.0, 0.0 - fi1_bar - d1_k
+                if fi2_abs < 0:
+                    fi2_abs, a2 = 0.0, 0.0 - fi2_bar - d2_k
+                ctrl = ctrl._replace(prev_control=(a1, a2))
 
             logged += (y[0], y[1], u1, u2, fi1_abs, fi2_abs)
 

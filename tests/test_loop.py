@@ -189,6 +189,16 @@ class TestRunClosedLoop:
         assert np.min(log.fi1_abs) >= 0.0
         assert any("clamp" in rec.message for rec in caplog.records)
 
+    def test_flow_clamp_does_not_wind_up(self):
+        # setpoints far below the operating point floor the tank-1 feed; the
+        # controller remembers the applied flow, so h1 does not overshoot
+        sc = make_scenario(clamp_flows=True, setpoints=(SetpointPulse(-2.0, 0.5, 5.0),
+                                                        SetpointPulse(-1.5, 0.5, 5.0)))
+        log = run_closed_loop(sc)
+        assert np.min(log.fi1_abs) == 0.0 and np.min(log.fi2_abs) >= 0.0
+        (edge,) = [s for s in summarize(log, sc).outputs["h1"] if s.t_edge == 0.5]
+        assert edge.settled and edge.overshoot_pct <= 0.5
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failure_carries_sample_index(self):
         sc = make_scenario(setpoints=(SetpointPulse(1e308, 0.0, math.inf), SetpointPulse()),
