@@ -160,13 +160,19 @@ def build_prediction(aug: AugmentedModel, cfg: MpcConfig) -> PredictionMatrices:
     q, m = aug.q, aug.m
     npred, nctl = cfg.np_horizon, cfg.nc_horizon
 
-    psi = np.zeros((npred * q, nq))
-    impulse = np.zeros((npred * q, m))  # block k is C A^k B
-    row = aug.c
-    for k in range(npred):
-        impulse[k * q : (k + 1) * q] = row @ aug.b
-        row = row @ aug.a
-        psi[k * q : (k + 1) * q] = row
+    # block k of rows is C A^k, k = 0..Np, by doubling: the first `done`
+    # blocks times A^done give the next ones, so log2(Np) stacked products
+    rows = np.empty(((npred + 1) * q, nq))
+    rows[:q] = aug.c
+    power, done = aug.a, 1  # power is A^done
+    while done <= npred:
+        take = min(done, npred + 1 - done)
+        np.matmul(rows[: take * q], power, out=rows[done * q : (done + take) * q])
+        done += take
+        if done <= npred:
+            power = power @ power
+    psi = rows[q:]
+    impulse = rows[: npred * q] @ aug.b  # block k is C A^k B
 
     phi = np.zeros((npred * q, nctl * m))
     for j in range(nctl):

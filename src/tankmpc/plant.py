@@ -108,7 +108,7 @@ def make_advance(
     resolved once per call into its pulse-on and pulse-off values (with
     clamp_flows each absolute feed floored at zero), and each stage picks
     one by its time t, t + dt/2 or t + dt.  The rates are those of
-    `tank.level_rates`, written inline in the same expression order.
+    `tank.nonlinear_derivatives`, written inline in the same expression order.
     Physical levels are floored at zero, the step that empties a tank
     logs a warning, and a non-finite state raises ArithmeticError.
     """
@@ -137,7 +137,7 @@ def make_advance(
             fon, foff = (u1 + p1, u2 + p2), (u1 + 0.0, u2 + 0.0)
         # Every stage floors its levels at empty, so hard drains stay
         # integrable and the physical levels x1, x2 are never negative:
-        # level_rates' domain check and its guard on sqrt(x2) cannot fire.
+        # nonlinear_derivatives' domain check and sqrt(x2) guard cannot fire.
         # A step starts from the floored end of the one before, and its
         # feed is the one its predecessor's last stage picked at that time.
         f1 = h1 if h1 > lo1 else lo1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,42 +116,6 @@ class LinearModel:
         return self.c.shape[0]
 
 
-def level_rates(params: TankParams, op: OperatingPoint) -> Callable[..., tuple[float, float]]:
-    """The deviation-form mass balances with one run's constants bound.
-
-    Returns rates(h1, h2, fi1, fi2) -> (dh1/dt, dh2/dt) in m/s, for levels
-    (h1, h2) relative to the operating point and feed-flow deviations
-    (fi1, fi2) from the steady feeds.  Physical levels (l1 + h1, l2 + h2)
-    must be nonnegative.  The rates are exactly (0, 0) at h = 0, fi = 0:
-    the steady outflow terms cancel.  `plant.make_advance` writes these
-    expressions inline, in the same order, so its steps match an RK4
-    built on this function bit for bit.
-    """
-    a1, a2, alpha1, alpha2 = params.a1, params.a2, params.alpha1, params.alpha2
-    l1, l2 = op.l1, op.l2
-    # steady coupling flow (the steady head l1 - l2 of an OperatingPoint is
-    # positive) and the root of the steady tank-2 level
-    q12_bar = alpha1 * math.sqrt(l1 - l2)
-    sqrt_l2 = math.sqrt(l2)
-    sqrt, copysign = math.sqrt, math.copysign
-
-    def rates(h1: float, h2: float, fi1: float, fi2: float) -> tuple[float, float]:
-        lvl1 = l1 + h1
-        lvl2 = l2 + h2
-        if lvl1 < -SQRT_CLAMP_TOL or lvl2 < -SQRT_CLAMP_TOL:
-            raise ValueError(f"physical level negative: tank1={lvl1:.6g}, tank2={lvl2:.6g}")
-        # coupling flow deviation; the orifice law is only stated for positive
-        # head, and its signed extension sqrt(|head|) * sign(head) keeps reverse
-        # flow physical when tank 2 rises above tank 1
-        head = lvl1 - lvl2
-        q12 = alpha1 * copysign(sqrt(abs(head)), head) - q12_bar
-        # tank-2 outlet flow deviation; strictly one-way, roundoff below empty reads as empty
-        q2 = alpha2 * (sqrt(lvl2 if lvl2 >= 0.0 else 0.0) - sqrt_l2)
-        return (fi1 - q12) / a1, (fi2 - q2 + q12) / a2
-
-    return rates
-
-
 def nonlinear_derivatives(
     params: TankParams,
     op: OperatingPoint,
@@ -171,10 +135,26 @@ def nonlinear_derivatives(
 
     Returns
     -------
-    (dh1_dt, dh2_dt) in m/s, from the same code as `level_rates`.
+    (dh1_dt, dh2_dt) in m/s, exactly (0, 0) at h = 0, fi = 0: the steady
+    outflow terms cancel.  `plant.make_advance` writes these expressions
+    inline, in the same order, so its steps match an RK4 built on this
+    function bit for bit.
     """
     h1, h2 = state
-    return level_rates(params, op)(h1, h2, fi1, fi2)
+    lvl1 = op.l1 + h1
+    lvl2 = op.l2 + h2
+    if lvl1 < -SQRT_CLAMP_TOL or lvl2 < -SQRT_CLAMP_TOL:
+        raise ValueError(f"physical level negative: tank1={lvl1:.6g}, tank2={lvl2:.6g}")
+    # coupling flow deviation from the steady coupling flow (the steady head
+    # l1 - l2 of an OperatingPoint is positive); the orifice law is only
+    # stated for positive head, and its signed extension sqrt(|head|) *
+    # sign(head) keeps reverse flow physical when tank 2 rises above tank 1
+    head = lvl1 - lvl2
+    q12 = (params.alpha1 * math.copysign(math.sqrt(abs(head)), head)
+           - params.alpha1 * math.sqrt(op.l1 - op.l2))
+    # tank-2 outlet flow deviation; strictly one-way, roundoff below empty reads as empty
+    q2 = params.alpha2 * (math.sqrt(lvl2 if lvl2 >= 0.0 else 0.0) - math.sqrt(op.l2))
+    return (fi1 - q12) / params.a1, (fi2 - q2 + q12) / params.a2
 
 
 def steady_inflows(params: TankParams, l1: float, l2: float) -> tuple[float, float]:

@@ -134,6 +134,17 @@ class TestBuildPrediction:
             assert np.allclose(pred.psi, psi_ref, atol=1e-12)
             assert np.allclose(pred.phi, phi_ref, atol=1e-12)
 
+    def test_every_horizon_around_powers_of_two(self):
+        # psi is built by doubling; horizons on either side of 2^k take a
+        # partial last product
+        aug = tank_augmented()
+        for npred in range(1, 41):
+            pred = build_prediction(aug, MpcConfig(npred, min(npred, 3)))
+            psi_ref, phi_ref = naive_prediction_matrices(aug.a, aug.b, aug.c, npred, min(npred, 3))
+            assert pred.psi.shape == psi_ref.shape, npred
+            assert np.allclose(pred.psi, psi_ref, rtol=1e-12, atol=1e-14), npred
+            assert np.allclose(pred.phi, phi_ref, rtol=1e-12, atol=1e-14), npred
+
     def test_prediction_equivalence_master_property(self):
         """Stepping the recursion must equal psi x + phi dU."""
         rng = np.random.default_rng(29)
