@@ -35,7 +35,7 @@ logger = logging.getLogger(__name__)
 #: Samples a signal must stay inside the settling band to count as settled.
 SETTLE_DWELL = 10
 
-#: Rows the CSV encoder formats, and the loop turns into floats, at a time.
+#: Rows the CSV encoder formats, and the loop converts to and from floats, at a time.
 CSV_BLOCK = 4096
 
 
