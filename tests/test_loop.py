@@ -282,9 +282,8 @@ class TestControllerMemo:
             return real(aug, cfg)
 
         monkeypatch.setattr(loop, "build_prediction", counting)
-        sc = make_scenario(mpc=MpcConfig(10, 3, 0.777), t_end=1.0)
         for amplitude in (0.1, 0.2, 0.3, 0.4, 0.5):
-            run_closed_loop(make_scenario(mpc=sc.mpc, t_end=1.0,
+            run_closed_loop(make_scenario(mpc=MpcConfig(10, 3, 0.777), t_end=1.0,
                                           setpoints=constant_setpoints(amplitude, 0.0)))
         assert len(builds) == 1
 
