@@ -190,7 +190,7 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     t, h1, h2 = 0.0, 0.0, 0.0  # plant clock and level deviations
     lin_state = np.zeros(2)  # diagnostic linear-plant state
     ctrl = ControllerState.initial((0.0, 0.0), n_inputs=2)
-    clamped_at: int | None = None
+    clamp_warned = False
     last = n - 1
 
     # CSV_BLOCK samples at a time: their signals read as floats, and their
@@ -208,8 +208,8 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
 
             fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
             if clamp and (fi1_abs < 0 or fi2_abs < 0):
-                if clamped_at is None:
-                    clamped_at = k
+                if not clamp_warned:
+                    clamp_warned = True
                     logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
                 # the controller remembers the deviation the floored feed
                 # applies, not the one it commanded, so it does not wind up
