@@ -2,11 +2,12 @@
 
 Per sample: read the plant levels, form the setpoint, apply the
 fixed-gain control move, hold the absolute flows over the interval,
-and advance the nonlinear plant with Runge-Kutta substeps.  The controller always
-runs on the linearized model while the plant stays nonlinear, exactly
-the mismatch the scheme is meant to tolerate.  The setpoints and the
-disturbance at the sample times are computed once per run, and the
-controller is set up once for consecutive runs of the same plant.
+and advance the plant one sample by one call of its kernel.  The
+controller runs on the linearized model while the plant stays nonlinear
+(or, as a diagnostic, is the sampled linear model), exactly the mismatch
+the scheme is meant to tolerate.  The scenario's signals at the sample
+times are computed once per run, and the controller set up once for
+consecutive runs of the same plant.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .plant import (  # noqa: F401  (unused here; perfbench/tracing.BOUNDARIES
     disturbance_flow,
     disturbance_inflows,
     make_advance,
+    make_linear_advance,
     rk4_step,
 )
 from .tank import TankParams, linearize, make_operating_point
@@ -183,12 +185,13 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     rows = np.empty(n * width)  # the loop columns, row by row
     fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
     clamp = scenario.clamp_flows
-    linear = scenario.linear_plant
-    advance = make_advance(scenario.params, op, ts / scenario.substeps, scenario.substeps,
-                           dist, clamp)
+    if scenario.linear_plant:
+        advance = make_linear_advance(disc, op, dist, clamp)
+    else:
+        advance = make_advance(scenario.params, op, ts / scenario.substeps, scenario.substeps,
+                               dist, clamp)
 
     t, h1, h2 = 0.0, 0.0, 0.0  # plant clock and level deviations
-    lin_state = np.zeros(2)  # diagnostic linear-plant state
     ctrl = ControllerState.initial((0.0, 0.0), n_inputs=2)
     clamp_warned = False
     last = n - 1
@@ -199,39 +202,27 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
         block = [col[i : i + CSV_BLOCK].tolist() for col in (t_col, r1_col, r2_col, d1_col, d2_col)]
         logged = []
         for k, (t_k, r1_k, r2_k, d1_k, d2_k) in enumerate(zip(*block), i):
-            y = tuple(lin_state.tolist()) if linear else (h1, h2)
-
             try:
-                ctrl, (u1, u2) = receding_step(ctrl, pred, y, (r1_k, r2_k))
-            except Exception as exc:
-                raise SimulationError(k, t_k, exc) from exc
+                ctrl, (u1, u2) = receding_step(ctrl, pred, (h1, h2), (r1_k, r2_k))
 
-            fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
-            if clamp and (fi1_abs < 0 or fi2_abs < 0):
-                if not clamp_warned:
-                    clamp_warned = True
-                    logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
-                # the controller remembers the deviation the floored feed
-                # applies, not the one it commanded, so it does not wind up
-                a1, a2 = u1, u2
-                if fi1_abs < 0:
-                    fi1_abs, a1 = 0.0, 0.0 - fi1_bar - d1_k
-                if fi2_abs < 0:
-                    fi2_abs, a2 = 0.0, 0.0 - fi2_bar - d2_k
-                ctrl = ctrl._replace(prev_control=(a1, a2))
+                fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
+                if clamp and (fi1_abs < 0 or fi2_abs < 0):
+                    if not clamp_warned:
+                        clamp_warned = True
+                        logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
+                    # the controller remembers the deviation the floored feed
+                    # applies, not the one it commanded, so it does not wind up
+                    a1, a2 = u1, u2
+                    if fi1_abs < 0:
+                        fi1_abs, a1 = 0.0, 0.0 - fi1_bar - d1_k
+                    if fi2_abs < 0:
+                        fi2_abs, a2 = 0.0, 0.0 - fi2_bar - d2_k
+                    ctrl = ctrl._replace(prev_control=(a1, a2))
 
-            logged += (y[0], y[1], u1, u2, fi1_abs, fi2_abs)
+                logged += (h1, h2, u1, u2, fi1_abs, fi2_abs)
 
-            if k == last:
-                break
-
-            if linear:
-                # ZOH linear plant: disturbance sampled at t_k and held
-                lin_state = disc.ad @ lin_state + disc.bd @ np.array([u1 + d1_k, u2 + d2_k])
-                continue
-
-            try:
-                t, h1, h2 = advance(t, h1, h2, u1, u2)
+                if k < last:
+                    t, h1, h2 = advance(t, h1, h2, u1, u2)
             except Exception as exc:
                 raise SimulationError(k, t_k, exc) from exc
         rows[i * width : i * width + len(logged)] = logged

@@ -86,8 +86,6 @@ def augment(model: DiscreteModel) -> AugmentedModel:
     y(k+1) = y(k) + Cd Ad dx_m(k) + Cd Bd du(k).
     """
     n, m, q = model.n_states, model.n_inputs, model.n_outputs
-    if model.cd.shape != (q, n) or model.bd.shape != (n, m):
-        raise ValueError("inconsistent plant dimensions")
 
     a = np.zeros((n + q, n + q))
     a[:n, :n] = model.ad
@@ -135,10 +133,6 @@ class PredictionMatrices:
     @property
     def np_horizon(self) -> int:
         return self.psi.shape[0] // self.q
-
-    @property
-    def nc_horizon(self) -> int:
-        return self.phi.shape[1] // self.m
 
     def stack_setpoint(self, r) -> np.ndarray:
         """Repeat the q-entry setpoint down the prediction horizon."""

@@ -1,4 +1,4 @@
-"""Continuous-time simulation of the nonlinear tank plant.
+"""The plants a closed-loop run drives, one controller sample per call.
 
 The true square-root dynamics are integrated with a fixed-step
 classical Runge-Kutta scheme between controller samples; the control
@@ -6,7 +6,8 @@ flows are held constant over each sample while the disturbance flow is
 resolved at the integrator stage times.  `make_advance` binds one run's
 constants into one kernel on plain floats that runs all substeps of a
 controller sample, with the rate equations and the pulse feed inline;
-`rk4_step` is a one-off call of the same kernel.
+`rk4_step` is a one-off call of the same kernel.  `make_linear_advance`
+is the diagnostic sampled linear model behind the same interface.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .discretize import DiscreteModel
 from .tank import (  # noqa: F401  (nonlinear_derivatives: a boundary perfbench traces)
     DeviationState,
     OperatingPoint,
@@ -194,6 +196,35 @@ def make_advance(
             t, h1, h2 = te, n1, n2
             f1, f2 = n1, n2
         return t, h1, h2
+
+    return advance
+
+
+def make_linear_advance(disc: DiscreteModel, op: OperatingPoint, profile: DisturbanceProfile,
+                        clamp_flows: bool) -> AdvanceFunc:
+    """One controller sample of the sampled linear model, h <- ad h + bd f,
+    on plain floats with `make_advance`'s interface.  The feed f is the held
+    control plus the pulse routed at the sample time t = k ts (with
+    clamp_flows each absolute feed floored at zero); the returned clock is
+    exactly (k + 1) ts, and a non-finite state raises ArithmeticError."""
+    (a11, a12), (a21, a22) = disc.ad.tolist()
+    (b11, b12), (b21, b22) = disc.bd.tolist()
+    ts, fi1_bar, fi2_bar = disc.ts, op.fi1_bar, op.fi2_bar
+    start, end = profile.start, profile.start + profile.duration
+    p1, p2 = profile.route(profile.flow(op))
+
+    def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float, float]:
+        d1, d2 = (p1, p2) if start <= t < end else (0.0, 0.0)
+        if clamp_flows:
+            d1 = max(fi1_bar + u1 + d1, 0.0) - fi1_bar - u1
+            d2 = max(fi2_bar + u2 + d2, 0.0) - fi2_bar - u2
+        f1, f2 = u1 + d1, u2 + d2
+        n1 = a11 * h1 + a12 * h2 + (b11 * f1 + b12 * f2)
+        n2 = a21 * h1 + a22 * h2 + (b21 * f1 + b22 * f2)
+        te = (round(t / ts) + 1) * ts
+        if not (math.isfinite(n1) and math.isfinite(n2)):
+            raise ArithmeticError(f"plant state non-finite at t={te:.6g}")
+        return te, n1, n2
 
     return advance
 

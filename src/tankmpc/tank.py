@@ -178,24 +178,9 @@ def steady_inflows(params: TankParams, l1: float, l2: float) -> tuple[float, flo
     return fi1_bar, fi2_bar
 
 
-def make_operating_point(
-    params: TankParams,
-    l1: float,
-    l2: float,
-    allow_negative_feed: bool = True,
-) -> OperatingPoint:
-    """Build the operating point at levels (l1, l2) with equilibrium feeds.
-
-    With ``allow_negative_feed=False`` an operating point whose tank-2
-    feed would have to be negative (tank 1 supplies more than the
-    outlet drains) is rejected as physically unrealizable.
-    """
+def make_operating_point(params: TankParams, l1: float, l2: float) -> OperatingPoint:
+    """Build the operating point at levels (l1, l2) with equilibrium feeds."""
     fi1_bar, fi2_bar = steady_inflows(params, l1, l2)
-    if not allow_negative_feed and fi2_bar < 0:
-        raise ValueError(
-            f"operating point needs negative tank-2 feed ({fi2_bar:.6g} m^3/s); "
-            "rejected in strict-physical mode"
-        )
     return OperatingPoint(l1=l1, l2=l2, fi1_bar=fi1_bar, fi2_bar=fi2_bar)
 
 
@@ -212,12 +197,9 @@ def linearize(params: TankParams, op: OperatingPoint) -> LinearModel:
     Raises
     ------
     ValueError
-        If l1 == l2 or l2 == 0; both make a square-root slope singular.
+        If l2 == 0, which makes the tank-2 square-root slope singular
+        (an OperatingPoint already has l1 > l2).
     """
-    if op.l1 <= op.l2:
-        raise ValueError(
-            f"linearization singular: need l1 > l2 strictly, got l1={op.l1}, l2={op.l2}"
-        )
     if op.l2 <= 0:
         raise ValueError(f"linearization singular: need l2 > 0 strictly, got l2={op.l2}")
 

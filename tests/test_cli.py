@@ -113,6 +113,17 @@ class TestSimulate:
         code, _, err = run_cli(["simulate"], capsys)
         assert code == 2 and "output path" in err
 
+    @pytest.mark.parametrize("linear_plant", ["false", "true"])
+    def test_plant_overflow_exit_3_on_both_plants(self, tmp_path, capsys, linear_plant):
+        conf = tmp_path / "overflow.conf"
+        conf.write_text(f"sim.linear_plant = {linear_plant}\nsetpoint.h1.amplitude = 1.7e308\n"
+                        "setpoint.h1.start = 0\nsetpoint.h1.duration = inf\nsim.t_end = 3\n")
+        code, _, err = run_cli(["simulate", "--config", str(conf),
+                                "--out", str(tmp_path / "run.csv")], capsys)
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err and not (tmp_path / "run.csv").exists()
+
     def test_unwritable_output_exit_3_no_partial_file(self, tmp_path, capsys):
         target_dir = tmp_path / "missing"
         code, _, err = run_cli(["simulate", "--out", str(target_dir / "x.csv")], capsys)

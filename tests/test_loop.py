@@ -18,9 +18,11 @@ from tankmpc import (
     default_run_config,
     disturbance_flow,
     disturbance_inflows,
+    linearize,
     make_operating_point,
     run_closed_loop,
     summarize,
+    zoh_discretize,
 )
 from tankmpc.loop import CSV_BLOCK, SETTLE_DWELL
 from tankmpc.plant import NO_DISTURBANCE
@@ -135,24 +137,26 @@ class TestRunClosedLoop:
             dist = DisturbanceProfile(magnitude=float(rng.uniform(-90.0, 90.0)),
                                       target=str(rng.choice(["tank1", "tank2", "both"])),
                                       **window(ts, t_end))
-            sc = make_scenario(ts=ts, t_end=t_end, setpoints=(r1, r2), disturbance=dist,
-                               substeps=1)
-            op = make_operating_point(sc.params, *sc.op_levels)
-            log = run_closed_loop(sc)
-            times = [k * ts for k in range(sc.n_samples())]
+            for linear_plant in (False, True):
+                sc = make_scenario(ts=ts, t_end=t_end, setpoints=(r1, r2), disturbance=dist,
+                                   substeps=1, linear_plant=linear_plant)
+                op = make_operating_point(sc.params, *sc.op_levels)
+                log = run_closed_loop(sc)
+                times = [k * ts for k in range(sc.n_samples())]
 
-            def hexes(values):
-                return [float(v).hex() for v in values]
+                def hexes(values):
+                    return [float(v).hex() for v in values]
 
-            assert hexes(log.t) == hexes(times), case
-            assert hexes(log.r1) == hexes(r1.value(t) for t in times), case
-            assert hexes(log.r2) == hexes(r2.value(t) for t in times), case
-            assert hexes(log.u3) == hexes(disturbance_flow(dist, op, t) for t in times), case
-            routed = [disturbance_inflows(dist, op, t) for t in times]
-            assert hexes(log.fi1_abs) == hexes(op.fi1_bar + u + d for u, (d, _)
-                                               in zip(log.u1.tolist(), routed)), case
-            assert hexes(log.fi2_abs) == hexes(op.fi2_bar + u + d for u, (_, d)
-                                               in zip(log.u2.tolist(), routed)), case
+                at = (case, linear_plant)
+                assert hexes(log.t) == hexes(times), at
+                assert hexes(log.r1) == hexes(r1.value(t) for t in times), at
+                assert hexes(log.r2) == hexes(r2.value(t) for t in times), at
+                assert hexes(log.u3) == hexes(disturbance_flow(dist, op, t) for t in times), at
+                routed = [disturbance_inflows(dist, op, t) for t in times]
+                assert hexes(log.fi1_abs) == hexes(op.fi1_bar + u + d for u, (d, _)
+                                                   in zip(log.u1.tolist(), routed)), at
+                assert hexes(log.fi2_abs) == hexes(op.fi2_bar + u + d for u, (_, d)
+                                                   in zip(log.u2.tolist(), routed)), at
 
     def test_determinism_bit_identical(self):
         a = run_closed_loop(DEFAULT_SCENARIO).to_csv_text()
@@ -173,6 +177,21 @@ class TestRunClosedLoop:
         log = run_closed_loop(sc)
         assert abs(log.h1[-1] - 0.3) < 1e-6
         assert abs(log.h2[-1] - 0.2) < 1e-6
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_linear_plant_integrates_the_logged_feed(self, clamp):
+        # h(k+1) = Ad h(k) + Bd (fi_abs(k) - fi_bar): the sampled model is driven
+        # by the feed the log shows, floored under the clamp
+        sc = make_scenario(linear_plant=True, clamp_flows=clamp,
+                           disturbance=DisturbanceProfile(8.0, 2.0, -150.0, "tank1"))
+        op = make_operating_point(sc.params, *sc.op_levels)
+        disc = zoh_discretize(linearize(sc.params, op), sc.ts)
+        log = run_closed_loop(sc)
+        h = np.column_stack([log.h1, log.h2])
+        feed = np.column_stack([log.fi1_abs - op.fi1_bar, log.fi2_abs - op.fi2_bar])
+        residual = h[1:] - h[:-1] @ disc.ad.T - feed[:-1] @ disc.bd.T
+        assert np.max(np.abs(residual)) <= 1e-12
+        assert (np.min(log.fi1_abs) == 0.0) == clamp
 
     def test_flow_clamp_floors_feeds(self, caplog):
         # a -200% feed pulse drives the absolute tank-1 feed negative

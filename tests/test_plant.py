@@ -1,4 +1,4 @@
-"""Nonlinear plant integration and the disturbance pulse."""
+"""Nonlinear and sampled linear plant kernels, and the disturbance pulse."""
 
 import logging
 import math
@@ -23,7 +23,7 @@ from tankmpc import (
     zoh_discretize,
     linearize,
 )
-from tankmpc.plant import NO_DISTURBANCE, make_advance
+from tankmpc.plant import NO_DISTURBANCE, make_advance, make_linear_advance
 
 from oracles import random_tank_params, rk4_by_derivatives
 
@@ -283,3 +283,54 @@ class TestAdvanceKernel:
         advance = make_advance(DEFAULT_PARAMS, DEFAULT_OP, 0.0125, 4, NO_DISTURBANCE, True)
         with pytest.raises(ArithmeticError):
             advance(0.0, *h, *u)
+
+
+class TestLinearAdvance:
+    def test_matches_numpy_reference(self):
+        # ad @ h + bd @ f with f = u plus the pulse routed at t, and under the
+        # clamp f = max(fi_abs, 0) - fi_bar; pulse edges on sample times or
+        # between them, t on, before or after an edge
+        rng = np.random.default_rng(7)
+        for case in range(400):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            ts = float(rng.choice([0.05, 0.01, 0.001, rng.uniform(1e-3, 0.2)]))
+            disc = zoh_discretize(linearize(params, op), ts)
+            k1, k2 = sorted(int(v) for v in rng.integers(0, 200, 2))
+            if rng.random() < 0.5:
+                start, duration = k1 * ts, (k2 - k1) * ts
+            else:
+                start, duration = (k1 + rng.random()) * ts, (k2 - k1 + rng.random()) * ts
+            profile = DisturbanceProfile(start=start, duration=duration,
+                                         magnitude=float(rng.uniform(-300.0, 300.0)),
+                                         target=str(rng.choice(["tank1", "tank2", "both"])))
+            k = int(rng.choice([k1 - 1, k1, k1 + 1, k2 - 1, k2, k2 + 1, rng.integers(0, 250)]))
+            t = max(k, 0) * ts
+            h = (rng.uniform(-1.2, 1.0, 2) * [l1, l2]).tolist()
+            u = (rng.uniform(-2.0, 2.0, 2) * op.fi1_bar).tolist()
+            clamp = bool(rng.integers(2))
+            d = disturbance_inflows(profile, op, t)
+            bar = (op.fi1_bar, op.fi2_bar)
+            f = [max(fb + ui + di, 0.0) - fb if clamp else ui + di
+                 for fb, ui, di in zip(bar, u, d)]
+            want = disc.ad @ h + disc.bd @ f
+            te, *got = make_linear_advance(disc, op, profile, clamp)(t, *h, *u)
+            assert te == (max(k, 0) + 1) * ts, case
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-12, case
+
+    @pytest.mark.parametrize("ts", [0.05, 0.01, 0.001, 0.1, 0.3, 1 / 3])
+    def test_clock_stays_on_sample_grid(self, ts):
+        disc = zoh_discretize(linearize(DEFAULT_PARAMS, DEFAULT_OP), ts)
+        advance = make_linear_advance(disc, DEFAULT_OP, NO_DISTURBANCE, False)
+        t = 0.0
+        for k in range(1, 5002):
+            t, _, _ = advance(t, 0.0, 0.0, 0.0, 0.0)
+            assert t.hex() == (k * ts).hex(), k
+
+    @pytest.mark.parametrize("h, u", [((0.0, 0.0), (math.inf, 0.0)),
+                                      ((0.0, 0.0), (0.0, math.nan)),
+                                      ((math.nan, 0.0), (0.0, 0.0))])
+    def test_non_finite_state_raises(self, h, u):
+        disc = zoh_discretize(linearize(DEFAULT_PARAMS, DEFAULT_OP), 0.05)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            make_linear_advance(disc, DEFAULT_OP, NO_DISTURBANCE, False)(0.0, *h, *u)

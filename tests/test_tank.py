@@ -118,8 +118,6 @@ class TestSteadyInflows:
     def test_strict_physical_mode(self):
         params = TankParams(a1=0.1, a2=0.1, alpha1=4.0, alpha2=0.5)
         assert make_operating_point(params, 4.0, 0.5).fi2_bar < 0
-        with pytest.raises(ValueError, match="negative"):
-            make_operating_point(params, 4.0, 0.5, allow_negative_feed=False)
 
 
 class TestLinearize:
