@@ -1,13 +1,13 @@
 """Closed-loop receding-horizon simulation over a configured scenario.
 
 Per sample: read the plant levels, form the setpoint, apply the
-fixed-gain control move, hold the absolute flows over the interval,
-and advance the plant one sample by one call of its kernel.  The
-controller runs on the linearized model while the plant stays nonlinear
-(or, as a diagnostic, is the sampled linear model), exactly the mismatch
-the scheme is meant to tolerate.  The scenario's signals at the sample
-times are computed once per run, and the controller set up once for
-consecutive runs of the same plant.
+fixed-gain control move, hold the absolute flows over the interval, and
+advance the plant by one call of its kernel, entered at k ts, the run's
+one clock.  The controller runs on the linearized model while the plant
+stays nonlinear (or, as a diagnostic, is the sampled linear model),
+exactly the mismatch the scheme is meant to tolerate.  The scenario's
+signals at the sample times are computed once per run, and the
+controller set up once for consecutive runs of the same plant.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
         advance = make_advance(scenario.params, op, ts / scenario.substeps, scenario.substeps,
                                dist, clamp)
 
-    t, h1, h2 = 0.0, 0.0, 0.0  # plant clock and level deviations
+    h1, h2 = 0.0, 0.0  # level deviations
     ctrl = ControllerState.initial((0.0, 0.0), n_inputs=2)
     clamp_warned = False
     last = n - 1
@@ -222,7 +222,7 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
                 logged += (h1, h2, u1, u2, fi1_abs, fi2_abs)
 
                 if k < last:
-                    t, h1, h2 = advance(t, h1, h2, u1, u2)
+                    h1, h2 = advance(t_k, h1, h2, u1, u2)
             except Exception as exc:
                 raise SimulationError(k, t_k, exc) from exc
         rows[i * width : i * width + len(logged)] = logged
@@ -293,11 +293,12 @@ def _segment_metrics(name, t, y, target, step, i0, i1) -> StepMetrics:
 def summarize(log: SimulationLog, scenario: Scenario) -> SummaryMetrics:
     """Step-response metrics per setpoint edge plus control activity.
 
-    For each output, every change of the setpoint opens a segment that
-    runs to the next change (or to the end of the log); rise time is
-    10-90% of the step, the settling band is +/-2% of the setpoint (of
-    the step size for return-to-zero edges), and a segment only counts
-    as settled after a dwell of SETTLE_DWELL samples inside the band.
+    For each output, every change of the setpoint opens a segment that runs to
+    the next change (or to the end of the log), so a disturbance inside a
+    segment counts toward that edge's metrics; rise time is 10-90% of the step,
+    the settling band is +/-2% of the setpoint (of the step size for
+    return-to-zero edges), and a segment only counts as settled after a dwell
+    of SETTLE_DWELL samples inside the band.
     """
     if len(log) == 0:
         raise ValueError("empty simulation log")

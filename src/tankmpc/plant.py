@@ -7,7 +7,8 @@ resolved at the integrator stage times.  `make_advance` binds one run's
 constants into one kernel on plain floats that runs all substeps of a
 controller sample, with the rate equations and the pulse feed inline;
 `rk4_step` is a one-off call of the same kernel.  `make_linear_advance`
-is the diagnostic sampled linear model behind the same interface.
+is the diagnostic sampled linear model behind the same interface.  Both
+return levels only; the closed loop enters each sample at its time k ts.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .tank import (  # noqa: F401  (nonlinear_derivatives: a boundary perfbench 
 
 logger = logging.getLogger(__name__)
 
-# one controller sample: (t, h1, h2, u1, u2) -> (t, h1, h2) after all its substeps
-AdvanceFunc = Callable[[float, float, float, float, float], tuple[float, float, float]]
+# one controller sample entered at t = k ts: (t, h1, h2, u1, u2) -> (h1, h2) at its end
+AdvanceFunc = Callable[[float, float, float, float, float], tuple[float, float]]
 
 
 class PlantState(NamedTuple):
@@ -103,14 +104,14 @@ def make_advance(
     """One controller sample of the nonlinear plant: `substeps` classical
     Runge-Kutta steps of size dt, on plain floats.
 
-    Returns advance(t, h1, h2, u1, u2) -> (t, h1, h2) after the last step,
-    with the plant constants, the step size and the disturbance pulse
-    bound once.  The control (u1, u2) is held over the call.  The feed,
-    held control plus the routed pulse on [start, start + duration), is
-    resolved once per call into its pulse-on and pulse-off values (with
-    clamp_flows each absolute feed floored at zero), and each stage picks
-    one by its time t, t + dt/2 or t + dt.  The rates are those of
-    `tank.nonlinear_derivatives`, written inline in the same expression order.
+    Returns advance(t, h1, h2, u1, u2) -> (h1, h2) after the last step,
+    entered at the sample time t, with the plant constants, the step size
+    and the disturbance pulse bound once.  The control (u1, u2) is held
+    over the call.  The feed, held control plus the routed pulse on
+    [start, start + duration), is resolved once per call into its pulse-on
+    and pulse-off values (with clamp_flows each absolute feed floored at
+    zero), and each stage picks one by its time t, t + dt/2 or t + dt.
+    The rates are `tank.nonlinear_derivatives` written inline, in its order.
     Physical levels are floored at zero, the step that empties a tank
     logs a warning, and a non-finite state raises ArithmeticError.
     """
@@ -128,7 +129,7 @@ def make_advance(
     steps = range(substeps)
     sqrt, inf = math.sqrt, math.inf
 
-    def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float, float]:
+    def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float]:
         if clamp_flows:
             fon = (u1 + (max(fi1_bar + u1 + p1, 0.0) - fi1_bar - u1),
                    u2 + (max(fi2_bar + u2 + p2, 0.0) - fi2_bar - u2))
@@ -195,7 +196,7 @@ def make_advance(
                 n2 = lo2
             t, h1, h2 = te, n1, n2
             f1, f2 = n1, n2
-        return t, h1, h2
+        return h1, h2
 
     return advance
 
@@ -203,17 +204,16 @@ def make_advance(
 def make_linear_advance(disc: DiscreteModel, op: OperatingPoint, profile: DisturbanceProfile,
                         clamp_flows: bool) -> AdvanceFunc:
     """One controller sample of the sampled linear model, h <- ad h + bd f,
-    on plain floats with `make_advance`'s interface.  The feed f is the held
-    control plus the pulse routed at the sample time t = k ts (with
-    clamp_flows each absolute feed floored at zero); the returned clock is
-    exactly (k + 1) ts, and a non-finite state raises ArithmeticError."""
+    on floats with `make_advance`'s interface.  The feed f is the held control
+    plus the pulse routed at the sample time t, each absolute feed floored at
+    zero under clamp_flows; a non-finite state raises ArithmeticError."""
     (a11, a12), (a21, a22) = disc.ad.tolist()
     (b11, b12), (b21, b22) = disc.bd.tolist()
-    ts, fi1_bar, fi2_bar = disc.ts, op.fi1_bar, op.fi2_bar
+    fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
     start, end = profile.start, profile.start + profile.duration
     p1, p2 = profile.route(profile.flow(op))
 
-    def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float, float]:
+    def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float]:
         d1, d2 = (p1, p2) if start <= t < end else (0.0, 0.0)
         if clamp_flows:
             d1 = max(fi1_bar + u1 + d1, 0.0) - fi1_bar - u1
@@ -221,10 +221,9 @@ def make_linear_advance(disc: DiscreteModel, op: OperatingPoint, profile: Distur
         f1, f2 = u1 + d1, u2 + d2
         n1 = a11 * h1 + a12 * h2 + (b11 * f1 + b12 * f2)
         n2 = a21 * h1 + a22 * h2 + (b21 * f1 + b22 * f2)
-        te = (round(t / ts) + 1) * ts
         if not (math.isfinite(n1) and math.isfinite(n2)):
-            raise ArithmeticError(f"plant state non-finite at t={te:.6g}")
-        return te, n1, n2
+            raise ArithmeticError("plant state non-finite")
+        return n1, n2
 
     return advance
 
@@ -245,5 +244,5 @@ def rk4_step(
     """
     profile = NO_DISTURBANCE if disturbance is None else disturbance
     t, (h1, h2) = state
-    t, h1, h2 = make_advance(params, op, dt, 1, profile, False)(t, h1, h2, *inflow_dev)
-    return PlantState(t, DeviationState(h1, h2))
+    h1, h2 = make_advance(params, op, dt, 1, profile, False)(t, h1, h2, *inflow_dev)
+    return PlantState(t + dt, DeviationState(h1, h2))

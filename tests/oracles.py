@@ -132,10 +132,10 @@ def settling_by_loop(t, r, y, dwell):
 
 
 def rk4_by_derivatives(params, op, t, h, u, dt, substeps, profile, clamp_flows):
-    """`substeps` classical Runge-Kutta steps of the plant, (t, h1, h2) after
-    them, from tank.nonlinear_derivatives with the feed looked up by
-    plant.disturbance_inflows at every stage time.  Stage levels are floored
-    at empty, as is each step's end, which must be finite."""
+    """`substeps` classical Runge-Kutta steps of the plant entered at t, and
+    the levels (h1, h2) after them, from tank.nonlinear_derivatives with the
+    feed looked up by plant.disturbance_inflows at every stage time.  Stage
+    levels are floored at empty, as is each step's end, which must be finite."""
     from tankmpc import disturbance_inflows, nonlinear_derivatives
 
     lo = (-op.l1, -op.l2)
@@ -161,4 +161,4 @@ def rk4_by_derivatives(params, op, t, h, u, dt, substeps, profile, clamp_flows):
             raise ArithmeticError("plant state non-finite")
         h = [loi if hi < loi else hi for hi, loi in zip(h, lo)]
         t = t + dt
-    return t, h[0], h[1]
+    return h[0], h[1]

@@ -25,7 +25,7 @@ from tankmpc import (
     zoh_discretize,
 )
 from tankmpc.loop import CSV_BLOCK, SETTLE_DWELL
-from tankmpc.plant import NO_DISTURBANCE
+from tankmpc.plant import NO_DISTURBANCE, make_advance
 
 from oracles import csv_text_by_value, settling_by_loop
 
@@ -114,6 +114,44 @@ class TestRunClosedLoop:
         # absolute flow reconstruction on the disturbed channel
         assert np.allclose(log.fi1_abs, 1.5556349186104046 + log.u1 + log.u3, atol=1e-12)
         assert np.allclose(log.fi2_abs, 1.9989395988248397 + log.u2, atol=1e-12)
+
+    @pytest.mark.parametrize("ts", [0.05, 0.01])
+    def test_plant_entered_at_the_logged_sample_times(self, monkeypatch, ts):
+        # the loop owns the clock: every kernel call starts at the logged k * ts
+        import tankmpc.loop as loop
+
+        entries = []
+
+        def recording(make):
+            def made(*args):
+                advance = make(*args)
+
+                def recorded(t, *state):
+                    entries.append(t)
+                    return advance(t, *state)
+                return recorded
+            return made
+
+        for name in ("make_advance", "make_linear_advance"):
+            monkeypatch.setattr(loop, name, recording(getattr(loop, name)))
+        for linear_plant in (False, True):
+            entries.clear()
+            log = run_closed_loop(make_scenario(ts=ts, linear_plant=linear_plant))
+            assert [t.hex() for t in entries] == [t.hex() for t in log.t[:-1].tolist()]
+
+    def test_pulse_end_on_a_sample_time_reaches_the_plant_as_logged(self):
+        # the bundled pulse ends at t = 10.0 = 200 ts, and the log shows it off
+        # from sample 200: the step from sample 200 is the undisturbed one
+        sc = DEFAULT_SCENARIO
+        log = run_closed_loop(sc)
+        k = 200
+        assert log.t[k] == 10.0 == sc.disturbance.start + sc.disturbance.duration
+        assert log.u3[k] == 0.0 < log.u3[k - 1]
+        op = make_operating_point(sc.params, *sc.op_levels)
+        undisturbed = make_advance(sc.params, op, sc.ts / sc.substeps, sc.substeps,
+                                   NO_DISTURBANCE, sc.clamp_flows)
+        want = undisturbed(10.0, *(float(getattr(log, c)[k]) for c in ("h1", "h2", "u1", "u2")))
+        assert [float(log.h1[k + 1]).hex(), float(log.h2[k + 1]).hex()] == [v.hex() for v in want]
 
     def test_signal_columns_match_per_sample_values(self):
         # t, r1, r2 and u3 are built once per run and the routed disturbance is

@@ -262,17 +262,18 @@ class TestAdvanceKernel:
             assert got == want, f"case {case}"
 
     def test_empty_tank_floored_and_warned_once(self, caplog):
-        # 8 substeps a call drain tank 2 over several calls: one event, one warning
+        # 8 substeps a call drain tank 2 over several calls, each entered at its
+        # sample time k * 0.1: one event, one warning
         op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
         advance = make_advance(DEFAULT_PARAMS, op, 0.0125, 8, NO_DISTURBANCE, False)
-        state = (0.0, 0.0, 0.0)
+        h = (0.0, 0.0)
         with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
-            for _ in range(25):
-                want = rk4_by_derivatives(DEFAULT_PARAMS, op, state[0], state[1:], (0.0, -50.0),
+            for k in range(25):
+                want = rk4_by_derivatives(DEFAULT_PARAMS, op, k * 0.1, h, (0.0, -50.0),
                                           0.0125, 8, NO_DISTURBANCE, False)
-                state = advance(*state, 0.0, -50.0)
-                assert outcome(lambda: state) == outcome(lambda: want)
-        assert state[2] == -0.5
+                h = advance(k * 0.1, *h, 0.0, -50.0)
+                assert outcome(lambda: h) == outcome(lambda: want)
+        assert h[1] == -0.5
         empties = [rec for rec in caplog.records if "ran empty" in rec.message]
         assert len(empties) == 1 and "tank 2" in empties[0].message
 
@@ -314,18 +315,8 @@ class TestLinearAdvance:
             f = [max(fb + ui + di, 0.0) - fb if clamp else ui + di
                  for fb, ui, di in zip(bar, u, d)]
             want = disc.ad @ h + disc.bd @ f
-            te, *got = make_linear_advance(disc, op, profile, clamp)(t, *h, *u)
-            assert te == (max(k, 0) + 1) * ts, case
+            got = make_linear_advance(disc, op, profile, clamp)(t, *h, *u)
             assert np.max(np.abs(np.array(got) - want)) <= 1e-12, case
-
-    @pytest.mark.parametrize("ts", [0.05, 0.01, 0.001, 0.1, 0.3, 1 / 3])
-    def test_clock_stays_on_sample_grid(self, ts):
-        disc = zoh_discretize(linearize(DEFAULT_PARAMS, DEFAULT_OP), ts)
-        advance = make_linear_advance(disc, DEFAULT_OP, NO_DISTURBANCE, False)
-        t = 0.0
-        for k in range(1, 5002):
-            t, _, _ = advance(t, 0.0, 0.0, 0.0, 0.0)
-            assert t.hex() == (k * ts).hex(), k
 
     @pytest.mark.parametrize("h, u", [((0.0, 0.0), (math.inf, 0.0)),
                                       ((0.0, 0.0), (0.0, math.nan)),
