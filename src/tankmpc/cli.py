@@ -10,7 +10,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +65,15 @@ def cmd_linearize(args) -> int:
 def _write_csv_atomic(text: str, out_path: Path) -> None:
     """Write via a same-directory temp file so failures leave nothing behind."""
     out_path = Path(out_path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=str(out_path.parent), suffix=".tmp")
-    except OSError as exc:
-        raise OSError(f"cannot write {out_path}: {exc}") from None
+    while True:  # a fresh name, created as open() creates a file: 0o666 less the umask
+        tmp = out_path.parent / f"{out_path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(f"cannot write {out_path}: {exc}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import zoh_discretize
-from .mpc import ControllerState, MpcConfig, augment, build_prediction, receding_step
+from .mpc import MpcConfig, augment, build_prediction
+from .mpc import receding_step  # noqa: F401  (unused here; perfbench/tracing.BOUNDARIES names it)
 from .plant import (  # noqa: F401  (unused here; perfbench/tracing.BOUNDARIES
     # names disturbance_flow, disturbance_inflows and rk4_step in this module)
     NO_DISTURBANCE,
@@ -39,6 +40,9 @@ SETTLE_DWELL = 10
 
 #: Rows the CSV encoder formats, and the loop converts to and from floats, at a time.
 CSV_BLOCK = 4096
+
+#: Log columns that hold their value between the scenario's edges.
+_HELD_COLUMNS = ("r1", "r2", "u3")
 
 
 @dataclass(frozen=True)
@@ -113,14 +117,26 @@ class SimulationLog:
         """CSV with the fixed column contract, 9 significant digits.
 
         Rows are encoded CSV_BLOCK at a time, one %-format per block, so
-        the temporary row-major copy stays small for long runs.
+        the temporary row-major copy stays small for long runs.  The held
+        columns r1, r2 and u3 enter that format as text, formatted once
+        per run of rows over which none of them changes its bits (0.0 and
+        -0.0 print differently).
         """
-        cols = [getattr(self, name) for name in self.COLUMNS]
-        row = ",".join(["%.9g"] * len(cols)) + "\n"
+        n = len(self)
+        held = [getattr(self, name) for name in _HELD_COLUMNS]
+        free = [getattr(self, name) for name in self.COLUMNS if name not in _HELD_COLUMNS]
+        row = ",".join("{}" if name in _HELD_COLUMNS else "%.9g" for name in self.COLUMNS) + "\n"
+        bits = np.column_stack(held).view(np.int64)
+        edges = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
         parts = [",".join(self.COLUMNS) + "\n"]
-        for i in range(0, len(self), CSV_BLOCK):
-            block = np.column_stack([col[i : i + CSV_BLOCK] for col in cols])
-            parts.append(row * len(block) % tuple(block.ravel().tolist()))
+        for i in range(0, n, CSV_BLOCK):
+            j = min(i + CSV_BLOCK, n)
+            lo, hi = np.searchsorted(edges, (i + 1, j))
+            cuts = [i, *edges[lo:hi].tolist(), j]
+            fmt = "".join(row.format(*("%.9g" % col[a] for col in held)) * (b - a)
+                          for a, b in zip(cuts, cuts[1:]))
+            block = np.column_stack([col[i:j] for col in free])
+            parts.append(fmt % tuple(block.ravel().tolist()))
         return "".join(parts)
 
 
@@ -177,9 +193,7 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     r2_col = _pulse(t_col, sp2.start, sp2.duration, sp2.amplitude)
     flow = dist.flow(op)
     u3_col = _pulse(t_col, dist.start, dist.duration, flow)
-    p1, p2 = dist.route(flow)
-    d1_col = _pulse(t_col, dist.start, dist.duration, p1)
-    d2_col = _pulse(t_col, dist.start, dist.duration, p2)
+    d1_col, d2_col = (_pulse(t_col, dist.start, dist.duration, d) for d in dist.route(flow))
 
     width = len(_LOOP_COLUMNS)
     rows = np.empty(n * width)  # the loop columns, row by row
@@ -191,8 +205,11 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
         advance = make_advance(scenario.params, op, ts / scenario.substeps, scenario.substeps,
                                dist, clamp)
 
+    # receding_step's law, in its expression order, on the controller's
+    # memory: the last measurement p and the remembered move m
+    kr11, kr12, kr21, kr22, kx11, kx12, kx21, kx22 = pred.gains
     h1, h2 = 0.0, 0.0  # level deviations
-    ctrl = ControllerState.initial((0.0, 0.0), n_inputs=2)
+    p1, p2, m1, m2 = h1, h2, 0.0, 0.0
     clamp_warned = False
     last = n - 1
 
@@ -203,7 +220,11 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
         logged = []
         for k, (t_k, r1_k, r2_k, d1_k, d2_k) in enumerate(zip(*block), i):
             try:
-                ctrl, (u1, u2) = receding_step(ctrl, pred, (h1, h2), (r1_k, r2_k))
+                e1, e2 = r1_k - h1, r2_k - h2
+                dx1, dx2 = h1 - p1, h2 - p2
+                m1 = u1 = m1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2))
+                m2 = u2 = m2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2))
+                p1, p2 = h1, h2
 
                 fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
                 if clamp and (fi1_abs < 0 or fi2_abs < 0):
@@ -212,12 +233,10 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
                         logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
                     # the controller remembers the deviation the floored feed
                     # applies, not the one it commanded, so it does not wind up
-                    a1, a2 = u1, u2
                     if fi1_abs < 0:
-                        fi1_abs, a1 = 0.0, 0.0 - fi1_bar - d1_k
+                        fi1_abs, m1 = 0.0, 0.0 - fi1_bar - d1_k
                     if fi2_abs < 0:
-                        fi2_abs, a2 = 0.0, 0.0 - fi2_bar - d2_k
-                    ctrl = ctrl._replace(prev_control=(a1, a2))
+                        fi2_abs, m2 = 0.0, 0.0 - fi2_bar - d2_k
 
                 logged += (h1, h2, u1, u2, fi1_abs, fi2_abs)
 

@@ -244,7 +244,9 @@ def receding_step(
     y-block of kx equals kr (every output row of psi carries an identity
     on y), so it is applied as kr @ (r - y) - kx_dx @ dx: a plant held
     at its setpoint then gets exactly zero move.  The law is written out
-    in floats for the tank's two inputs and two outputs.
+    in floats for the tank's two inputs and two outputs; run_closed_loop
+    applies it inline, in the same expression order, and is tested
+    against this one-sample form.
     """
     if len(measurement) != pred.q:
         raise ValueError(f"measurement has {len(measurement)} entries, expected {pred.q}")

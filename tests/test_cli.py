@@ -3,7 +3,9 @@
 import contextlib
 import io
 import math
+import os
 import re
+import stat
 import tempfile
 from pathlib import Path
 
@@ -182,6 +184,24 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc_info:
             main(["sweep", "--param", "ts", "--values", "1", "--out-dir", "x"])
         assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("command, csv", [
+    ("simulate --out {dir}/run.csv", "run.csv"),
+    ("sweep --param rw --values 2 --out-dir {dir}", "rw_2.csv"),
+], ids=["simulate", "sweep"])
+def test_csv_mode_follows_the_umask(tmp_path, capsys, command, csv):
+    # the CSV gets the mode a plain open() gives a new file, not a temp file's 0600
+    conf = tmp_path / "short.conf"
+    conf.write_text("sim.t_end = 0.1\n")
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(command.format(dir=tmp_path).split() + ["--config", str(conf)],
+                             capsys)
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / csv).stat().st_mode) == 0o666 & ~0o027
 
 
 @pytest.mark.parametrize("message, line", [

@@ -8,6 +8,7 @@ import pytest
 
 from tankmpc import (
     DEFAULT_PARAMS,
+    ControllerState,
     DisturbanceProfile,
     MpcConfig,
     Scenario,
@@ -15,11 +16,14 @@ from tankmpc import (
     SimulationError,
     SimulationLog,
     TankParams,
+    augment,
+    build_prediction,
     default_run_config,
     disturbance_flow,
     disturbance_inflows,
     linearize,
     make_operating_point,
+    receding_step,
     run_closed_loop,
     summarize,
     zoh_discretize,
@@ -366,6 +370,32 @@ class TestControllerMemo:
         assert len(builds) == 5
 
 
+class TestControlLaw:
+    def test_logged_moves_are_the_reference_step(self):
+        # the loop applies receding_step's law inline; replaying each log
+        # through receding_step, with the loop's clamp memory, must give its
+        # moves bit for bit (clamp on and off, both plants, -0.0 parameters)
+        for j, sc in enumerate(_memo_scenarios()):
+            op = make_operating_point(sc.params, *sc.op_levels)
+            disc = zoh_discretize(linearize(sc.params, op), sc.ts)
+            pred = build_prediction(augment(disc), sc.mpc)
+            log = run_closed_loop(sc)
+            ctrl = ControllerState.initial((0.0, 0.0), n_inputs=2)
+            moves = []
+            for t, h1, h2, r1, r2 in zip(*(getattr(log, c).tolist()
+                                           for c in ("t", "h1", "h2", "r1", "r2"))):
+                ctrl, (u1, u2) = receding_step(ctrl, pred, (h1, h2), (r1, r2))
+                moves.append((u1.hex(), u2.hex()))
+                d1, d2 = disturbance_inflows(sc.disturbance, op, t)
+                if sc.clamp_flows and op.fi1_bar + u1 + d1 < 0:
+                    u1 = 0.0 - op.fi1_bar - d1
+                if sc.clamp_flows and op.fi2_bar + u2 + d2 < 0:
+                    u2 = 0.0 - op.fi2_bar - d2
+                ctrl = ctrl._replace(prev_control=(u1, u2))
+            assert moves == [(u1.hex(), u2.hex()) for u1, u2
+                             in zip(log.u1.tolist(), log.u2.tolist())], j
+
+
 class TestCsvContract:
     def test_header_and_shape(self):
         text = run_closed_loop(make_scenario(t_end=0.25)).to_csv_text()
@@ -397,7 +427,16 @@ class TestCsvContract:
             cols[name][j] = v
             cols[name][CSV_BLOCK - 1 + j % 2] = v
         empty = SimulationLog(**{name: np.zeros(0) for name in SimulationLog.COLUMNS})
-        for log in (SimulationLog(**cols), empty):
+        # held columns in runs: edges at row 0, at either side of the block
+        # boundary and at the last row; 0.0 and -0.0 only; runs of nan
+        r1 = np.full(n, 0.5)
+        r1[0], r1[CSV_BLOCK - 1], r1[CSV_BLOCK:], r1[-1] = -0.3, 0.25, 0.1, 2.0
+        r2 = np.where(np.arange(n) // 3 % 2 == 0, 0.0, -0.0)
+        r2[CSV_BLOCK - 1 : CSV_BLOCK + 1] = -0.0
+        u3 = np.full(n, math.nan)
+        u3[100:200], u3[CSV_BLOCK:-1] = 0.25, -0.0
+        held = SimulationLog(**{**cols, "r1": r1, "r2": r2, "u3": u3})
+        for log in (SimulationLog(**cols), empty, held):
             got, want = log.to_csv_text().split("\n"), csv_text_by_value(log).split("\n")
             diff = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
             same = len(got) == len(want) and not diff  # a bare string diff of 4000 lines is slow

@@ -49,4 +49,3 @@ def test_traced_run_records_controller_spans():
     assert tankmpc.loop.receding_step is tankmpc.mpc.receding_step  # restored
     names = [name for _, name, *_ in tracer.rows()]
     assert names.count("loop.run_closed_loop") == 1
-    assert names.count("mpc.receding_step") == scenario.n_samples()
