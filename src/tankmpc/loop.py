@@ -6,8 +6,15 @@ advance the plant by one call of its kernel, entered at k ts, the run's
 one clock.  The controller runs on the linearized model while the plant
 stays nonlinear (or, as a diagnostic, is the sampled linear model),
 exactly the mismatch the scheme is meant to tolerate.  The scenario's
-signals at the sample times are computed once per run, and the
-controller set up once for consecutive runs of the same plant.
+signals at the sample times are computed once per run.
+
+Work that a run shares with the run before it is done once, in three
+one-entry module memos keyed bit for bit: the sampled model (`_model_memo`:
+plant, levels, sampling period), the prediction gains built on it (`_memo`:
+the same plus the horizons and weight), and the CSV format of a block of
+rows with its time and signal columns filled in (`_csv_memo`).  So the runs
+of a tuning sweep share their model and CSV format, and a study of one plant
+its whole controller set-up.
 """
 
 from __future__ import annotations
@@ -41,8 +48,18 @@ SETTLE_DWELL = 10
 #: Rows the CSV encoder formats, and the loop converts to and from floats, at a time.
 CSV_BLOCK = 4096
 
-#: Log columns that hold their value between the scenario's edges.
-_HELD_COLUMNS = ("r1", "r2", "u3")
+#: Log columns known before the loop runs: the time and the scenario's
+#: signals, which hold their value between its edges.
+_SIGNAL_COLUMNS = ("t", "r1", "r2", "u3")
+
+#: A CSV row after its t field, in SimulationLog.COLUMNS order: the held
+#: columns' text goes in the braces, and each loop column is a %.9g conversion.
+_ROW_REST = ",{},{},%.9g,%.9g,%.9g,%.9g,{},%.9g,%.9g\n"
+
+#: The last block format `to_csv_text` made, (key, format): one entry, at
+#: most CSV_BLOCK rows, keyed on whether the block is the first (whose
+#: format starts with the header) and the bytes of each of its signal columns.
+_csv_memo: tuple[tuple, str] | None = None
 
 
 @dataclass(frozen=True)
@@ -117,27 +134,51 @@ class SimulationLog:
         """CSV with the fixed column contract, 9 significant digits.
 
         Rows are encoded CSV_BLOCK at a time, one %-format per block, so
-        the temporary row-major copy stays small for long runs.  The held
-        columns r1, r2 and u3 enter that format as text, formatted once
-        per run of rows over which none of them changes its bits (0.0 and
-        -0.0 print differently).
+        the temporary row-major copy stays small for long runs.  The
+        block's format holds the text of its signal columns t, r1, r2 and
+        u3 (see `_block_format`), and the first block's format starts with
+        the header.  It is kept for the next block with the same bits in
+        those columns, as in the runs of a tuning sweep, so such a block
+        formats only the six loop columns.
         """
+        global _csv_memo
         n = len(self)
-        held = [getattr(self, name) for name in _HELD_COLUMNS]
-        free = [getattr(self, name) for name in self.COLUMNS if name not in _HELD_COLUMNS]
-        row = ",".join("{}" if name in _HELD_COLUMNS else "%.9g" for name in self.COLUMNS) + "\n"
-        bits = np.column_stack(held).view(np.int64)
-        edges = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
-        parts = [",".join(self.COLUMNS) + "\n"]
+        signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in _SIGNAL_COLUMNS]
+        loop = [getattr(self, name) for name in _LOOP_COLUMNS]
+        header = ",".join(self.COLUMNS) + "\n"
+        parts = []
         for i in range(0, n, CSV_BLOCK):
             j = min(i + CSV_BLOCK, n)
-            lo, hi = np.searchsorted(edges, (i + 1, j))
-            cuts = [i, *edges[lo:hi].tolist(), j]
-            fmt = "".join(row.format(*("%.9g" % col[a] for col in held)) * (b - a)
-                          for a, b in zip(cuts, cuts[1:]))
-            block = np.column_stack([col[i:j] for col in free])
+            key = (i == 0, *(col[i:j].tobytes() for col in signals))
+            entry = _csv_memo
+            if entry is not None and entry[0] == key:
+                fmt = entry[1]
+            else:
+                _csv_memo = None
+                fmt = _block_format(*(col[i:j] for col in signals))
+                if i == 0:
+                    fmt = header + fmt
+                _csv_memo = (key, fmt)
+            block = np.column_stack([col[i:j] for col in loop])
             parts.append(fmt % tuple(block.ravel().tolist()))
-        return "".join(parts)
+        return "".join(parts) if parts else header
+
+
+def _block_format(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, u3: np.ndarray) -> str:
+    """The %-format of one block of CSV rows, with the text of t, r1, r2 and
+    u3 in place and %.9g for each loop column.  t is formatted in one
+    %-pass over the block, and the held columns once per run of rows over
+    which none of them changes its bits (0.0 and -0.0 print differently);
+    each run of rows is then one join of its t texts."""
+    held = np.column_stack([r1, r2, u3])
+    bits = held.view(np.int64)
+    cuts = [0, *(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist(), len(t)]
+    times = ("%.9g\n" * len(t) % tuple(t.tolist())).split("\n")
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):
+        rest = _ROW_REST.format(*("%.9g" % v for v in held[a].tolist()))
+        parts += (rest.join(times[a:b]), rest)
+    return "".join(parts)
 
 
 #: Log columns the loop fills sample by sample; t, r1, r2 and u3 are known up front.
@@ -157,24 +198,32 @@ class SimulationError(RuntimeError):
         self.sample_index = sample_index
 
 
-#: The last controller set-up, (key, (op, disc, pred)).  One entry: a study
-#: runs one plant many times, so consecutive runs share their set-up.
-_memo: tuple[str, tuple] | None = None
+#: The last sampled model, (key, (op, disc, aug)), and the last controller
+#: set-up built on it, (key, (op, disc, pred)).  One entry each: a study runs
+#: one plant many times, and a tuning sweep one model under many tunings.
+_model_memo: tuple[str, tuple] | None = None
+_memo: tuple[tuple[str, str], tuple] | None = None
 
 
 def _controller(scenario: Scenario):
     """The operating point, the sampled model and the prediction gains of
-    the scenario's plant, set up once for consecutive runs of the same
-    plant, levels, sampling period and horizons (compared bit for bit,
-    the sign of zero included)."""
-    global _memo
-    key = repr((scenario.params, scenario.op_levels, scenario.ts, scenario.mpc))
+    the scenario's plant.  The model is set up once for consecutive runs of
+    the same plant, levels and sampling period, and the gains once for
+    consecutive runs that also share the horizons and weight (each compared
+    bit for bit, the sign of zero included)."""
+    global _model_memo, _memo
+    model_key = repr((scenario.params, scenario.op_levels, scenario.ts))
+    key = (model_key, repr(scenario.mpc))
     entry = _memo
     if entry is not None and entry[0] == key:
         return entry[1]
-    op = make_operating_point(scenario.params, *scenario.op_levels)
-    disc = zoh_discretize(linearize(scenario.params, op), scenario.ts)
-    pred = build_prediction(augment(disc), scenario.mpc)
+    model = _model_memo
+    if model is None or model[0] != model_key:
+        op = make_operating_point(scenario.params, *scenario.op_levels)
+        disc = zoh_discretize(linearize(scenario.params, op), scenario.ts)
+        model = _model_memo = (model_key, (op, disc, augment(disc)))
+    op, disc, aug = model[1]
+    pred = build_prediction(aug, scenario.mpc)
     _memo = (key, (op, disc, pred))
     return op, disc, pred
 

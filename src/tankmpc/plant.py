@@ -110,7 +110,8 @@ def make_advance(
     over the call.  The feed, held control plus the routed pulse on
     [start, start + duration), is resolved once per call into its pulse-on
     and pulse-off values (with clamp_flows each absolute feed floored at
-    zero), and each stage picks one by its time t, t + dt/2 or t + dt.
+    zero), and each stage picks one by its time t, t + dt/2 or t + dt;
+    when no pulse edge lies in (t, t + 2 substeps dt], t's pick serves all.
     The rates are `tank.nonlinear_derivatives` written inline, in its order.
     Physical levels are floored at zero, the step that empties a tank
     logs a warning, and a non-finite state raises ArithmeticError.
@@ -126,10 +127,17 @@ def make_advance(
     half, sixth = dt / 2, dt / 6
     start, end = profile.start, profile.start + profile.duration
     p1, p2 = profile.route(profile.flow(op))
-    steps = range(substeps)
-    sqrt, inf = math.sqrt, math.inf
+    # every stage time of a call entered at t lies in [t, t + reach]: a
+    # rounded t + dt is the float nearest the sum, and t itself is a float
+    # dt away from it, so each step moves the clock by at most 2 dt
+    reach = 2 * substeps * dt
+    consts = (a1, a2, alpha1, alpha2, l1, l2, fi1_bar, fi2_bar, q12_bar, sqrt_l2, lo1, lo2,
+              dt, half, sixth, start, end, p1, p2, reach, range(substeps), math.sqrt, math.inf)
 
     def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float]:
+        # the run's constants as fast locals
+        (a1, a2, alpha1, alpha2, l1, l2, fi1_bar, fi2_bar, q12_bar, sqrt_l2, lo1, lo2,
+         dt, half, sixth, start, end, p1, p2, reach, steps, sqrt, inf) = consts
         if clamp_flows:
             fon = (u1 + (max(fi1_bar + u1 + p1, 0.0) - fi1_bar - u1),
                    u2 + (max(fi2_bar + u2 + p2, 0.0) - fi2_bar - u2))
@@ -143,9 +151,12 @@ def make_advance(
         # nonlinear_derivatives' domain check and sqrt(x2) guard cannot fire.
         # A step starts from the floored end of the one before, and its
         # feed is the one its predecessor's last stage picked at that time.
+        # Unless a pulse edge lies in (t, t + reach], every stage feeds the
+        # pulse as t does.
         f1 = h1 if h1 > lo1 else lo1
         f2 = h2 if h2 > lo2 else lo2
         g1, g2 = fon if start <= t < end else foff
+        edge = t < start <= t + reach or t < end <= t + reach
         for _ in steps:
             tm, te = t + half, t + dt
             x1 = l1 + f1
@@ -155,7 +166,8 @@ def make_advance(
             k11 = (g1 - q12) / a1
             k12 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
 
-            g1, g2 = fon if start <= tm < end else foff
+            if edge:
+                g1, g2 = fon if start <= tm < end else foff
             s1, s2 = h1 + half * k11, h2 + half * k12
             x1 = l1 + (s1 if s1 > lo1 else lo1)
             x2 = l2 + (s2 if s2 > lo2 else lo2)
@@ -172,7 +184,8 @@ def make_advance(
             k31 = (g1 - q12) / a1
             k32 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
 
-            g1, g2 = fon if start <= te < end else foff
+            if edge:
+                g1, g2 = fon if start <= te < end else foff
             s1, s2 = h1 + dt * k31, h2 + dt * k32
             x1 = l1 + (s1 if s1 > lo1 else lo1)
             x2 = l2 + (s2 if s2 > lo2 else lo2)

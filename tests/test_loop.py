@@ -28,7 +28,7 @@ from tankmpc import (
     summarize,
     zoh_discretize,
 )
-from tankmpc.loop import CSV_BLOCK, SETTLE_DWELL
+from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL
 from tankmpc.plant import NO_DISTURBANCE, make_advance
 
 from oracles import csv_text_by_value, settling_by_loop
@@ -369,6 +369,31 @@ class TestControllerMemo:
         run_closed_loop(changed)
         assert len(builds) == 5
 
+    def test_one_model_per_sweep(self, monkeypatch, tmp_path, capsys):
+        # a tuning sweep shares the sampled model across its values, and
+        # builds the prediction gains once per value
+        import tankmpc.cli as cli
+        import tankmpc.loop as loop
+
+        run_closed_loop(OTHER_PLANT)
+        calls = {"zoh_discretize": 0, "build_prediction": 0}
+
+        def counting(name):
+            real = getattr(loop, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(loop, name, counting(name))
+        code = cli.main(["sweep", "--param", "rw", "--values", "0.5,1,2,4,8",
+                         "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        assert calls == {"zoh_discretize": 1, "build_prediction": 5}
+
 
 class TestControlLaw:
     def test_logged_moves_are_the_reference_step(self):
@@ -441,6 +466,76 @@ class TestCsvContract:
             diff = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
             same = len(got) == len(want) and not diff  # a bare string diff of 4000 lines is slow
             assert same, f"{len(got)} vs {len(want)} lines, first differing line {diff[:1]}"
+
+
+class TestCsvBlockMemo:
+    """`to_csv_text` keeps the format of the last block it made, keyed on the
+    bits of that block's t, r1, r2 and u3."""
+
+    @staticmethod
+    def _variants(n):
+        rng = np.random.default_rng(29)
+        t = np.arange(n) * 0.05
+        r1 = np.where((t >= 0.5) & (t < 5.5), 0.5, 0.0)
+        r2 = np.where(t >= 2.0, -0.3, 0.0)
+        u3 = np.where((t >= 1.0) & (t < 3.0), 0.155, 0.0)
+        base = {"t": t, "r1": r1, "r2": r2, "u3": u3,
+                **{name: rng.standard_normal(n) for name in _LOOP_COLUMNS}}
+
+        def variant(**changes):
+            return SimulationLog(**{**base, **changes})
+
+        k = n - 1 - n // 3  # in the middle block of a three-block log
+
+        def at_k(col, value):
+            col = col.copy()
+            col[k] = value
+            return col
+
+        return {
+            "base": variant(),
+            "same signals, other loop columns": variant(h1=rng.standard_normal(n),
+                                                        fi2_abs=rng.standard_normal(n)),
+            "u3 differs in one row": variant(u3=at_k(u3, 0.25)),
+            "r1 differs in one row": variant(r1=at_k(r1, 0.4)),
+            "r2 -0.0 for 0.0": variant(r2=np.where(r2 == 0.0, -0.0, r2)),
+            "t one ulp up": variant(t=at_k(t, np.nextafter(t[k], np.inf))),
+            "shorter": SimulationLog(**{name: col[: n - 5] for name, col in base.items()}),
+            # its one block has the signals of the base's last block, but a header
+            "last block alone": SimulationLog(**{name: col[(n - 1) // CSV_BLOCK * CSV_BLOCK :]
+                                                 for name, col in base.items()}),
+        }
+
+    @pytest.mark.parametrize("n", [301, 2 * CSV_BLOCK + 9], ids=["one block", "three blocks"])
+    def test_alternating_logs_match_per_value_format(self, n):
+        logs = self._variants(n)
+        want = {name: csv_text_by_value(log) for name, log in logs.items()}
+        names = list(logs)
+        order = [names[i] for i in np.random.default_rng(31).integers(len(names), size=30)]
+        order += [name for pair in zip(names, ["base"] * len(names)) for name in pair]
+        for name in order:
+            assert logs[name].to_csv_text() == want[name], name
+
+    @pytest.mark.parametrize("change", ["r2 -0.0 for 0.0", "t one ulp up"])
+    def test_bitwise_key(self, monkeypatch, change):
+        import tankmpc.loop as loop
+
+        made = []
+        real = loop._block_format
+
+        def counting(*cols):
+            made.append(len(cols[0]))
+            return real(*cols)
+
+        monkeypatch.setattr(loop, "_block_format", counting)
+        logs = self._variants(301)
+        logs["base"].to_csv_text()
+        logs["same signals, other loop columns"].to_csv_text()
+        assert len(made) <= 1  # the base may be kept from an earlier run
+        made.clear()
+        logs[change].to_csv_text()
+        logs["base"].to_csv_text()
+        assert made == [301, 301]
 
 
 class TestSummarize:

@@ -233,20 +233,10 @@ def outcome(run):
 class TestAdvanceKernel:
     def test_matches_rk4_oracle_bit_for_bit(self):
         rng = np.random.default_rng(20261018)
-        for case in range(400):
-            params, l1, l2 = random_tank_params(rng)
-            op = make_operating_point(params, l1, l2)
-            substeps = int(rng.integers(1, 9))
-            dt = float(rng.uniform(1e-3, 0.1))
-            t0 = float(rng.uniform(0.0, 20.0))
-            # pulse edges on a stage time or halfway between two of them
-            times = stage_times(t0, dt, substeps)
-            edges = []
-            for _ in range(2):
-                i = int(rng.integers(len(times) - 1))
-                edges.append(times[i] if rng.random() < 0.5 else (times[i] + times[i + 1]) / 2)
-            start, end = sorted(edges)
-            profile = DisturbanceProfile(start=start, duration=end - start,
+
+        def check(case, params, op, dt, substeps, t0, start, duration):
+            l1, l2 = op.l1, op.l2
+            profile = DisturbanceProfile(start=start, duration=duration,
                                          magnitude=float(rng.uniform(-300.0, 300.0)),
                                          target=str(rng.choice(["tank1", "tank2", "both"])))
             # levels from below empty to well above the operating point
@@ -260,6 +250,49 @@ class TestAdvanceKernel:
             want = outcome(lambda: rk4_by_derivatives(params, op, t0, h, u, dt, substeps,
                                                       profile, clamp))
             assert got == want, f"case {case}"
+
+        for case in range(400):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            substeps = int(rng.integers(1, 9))
+            dt = float(rng.uniform(1e-3, 0.1))
+            t0 = float(rng.uniform(0.0, 20.0))
+            # pulse edges on a stage time or halfway between two of them
+            times = stage_times(t0, dt, substeps)
+            edges = []
+            for _ in range(2):
+                i = int(rng.integers(len(times) - 1))
+                edges.append(times[i] if rng.random() < 0.5 else (times[i] + times[i + 1]) / 2)
+            start, end = sorted(edges)
+            check(case, params, op, dt, substeps, t0, start, end - start)
+
+        # Edges outside the stage times too: before t, at t, just past the
+        # last stage time, and at t + 2 substeps dt, the reach of one call,
+        # or 1 ulp either side of it; endless pulses; and steps of ~0.6 ulp(t),
+        # each of which rounds up to a whole ulp, so that the stage times
+        # outrun t + substeps dt.
+        for case in range(400, 800):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            substeps = int(rng.integers(1, 9))
+            if case % 4 == 0:
+                t0 = 1e6
+                dt = 0.6 * math.ulp(t0) * float(rng.uniform(0.9, 1.1))
+            else:
+                dt = float(rng.uniform(1e-3, 0.1))
+                t0 = float(rng.uniform(0.0, 20.0))
+            times = stage_times(t0, dt, substeps)
+            reach = t0 + 2 * substeps * dt
+            edges = []
+            for _ in range(2):
+                i = int(rng.integers(len(times)))
+                edges.append([times[i], t0 - float(rng.uniform(0.0, 2.0)) * substeps * dt, t0,
+                              math.nextafter(times[-1], math.inf),
+                              math.nextafter(reach, -math.inf), reach,
+                              math.nextafter(reach, math.inf)][int(rng.integers(7))])
+            start, end = sorted(edges)
+            duration = math.inf if rng.random() < 0.2 else end - start
+            check(case, params, op, dt, substeps, t0, start, duration)
 
     def test_empty_tank_floored_and_warned_once(self, caplog):
         # 8 substeps a call drain tank 2 over several calls, each entered at its
