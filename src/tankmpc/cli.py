@@ -191,15 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The parser `main` uses, built on its first call and kept for the process.
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError and LinAlgError included

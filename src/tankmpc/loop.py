@@ -12,9 +12,10 @@ Work that a run shares with the run before it is done once, in three
 one-entry module memos keyed bit for bit: the sampled model (`_model_memo`:
 plant, levels, sampling period), the prediction gains built on it (`_memo`:
 the same plus the horizons and weight), and the CSV format of a block of
-rows with its time and signal columns filled in (`_csv_memo`).  So the runs
-of a tuning sweep share their model and CSV format, and a study of one plant
-its whole controller set-up.
+rows with its time and signal columns filled in (`_csv_memo`, made when a
+block repeats the signal columns of the block encoded before it).  So the
+runs of a tuning sweep share their model and CSV format, and a study of
+one plant its whole controller set-up.
 """
 
 from __future__ import annotations
@@ -48,18 +49,11 @@ SETTLE_DWELL = 10
 #: Rows the CSV encoder formats, and the loop converts to and from floats, at a time.
 CSV_BLOCK = 4096
 
-#: Log columns known before the loop runs: the time and the scenario's
-#: signals, which hold their value between its edges.
-_SIGNAL_COLUMNS = ("t", "r1", "r2", "u3")
-
-#: A CSV row after its t field, in SimulationLog.COLUMNS order: the held
-#: columns' text goes in the braces, and each loop column is a %.9g conversion.
-_ROW_REST = ",{},{},%.9g,%.9g,%.9g,%.9g,{},%.9g,%.9g\n"
-
-#: The last block format `to_csv_text` made, (key, format): one entry, at
-#: most CSV_BLOCK rows, keyed on whether the block is the first (whose
-#: format starts with the header) and the bytes of each of its signal columns.
-_csv_memo: tuple[tuple, str] | None = None
+#: The key of the last block `to_csv_text` encoded, (its head, the bytes of
+#: its signal columns), and, once a block with the same key followed it,
+#: that block's format with the text of t in place: (key, format or None).
+#: One entry, of at most CSV_BLOCK rows.
+_csv_memo: tuple[tuple[str | bytes, ...], str | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -133,56 +127,69 @@ class SimulationLog:
     def to_csv_text(self) -> str:
         """CSV with the fixed column contract, 9 significant digits.
 
-        Rows are encoded CSV_BLOCK at a time, one %-format per block, so
-        the temporary row-major copy stays small for long runs.  The
-        block's format holds the text of its signal columns t, r1, r2 and
-        u3 (see `_block_format`), and the first block's format starts with
-        the header.  It is kept for the next block with the same bits in
-        those columns, as in the runs of a tuning sweep, so such a block
-        formats only the six loop columns.
+        Rows are encoded CSV_BLOCK at a time, one %-format per block (see
+        `_block_format`), so the temporary row-major copy stays small for
+        long runs.  The first block's format starts with the header, so a
+        one-block log is the result of one %-pass.  A block with the bits
+        in t, r1, r2 and u3 of the block encoded just before it, as in the
+        runs of a tuning sweep, gets a format with the text of t in place,
+        which is kept for the blocks after it with those bits: they format
+        only the six loop columns.  Any other block formats t in the same
+        %-pass as the loop columns and costs only one copy of its signal
+        columns' bytes more.
         """
         global _csv_memo
-        n = len(self)
         signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in _SIGNAL_COLUMNS]
         loop = [getattr(self, name) for name in _LOOP_COLUMNS]
         header = ",".join(self.COLUMNS) + "\n"
         parts = []
-        for i in range(0, n, CSV_BLOCK):
-            j = min(i + CSV_BLOCK, n)
-            key = (i == 0, *(col[i:j].tobytes() for col in signals))
+        for i in range(0, len(self), CSV_BLOCK):
+            head = header if i == 0 else ""
+            block = [col[i : i + CSV_BLOCK] for col in signals]
+            values = [col[i : i + CSV_BLOCK] for col in loop]
+            key = (head, *(col.tobytes() for col in block))
             entry = _csv_memo
-            if entry is not None and entry[0] == key:
-                fmt = entry[1]
+            if entry is None or entry[0] != key:
+                _csv_memo = (key, None)
+                fmt = _block_format(head, ["%.9g"] * len(block[0]), *block[1:])
+                values.insert(0, block[0])
             else:
-                _csv_memo = None
-                fmt = _block_format(*(col[i:j] for col in signals))
-                if i == 0:
-                    fmt = header + fmt
-                _csv_memo = (key, fmt)
-            block = np.column_stack([col[i:j] for col in loop])
-            parts.append(fmt % tuple(block.ravel().tolist()))
+                if entry[1] is None:
+                    times = ("%.9g\n" * len(block[0]) % tuple(block[0].tolist())).split("\n")
+                    _csv_memo = entry = (key, _block_format(head, times, *block[1:]))
+                fmt = entry[1]
+            parts.append(fmt % tuple(np.column_stack(values).ravel().tolist()))
         return "".join(parts) if parts else header
 
 
-def _block_format(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, u3: np.ndarray) -> str:
-    """The %-format of one block of CSV rows, with the text of t, r1, r2 and
-    u3 in place and %.9g for each loop column.  t is formatted in one
-    %-pass over the block, and the held columns once per run of rows over
-    which none of them changes its bits (0.0 and -0.0 print differently);
-    each run of rows is then one join of its t texts."""
+#: Log columns known before the loop runs: the time and the scenario's
+#: signals, which hold their value between its edges.
+_SIGNAL_COLUMNS = ("t", "r1", "r2", "u3")
+
+#: Log columns the loop fills sample by sample, in SimulationLog.COLUMNS order.
+_LOOP_COLUMNS = tuple(name for name in SimulationLog.COLUMNS if name not in _SIGNAL_COLUMNS)
+
+#: A CSV row after its t field: a held column's text goes in its braces,
+#: and each loop column is a %.9g conversion.
+_ROW_REST = "".join("," + ("%.9g" if name in _LOOP_COLUMNS else "{}")
+                    for name in SimulationLog.COLUMNS[1:]) + "\n"
+
+
+def _block_format(head: str, times: list[str], r1: np.ndarray, r2: np.ndarray,
+                  u3: np.ndarray) -> str:
+    """The %-format of one block of CSV rows after head: each row's t field
+    from times (its text, or "%.9g"), the text of r1, r2 and u3, formatted
+    once per run of rows over which none of them changes its bits (0.0 and
+    -0.0 print differently), and %.9g for each loop column.  Each run of
+    rows is one join of its t fields."""
     held = np.column_stack([r1, r2, u3])
     bits = held.view(np.int64)
-    cuts = [0, *(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist(), len(t)]
-    times = ("%.9g\n" * len(t) % tuple(t.tolist())).split("\n")
-    parts = []
+    cuts = [0, *(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist(), len(held)]
+    parts = [head]
     for a, b in zip(cuts, cuts[1:]):
         rest = _ROW_REST.format(*("%.9g" % v for v in held[a].tolist()))
         parts += (rest.join(times[a:b]), rest)
     return "".join(parts)
-
-
-#: Log columns the loop fills sample by sample; t, r1, r2 and u3 are known up front.
-_LOOP_COLUMNS = ("h1", "h2", "u1", "u2", "fi1_abs", "fi2_abs")
 
 
 def _pulse(t: np.ndarray, start: float, duration: float, value: float) -> np.ndarray:

@@ -186,44 +186,6 @@ class TestSweep:
         assert exc_info.value.code == 2
 
 
-def test_one_parser_per_process_answers_like_a_fresh_one(monkeypatch, tmp_path, capsys):
-    # main keeps the parser it builds on its first call; every command, and a
-    # bad argument between them, must answer as a parser built for the call
-    import tankmpc.cli as cli
-
-    conf = tmp_path / "short.conf"
-    conf.write_text("sim.t_end = 0.5\n")
-    calls = [
-        ["sweep", "--config", str(conf), "--param", "rw", "--values", "0.5,2",
-         "--out-dir", str(tmp_path / "sweep")],
-        ["simulate", "--config", str(conf), "--out", str(tmp_path / "run.csv")],
-        ["sweep", "--param", "ts", "--values", "1", "--out-dir", str(tmp_path / "x")],
-        ["linearize", "--config", str(conf)],
-        ["simulate", "--config", str(conf), "--bogus"],
-        ["sweep", "--config", str(conf), "--param", "np", "--values", "2,8",
-         "--out-dir", str(tmp_path / "sweep")],
-        ["linearize"],
-    ]
-
-    def answers(fresh):
-        out = []
-        for argv in calls:
-            if fresh:
-                monkeypatch.setattr(cli, "_parser", None)
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = ("SystemExit", exc.code)
-            captured = capsys.readouterr()
-            out.append((code, captured.out, captured.err))
-        return out
-
-    kept = answers(fresh=False)
-    assert cli._parser is not None
-    assert kept == answers(fresh=True)
-    assert [code for code, _, _ in kept] == [0, 0, ("SystemExit", 2), 0, ("SystemExit", 2), 1, 0]
-
-
 @pytest.mark.parametrize("command, csv", [
     ("simulate --out {dir}/run.csv", "run.csv"),
     ("sweep --param rw --values 2 --out-dir {dir}", "rw_2.csv"),

@@ -469,8 +469,8 @@ class TestCsvContract:
 
 
 class TestCsvBlockMemo:
-    """`to_csv_text` keeps the format of the last block it made, keyed on the
-    bits of that block's t, r1, r2 and u3."""
+    """`to_csv_text` keeps a block format for blocks with the bits in t, r1,
+    r2 and u3 of the block encoded before them."""
 
     @staticmethod
     def _variants(n):
@@ -485,7 +485,7 @@ class TestCsvBlockMemo:
         def variant(**changes):
             return SimulationLog(**{**base, **changes})
 
-        k = n - 1 - n // 3  # in the middle block of a three-block log
+        k = n - 1 - n // 3  # in a middle block of a four-block log
 
         def at_k(col, value):
             col = col.copy()
@@ -504,15 +504,19 @@ class TestCsvBlockMemo:
             # its one block has the signals of the base's last block, but a header
             "last block alone": SimulationLog(**{name: col[(n - 1) // CSV_BLOCK * CSV_BLOCK :]
                                                  for name, col in base.items()}),
+            # its second block, where it has one, repeats the first, header aside
+            "first block twice": SimulationLog(**{name: np.tile(col[:CSV_BLOCK], 2)
+                                                  for name, col in base.items()}),
         }
 
-    @pytest.mark.parametrize("n", [301, 2 * CSV_BLOCK + 9], ids=["one block", "three blocks"])
+    @pytest.mark.parametrize("n", [301, 3 * CSV_BLOCK + 9], ids=["one block", "four blocks"])
     def test_alternating_logs_match_per_value_format(self, n):
         logs = self._variants(n)
         want = {name: csv_text_by_value(log) for name, log in logs.items()}
         names = list(logs)
         order = [names[i] for i in np.random.default_rng(31).integers(len(names), size=30)]
         order += [name for pair in zip(names, ["base"] * len(names)) for name in pair]
+        order += [name for name in names for _ in range(3)]  # kept from the second on
         for name in order:
             assert logs[name].to_csv_text() == want[name], name
 
@@ -520,22 +524,23 @@ class TestCsvBlockMemo:
     def test_bitwise_key(self, monkeypatch, change):
         import tankmpc.loop as loop
 
-        made = []
+        made = []  # for each block format made: whether it holds t's text
         real = loop._block_format
 
-        def counting(*cols):
-            made.append(len(cols[0]))
-            return real(*cols)
+        def counting(head, times, *held):
+            made.append(times[0] != "%.9g")
+            return real(head, times, *held)
 
         monkeypatch.setattr(loop, "_block_format", counting)
+        monkeypatch.setattr(loop, "_csv_memo", None)
         logs = self._variants(301)
-        logs["base"].to_csv_text()
-        logs["same signals, other loop columns"].to_csv_text()
-        assert len(made) <= 1  # the base may be kept from an earlier run
+        for name in ("base", "base", "same signals, other loop columns"):
+            logs[name].to_csv_text()
+        assert made == [False, True]  # kept at the second sighting, then reused
         made.clear()
-        logs[change].to_csv_text()
-        logs["base"].to_csv_text()
-        assert made == [301, 301]
+        for name in (change, "base", "base"):
+            logs[name].to_csv_text()
+        assert made == [False, False, True]
 
 
 class TestSummarize:
