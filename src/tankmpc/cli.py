@@ -135,15 +135,9 @@ def cmd_sweep(args) -> int:
             out_path = out_dir / f"{args.param}_{raw}.csv"
             _write_csv_atomic(log.to_csv_text(), out_path)
             metrics = summarize(log, run_cfg.scenario)
-            settle = []
-            for name in sorted(metrics.outputs):
-                worst = None
-                for m in metrics.outputs[name]:
-                    if not m.settled:
-                        worst = "not settled"
-                        break
-                    worst = max(worst or 0.0, m.settling_time)
-                settle.append(f"{name}: {worst if isinstance(worst, str) else f'{worst:.3g} s'}")
+            settle = [f"{name}: " + ("not settled" if not all(m.settled for m in segs)
+                                     else f"{max(m.settling_time for m in segs):.3g} s")
+                      for name, segs in sorted(metrics.outputs.items())]
             results.append((raw, f"{args.param}={raw}  " + "  ".join(settle)
                             + f"  -> {out_path.name}"))
         except (ValueError, SimulationError) as exc:  # ConfigError and LinAlgError included

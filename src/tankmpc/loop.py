@@ -8,14 +8,11 @@ stays nonlinear (or, as a diagnostic, is the sampled linear model),
 exactly the mismatch the scheme is meant to tolerate.  The scenario's
 signals at the sample times are computed once per run.
 
-Work that a run shares with the run before it is done once, in three
-one-entry module memos keyed bit for bit: the sampled model (`_model_memo`:
-plant, levels, sampling period), the prediction gains built on it (`_memo`:
-the same plus the horizons and weight), and the CSV format of a block of
-rows with its time and signal columns filled in (`_csv_memo`, made when a
-block repeats the signal columns of the block encoded before it).  So the
-runs of a tuning sweep share their model and CSV format, and a study of
-one plant its whole controller set-up.
+Work that a run shares with the run before it is done once: `_recall`
+keeps the last value built of each kind (the sampled model, the prediction
+gains, the CSV format of a block of rows), keyed bit for bit.  So the runs
+of a tuning sweep share their model and CSV format, and a study of one plant
+its whole controller set-up.
 """
 
 from __future__ import annotations
@@ -49,11 +46,18 @@ SETTLE_DWELL = 10
 #: Rows the CSV encoder formats, and the loop converts to and from floats, at a time.
 CSV_BLOCK = 4096
 
-#: The key of the last block `to_csv_text` encoded, (its head, the bytes of
-#: its signal columns), and, once a block with the same key followed it,
-#: that block's format with the text of t in place: (key, format or None).
-#: One entry, of at most CSV_BLOCK rows.
-_csv_memo: tuple[tuple[str | bytes, ...], str | None] | None = None
+#: The last value `_recall` built of each kind, {kind: (key, value)}.
+_last: dict[str, tuple] = {}
+
+
+def _recall(kind: str, key, build):
+    """build(), or the value kept from the last call of this kind if its key
+    is equal.  Keys are repr strings and bytes, so they compare bit for bit
+    (the sign of a zero counts); a build that raises keeps the old entry."""
+    entry = _last.get(kind)
+    if entry is None or entry[0] != key:
+        entry = _last[kind] = (key, build())
+    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -127,18 +131,14 @@ class SimulationLog:
     def to_csv_text(self) -> str:
         """CSV with the fixed column contract, 9 significant digits.
 
-        Rows are encoded CSV_BLOCK at a time, one %-format per block (see
-        `_block_format`), so the temporary row-major copy stays small for
-        long runs.  The first block's format starts with the header, so a
-        one-block log is the result of one %-pass.  A block with the bits
-        in t, r1, r2 and u3 of the block encoded just before it, as in the
-        runs of a tuning sweep, gets a format with the text of t in place,
-        which is kept for the blocks after it with those bits: they format
-        only the six loop columns.  Any other block formats t in the same
-        %-pass as the loop columns and costs only one copy of its signal
-        columns' bytes more.
+        Rows are encoded CSV_BLOCK at a time, so the temporary row-major
+        copy stays small for long runs.  Each block is one %-pass over its
+        six loop columns with the block's format (see `_block_format`),
+        which is recalled while a block has the head and the bits in t, r1,
+        r2 and u3 of the block encoded before it, as in the runs of a tuning
+        sweep.  The first block's format starts with the header, so a
+        one-block log is the result of one %-pass.
         """
-        global _csv_memo
         signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in _SIGNAL_COLUMNS]
         loop = [getattr(self, name) for name in _LOOP_COLUMNS]
         header = ",".join(self.COLUMNS) + "\n"
@@ -146,19 +146,10 @@ class SimulationLog:
         for i in range(0, len(self), CSV_BLOCK):
             head = header if i == 0 else ""
             block = [col[i : i + CSV_BLOCK] for col in signals]
-            values = [col[i : i + CSV_BLOCK] for col in loop]
             key = (head, *(col.tobytes() for col in block))
-            entry = _csv_memo
-            if entry is None or entry[0] != key:
-                _csv_memo = (key, None)
-                fmt = _block_format(head, ["%.9g"] * len(block[0]), *block[1:])
-                values.insert(0, block[0])
-            else:
-                if entry[1] is None:
-                    times = ("%.9g\n" * len(block[0]) % tuple(block[0].tolist())).split("\n")
-                    _csv_memo = entry = (key, _block_format(head, times, *block[1:]))
-                fmt = entry[1]
-            parts.append(fmt % tuple(np.column_stack(values).ravel().tolist()))
+            fmt = _recall("csv", key, lambda: _block_format(head, *block))
+            values = np.column_stack([col[i : i + CSV_BLOCK] for col in loop])
+            parts.append(fmt % tuple(values.ravel().tolist()))
         return "".join(parts) if parts else header
 
 
@@ -175,20 +166,21 @@ _ROW_REST = "".join("," + ("%.9g" if name in _LOOP_COLUMNS else "{}")
                     for name in SimulationLog.COLUMNS[1:]) + "\n"
 
 
-def _block_format(head: str, times: list[str], r1: np.ndarray, r2: np.ndarray,
+def _block_format(head: str, t: np.ndarray, r1: np.ndarray, r2: np.ndarray,
                   u3: np.ndarray) -> str:
     """The %-format of one block of CSV rows after head: each row's t field
-    from times (its text, or "%.9g"), the text of r1, r2 and u3, formatted
-    once per run of rows over which none of them changes its bits (0.0 and
-    -0.0 print differently), and %.9g for each loop column.  Each run of
-    rows is one join of its t fields."""
+    as text, the text of r1, r2 and u3, formatted once per run of rows over
+    which none of them changes its bits (0.0 and -0.0 print differently),
+    and %.9g for each loop column.  Each run of rows is one %-pass over its
+    t values, the newline after each then replaced by the rest of the row."""
+    times = t.tolist()
     held = np.column_stack([r1, r2, u3])
     bits = held.view(np.int64)
     cuts = [0, *(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist(), len(held)]
     parts = [head]
     for a, b in zip(cuts, cuts[1:]):
         rest = _ROW_REST.format(*("%.9g" % v for v in held[a].tolist()))
-        parts += (rest.join(times[a:b]), rest)
+        parts.append(("%.9g\n" * (b - a) % tuple(times[a:b])).replace("\n", rest))
     return "".join(parts)
 
 
@@ -205,33 +197,22 @@ class SimulationError(RuntimeError):
         self.sample_index = sample_index
 
 
-#: The last sampled model, (key, (op, disc, aug)), and the last controller
-#: set-up built on it, (key, (op, disc, pred)).  One entry each: a study runs
-#: one plant many times, and a tuning sweep one model under many tunings.
-_model_memo: tuple[str, tuple] | None = None
-_memo: tuple[tuple[str, str], tuple] | None = None
-
-
 def _controller(scenario: Scenario):
     """The operating point, the sampled model and the prediction gains of
     the scenario's plant.  The model is set up once for consecutive runs of
     the same plant, levels and sampling period, and the gains once for
-    consecutive runs that also share the horizons and weight (each compared
-    bit for bit, the sign of zero included)."""
-    global _model_memo, _memo
-    model_key = repr((scenario.params, scenario.op_levels, scenario.ts))
-    key = (model_key, repr(scenario.mpc))
-    entry = _memo
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    model = _model_memo
-    if model is None or model[0] != model_key:
-        op = make_operating_point(scenario.params, *scenario.op_levels)
-        disc = zoh_discretize(linearize(scenario.params, op), scenario.ts)
-        model = _model_memo = (model_key, (op, disc, augment(disc)))
-    op, disc, aug = model[1]
-    pred = build_prediction(aug, scenario.mpc)
-    _memo = (key, (op, disc, pred))
+    consecutive runs that also share the horizons and weight."""
+    params, levels, ts = scenario.params, scenario.op_levels, scenario.ts
+
+    def model():
+        op = make_operating_point(params, *levels)
+        disc = zoh_discretize(linearize(params, op), ts)
+        return op, disc, augment(disc)
+
+    model_key = repr((params, levels, ts))
+    op, disc, aug = _recall("model", model_key, model)
+    pred = _recall("gains", (model_key, repr(scenario.mpc)),
+                   lambda: build_prediction(aug, scenario.mpc))
     return op, disc, pred
 
 

@@ -156,6 +156,22 @@ class TestSweep:
         pos = [out.index(f"rw={v}") for v in ("0.1", "1", "10")]
         assert pos == sorted(pos)
 
+    def test_table_lines(self, tmp_path, capsys):
+        # per output, the worst settling time of its segments, or "not settled"
+        # if any segment is (here the setpoint edges at 0.5 s have no dwell)
+        unsettled = tmp_path / "unsettled.conf"
+        unsettled.write_text("sim.t_end = 0.7\n" + "".join(
+            f"setpoint.{h}.start = 0.5\nsetpoint.{h}.duration = 10\n" for h in ("h1", "h2")))
+        for config, table in (([], ["  rw=0.5  h1: 4.8 s  h2: 4.7 s  -> rw_0.5.csv",
+                                    "  rw=1  h1: 4.85 s  h2: 4.75 s  -> rw_1.csv"]),
+                              (["--config", str(unsettled)],
+                               ["  rw=0.5  h1: not settled  h2: not settled  -> rw_0.5.csv",
+                                "  rw=1  h1: not settled  h2: not settled  -> rw_1.csv"])):
+            code, out, _ = run_cli(["sweep", *config, "--param", "rw", "--values", "1,0.5",
+                                    "--out-dir", str(tmp_path / "rw")], capsys)
+            assert code == 0
+            assert out.splitlines() == ["sweep over rw:", *table]
+
     def test_invalid_value_fails_alone_exit_1(self, tmp_path, capsys):
         out_dir = tmp_path / "np"
         code, out, err = run_cli(

@@ -469,8 +469,8 @@ class TestCsvContract:
 
 
 class TestCsvBlockMemo:
-    """`to_csv_text` keeps a block format for blocks with the bits in t, r1,
-    r2 and u3 of the block encoded before them."""
+    """`to_csv_text` reuses the last block format it made for a block with
+    the head and the bits in t, r1, r2 and u3 of the block encoded before it."""
 
     @staticmethod
     def _variants(n):
@@ -516,7 +516,7 @@ class TestCsvBlockMemo:
         names = list(logs)
         order = [names[i] for i in np.random.default_rng(31).integers(len(names), size=30)]
         order += [name for pair in zip(names, ["base"] * len(names)) for name in pair]
-        order += [name for name in names for _ in range(3)]  # kept from the second on
+        order += [name for name in names for _ in range(3)]  # reused from the second on
         for name in order:
             assert logs[name].to_csv_text() == want[name], name
 
@@ -524,23 +524,59 @@ class TestCsvBlockMemo:
     def test_bitwise_key(self, monkeypatch, change):
         import tankmpc.loop as loop
 
-        made = []  # for each block format made: whether it holds t's text
+        made = []  # the arguments of each block format made
         real = loop._block_format
-
-        def counting(head, times, *held):
-            made.append(times[0] != "%.9g")
-            return real(head, times, *held)
-
-        monkeypatch.setattr(loop, "_block_format", counting)
-        monkeypatch.setattr(loop, "_csv_memo", None)
+        monkeypatch.setattr(loop, "_block_format", lambda *args: made.append(args) or real(*args))
+        monkeypatch.setattr(loop, "_last", {})
         logs = self._variants(301)
         for name in ("base", "base", "same signals, other loop columns"):
             logs[name].to_csv_text()
-        assert made == [False, True]  # kept at the second sighting, then reused
-        made.clear()
+        assert len(made) == 1  # made at the first encode, then reused
         for name in (change, "base", "base"):
             logs[name].to_csv_text()
-        assert made == [False, False, True]
+        assert len(made) == 3  # the change misses once, and the base after it
+
+
+class TestRecall:
+    """`loop._recall` keeps one entry per kind, keyed bit for bit."""
+
+    def test_keys_compare_bit_for_bit(self, monkeypatch):
+        import tankmpc.loop as loop
+
+        monkeypatch.setattr(loop, "_last", {})
+        builds = []
+        for key in (repr(0.0), repr(-0.0), repr(-0.0), repr(0.0)):
+            loop._recall("x", key, lambda: builds.append(key) or len(builds))
+        assert builds == ["0.0", "-0.0", "0.0"]
+
+    def test_kinds_do_not_evict_each_other(self, monkeypatch):
+        # a CSV encode between two runs of one plant and tuning keeps the gains
+        import tankmpc.loop as loop
+
+        builds = []
+        real = loop.build_prediction
+        monkeypatch.setattr(loop, "build_prediction",
+                            lambda aug, cfg: builds.append(cfg) or real(aug, cfg))
+        monkeypatch.setattr(loop, "_last", {})
+        sc = make_scenario(t_end=1.0)
+        run_closed_loop(sc).to_csv_text()
+        run_closed_loop(sc).to_csv_text()
+        assert len(builds) == 1
+        assert set(loop._last) == {"model", "gains", "csv"}
+
+    def test_raising_build_keeps_the_old_entry(self, monkeypatch):
+        import tankmpc.loop as loop
+
+        monkeypatch.setattr(loop, "_last", {})
+        assert loop._recall("x", "a", lambda: 1) == 1
+
+        def fail():
+            raise ValueError("no build")
+
+        with pytest.raises(ValueError):
+            loop._recall("x", "b", fail)
+        assert loop._recall("x", "a", fail) == 1
+        assert loop._last == {"x": ("a", 1)}
 
 
 class TestSummarize:
