@@ -34,18 +34,9 @@ from .mpc import (
     PredictionMatrices,
     augment,
     build_prediction,
-    cost,
-    cost_gradient,
     receding_step,
-    solve_optimal,
 )
-from .plant import (
-    DisturbanceProfile,
-    PlantState,
-    disturbance_flow,
-    disturbance_inflows,
-    rk4_step,
-)
+from .plant import DisturbanceProfile
 from .tank import (
     DEFAULT_LEVELS,
     DEFAULT_PARAMS,
@@ -73,7 +64,6 @@ __all__ = [
     "LinearModel",
     "MpcConfig",
     "OperatingPoint",
-    "PlantState",
     "PredictionMatrices",
     "RunConfig",
     "Scenario",
@@ -85,11 +75,7 @@ __all__ = [
     "TankParams",
     "augment",
     "build_prediction",
-    "cost",
-    "cost_gradient",
     "default_run_config",
-    "disturbance_flow",
-    "disturbance_inflows",
     "dumps_config",
     "linearize",
     "load_config",
@@ -98,9 +84,7 @@ __all__ = [
     "nonlinear_derivatives",
     "bundled_config_path",
     "receding_step",
-    "rk4_step",
     "run_closed_loop",
-    "solve_optimal",
     "steady_inflows",
     "summarize",
     "zoh_discretize",

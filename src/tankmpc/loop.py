@@ -364,8 +364,6 @@ def summarize(log: SimulationLog, scenario: Scenario) -> SummaryMetrics:
         bounds = edges + [len(log)]
         metrics = []
         for e, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if i1 - i0 < 1:
-                continue
             target = r[i0]
             prev = y[0] if e == 0 else r[i0 - 1]
             metrics.append(_segment_metrics(name, log.t, y, target, target - prev, i0, i1))

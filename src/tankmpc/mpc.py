@@ -16,7 +16,8 @@ Only the first control increment is applied.  The model is time
 invariant, so the first m rows of that map are a fixed gain, computed
 once: du(k) = kr @ r - kx @ x(k), with r the setpoint held over the
 horizon (Wang, Model Predictive Control System Design and
-Implementation Using MATLAB, Springer 2009, ch. 1).
+Implementation Using MATLAB, Springer 2009, ch. 1).  Only that gain runs;
+the tests hold the cost and full-horizon optimum as references.
 """
 
 from __future__ import annotations
@@ -103,11 +104,10 @@ def augment(model: DiscreteModel) -> AugmentedModel:
 
 @dataclass(frozen=True)
 class PredictionMatrices:
-    """Horizon maps, the cost Hessian and the first-move gains.
+    """Horizon maps and the first-move gains.
 
     psi : (Np*q, n+q)   block row k is C A^(k+1)
     phi : (Np*q, Nc*m)  block (i, j) is C A^(i-j) B for i >= j, else 0
-    hessian : phi.T phi + rw I, symmetrized
     kr : (m, q)    first-move gain on the setpoint
     kx : (m, n+q)  first-move gain on the augmented state [dx_m; y]
     gains : kr and the dx_m block kx[:, :n], row by row, as one flat tuple
@@ -116,7 +116,6 @@ class PredictionMatrices:
 
     psi: np.ndarray
     phi: np.ndarray
-    hessian: np.ndarray
     kr: np.ndarray
     kx: np.ndarray
     q: int
@@ -124,31 +123,18 @@ class PredictionMatrices:
     gains: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for mat in (self.psi, self.phi, self.hessian, self.kr, self.kx):
+        for mat in (self.psi, self.phi, self.kr, self.kx):
             mat.setflags(write=False)
         n = self.psi.shape[1] - self.q
         gains = self.kr.ravel().tolist() + self.kx[:, :n].ravel().tolist()
         object.__setattr__(self, "gains", tuple(gains))
 
-    @property
-    def np_horizon(self) -> int:
-        return self.psi.shape[0] // self.q
-
-    def stack_setpoint(self, r) -> np.ndarray:
-        """Repeat the q-entry setpoint down the prediction horizon."""
-        r = np.asarray(r, dtype=float).reshape(-1)
-        if r.size != self.q:
-            raise ValueError(f"setpoint has {r.size} entries, expected {self.q}")
-        if not np.isfinite(r).all():
-            raise ValueError("setpoint entries must be finite")
-        return np.tile(r, self.np_horizon)
-
 
 def build_prediction(aug: AugmentedModel, cfg: MpcConfig) -> PredictionMatrices:
-    """Assemble psi, phi, the Hessian and the first-move gains.
+    """Assemble psi, phi and the first-move gains.
 
     Raises numpy.linalg.LinAlgError if rw = 0 and phi.T phi is
-    singular; the closed-form law assumes the Hessian is invertible.
+    singular; the closed-form law assumes phi.T phi + rw I is invertible.
     """
     nq = aug.n + aug.q
     q, m = aug.q, aug.m
@@ -177,36 +163,7 @@ def build_prediction(aug: AugmentedModel, cfg: MpcConfig) -> PredictionMatrices:
     np.linalg.cholesky(h)  # raises LinAlgError unless h is positive definite
     first = np.linalg.solve(h, phi.T)[:m]  # first-move rows of h^-1 phi.T
     kr = first.reshape(m, npred, q).sum(axis=1)
-    return PredictionMatrices(psi=psi, phi=phi, hessian=h, kr=kr, kx=first @ psi, q=q, m=m)
-
-
-def cost(pred: PredictionMatrices, cfg: MpcConfig, x, r, du) -> float:
-    """Quadratic tracking cost of a candidate increment sequence du."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    du = np.asarray(du, dtype=float).reshape(-1)
-    if du.size != pred.phi.shape[1]:
-        raise ValueError(f"du has {du.size} entries, expected {pred.phi.shape[1]}")
-    err = pred.stack_setpoint(r) - (pred.psi @ x + pred.phi @ du)
-    return float(err @ err + cfg.rw * (du @ du))
-
-
-def cost_gradient(pred: PredictionMatrices, cfg: MpcConfig, x, r, du) -> np.ndarray:
-    """Gradient of the cost with respect to du; zero at the optimum."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    du = np.asarray(du, dtype=float).reshape(-1)
-    if du.size != pred.phi.shape[1]:
-        raise ValueError(f"du has {du.size} entries, expected {pred.phi.shape[1]}")
-    free_err = pred.stack_setpoint(r) - pred.psi @ x
-    return -2.0 * (pred.phi.T @ free_err) + 2.0 * (pred.hessian @ du)
-
-
-def solve_optimal(pred: PredictionMatrices, x, r) -> np.ndarray:
-    """Minimizer of the tracking cost over the control horizon, by a dense solve."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != pred.psi.shape[1]:
-        raise ValueError(f"state has {x.size} entries, expected {pred.psi.shape[1]}")
-    rhs = pred.phi.T @ (pred.stack_setpoint(r) - pred.psi @ x)
-    return np.linalg.solve(pred.hessian, rhs)
+    return PredictionMatrices(psi=psi, phi=phi, kr=kr, kx=first @ psi, q=q, m=m)
 
 
 class ControllerState(NamedTuple):
@@ -263,5 +220,4 @@ def receding_step(
     dx1, dx2 = y1 - p1, y2 - p2
     u = (u1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2)),
          u2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2)))
-    # tuple.__new__ skips the NamedTuple's Python-level __new__
-    return tuple.__new__(ControllerState, ((y1, y2), u)), u
+    return ControllerState((y1, y2), u), u

@@ -5,10 +5,13 @@ classical Runge-Kutta scheme between controller samples; the control
 flows are held constant over each sample while the disturbance flow is
 resolved at the integrator stage times.  `make_advance` binds one run's
 constants into one kernel on plain floats that runs all substeps of a
-controller sample, with the rate equations and the pulse feed inline;
-`rk4_step` is a one-off call of the same kernel.  `make_linear_advance`
-is the diagnostic sampled linear model behind the same interface.  Both
-return levels only; the closed loop enters each sample at its time k ts.
+controller sample, with the rate equations and the pulse feed inline.
+`make_linear_advance` is the diagnostic sampled linear model behind the
+same interface.  Both return levels only; the closed loop enters each
+sample at its time k ts.  `rk4_step` (one step of the kernel on a
+`PlantState`) and `disturbance_flow`/`disturbance_inflows` (the pulse at
+one time) are reference forms the package does not export; the tests
+and the benchmark's tracer import them from this module.
 """
 
 from __future__ import annotations

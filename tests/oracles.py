@@ -39,12 +39,32 @@ def iterate_prediction(a, b, c, x0, du_seq, npred):
 
 
 def naive_optimal_du(a, b, c, npred, nctl, rw, x, r):
-    """Closed-form minimizer via naive matrices and a plain dense solve."""
+    """Closed-form minimizer via naive matrices and a plain dense solve.
+
+    x and r are one state and setpoint, or (n+q, k) and (q, k) arrays of k
+    cases, one per column; the result then has one column per case."""
     psi, phi = naive_prediction_matrices(a, b, c, npred, nctl)
-    q = np.atleast_2d(c).shape[0]
-    rs = np.tile(np.asarray(r, dtype=float).reshape(-1), npred)
+    r = np.asarray(r, dtype=float)
+    rs = np.tile(r, (npred,) + (1,) * (r.ndim - 1))
     h = phi.T @ phi + rw * np.eye(phi.shape[1])
     return np.linalg.solve(h, phi.T @ (rs - psi @ np.asarray(x, dtype=float)))
+
+
+def tracking_cost(psi, phi, rw, x, r, du):
+    """||Rs - (psi x + phi du)||^2 + rw ||du||^2, Rs the setpoint r repeated
+    down the horizon: the cost whose minimizer's first block the law applies."""
+    du = np.asarray(du, dtype=float)
+    rs = np.tile(np.asarray(r, dtype=float), psi.shape[0] // len(r))
+    err = rs - (psi @ np.asarray(x, dtype=float) + phi @ du)
+    return float(err @ err + rw * (du @ du))
+
+
+def tracking_cost_gradient(psi, phi, rw, x, r, du):
+    """Analytic gradient of tracking_cost in du: -2 phi.T (Rs - psi x - phi du) + 2 rw du."""
+    du = np.asarray(du, dtype=float)
+    rs = np.tile(np.asarray(r, dtype=float), psi.shape[0] // len(r))
+    free_err = rs - psi @ np.asarray(x, dtype=float)
+    return -2.0 * (phi.T @ free_err) + 2.0 * ((phi.T @ phi) @ du + rw * du)
 
 
 def expm_by_eig(a, ts):
@@ -136,7 +156,8 @@ def rk4_by_derivatives(params, op, t, h, u, dt, substeps, profile, clamp_flows):
     the levels (h1, h2) after them, from tank.nonlinear_derivatives with the
     feed looked up by plant.disturbance_inflows at every stage time.  Stage
     levels are floored at empty, as is each step's end, which must be finite."""
-    from tankmpc import disturbance_inflows, nonlinear_derivatives
+    from tankmpc import nonlinear_derivatives
+    from tankmpc.plant import disturbance_inflows
 
     lo = (-op.l1, -op.l2)
     bars = (op.fi1_bar, op.fi2_bar)

@@ -17,24 +17,22 @@ from scipy.integrate import solve_ivp
 
 from tankmpc import (
     DEFAULT_PARAMS,
+    ControllerState,
     DeviationState,
     MpcConfig,
-    PlantState,
     augment,
     build_prediction,
-    cost,
-    cost_gradient,
     default_run_config,
     linearize,
     make_operating_point,
     nonlinear_derivatives,
-    rk4_step,
+    receding_step,
     run_closed_loop,
-    solve_optimal,
     summarize,
     zoh_discretize,
 )
 from tankmpc.mpc import AugmentedModel
+from tankmpc.plant import NO_DISTURBANCE, make_advance
 
 from oracles import (
     fd_gradient,
@@ -43,6 +41,8 @@ from oracles import (
     naive_optimal_du,
     random_system,
     random_tank_params,
+    tracking_cost,
+    tracking_cost_gradient,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -116,21 +116,23 @@ def test_criterion_4_optimality():
     with criterion(4, "gradient and closed-form optimality", budget_s=5.0):
         _, lin = reference_setup()
         aug = augment(zoh_discretize(lin, 0.05))
-        cfg = MpcConfig(10, 3, rw=1.0)
-        pred = build_prediction(aug, cfg)
+        pred = build_prediction(aug, MpcConfig(10, 3, rw=1.0))
+        psi, phi = pred.psi, pred.phi
         rng = np.random.default_rng(4242)
         for _ in range(100):
             x = rng.uniform(-1, 1, 4)
             r = rng.uniform(-1, 1, 2)
             du = rng.uniform(-1, 1, 6)
-            g = cost_gradient(pred, cfg, x, r, du)
-            g_fd = fd_gradient(lambda v: cost(pred, cfg, x, r, v), du, step=1e-6)
+            g = tracking_cost_gradient(psi, phi, 1.0, x, r, du)
+            g_fd = fd_gradient(lambda v: tracking_cost(psi, phi, 1.0, x, r, v), du, step=1e-6)
             assert np.max(np.abs(g - g_fd)) / max(np.max(np.abs(g)), 1e-12) < 1e-5
 
-            du_opt = solve_optimal(pred, x, r)
-            assert np.max(np.abs(cost_gradient(pred, cfg, x, r, du_opt))) < 1e-9
-            du_ref = naive_optimal_du(aug.a, aug.b, aug.c, 10, 3, 1.0, x, r)
-            assert np.max(np.abs(du_opt - du_ref)) < 1e-6
+            du_opt = naive_optimal_du(aug.a, aug.b, aug.c, 10, 3, 1.0, x, r)
+            assert np.max(np.abs(tracking_cost_gradient(psi, phi, 1.0, x, r, du_opt))) < 1e-9
+            # the move the law applies from x = [y - prev_y; y], from zero control
+            y = x[2:]
+            _, u = receding_step(ControllerState(tuple(y - x[:2]), (0.0, 0.0)), pred, tuple(y), tuple(r))
+            assert np.max(np.abs(np.array(u) - du_opt[:2])) < 1e-6
 
 
 def test_criterion_5_offset_free_tracking():
@@ -167,12 +169,12 @@ def test_criterion_7_integrator_and_plant_invariants():
         op, lin = reference_setup()
 
         # equilibrium hold: drift below 1e-9 per step over 300 steps
-        state = PlantState(t=0.0, dev=DeviationState(0.0, 0.0))
-        for _ in range(300):
-            prev = state
-            state = rk4_step(DEFAULT_PARAMS, op, state, (0.0, 0.0), None, 0.0125)
-            assert abs(state.dev.h1 - prev.dev.h1) < 1e-9
-            assert abs(state.dev.h2 - prev.dev.h2) < 1e-9
+        step = make_advance(DEFAULT_PARAMS, op, 0.0125, 1, NO_DISTURBANCE, False)
+        h = (0.0, 0.0)
+        for k in range(300):
+            prev, h = h, step(k * 0.0125, *h, 0.0, 0.0)
+            assert abs(h[0] - prev[0]) < 1e-9
+            assert abs(h[1] - prev[1]) < 1e-9
 
         # RK4 order: slope 4 +/- 0.3 against an adaptive reference
         def rhs(t, h):
@@ -184,10 +186,8 @@ def test_criterion_7_integrator_and_plant_invariants():
         dts = [0.025, 0.0125, 0.00625]
         errs = []
         for dt in dts:
-            s = PlantState(t=0.0, dev=DeviationState(0.1, 0.1))
-            for _ in range(round(0.2 / dt)):
-                s = rk4_step(DEFAULT_PARAMS, op, s, (0.0, 0.0), None, dt)
-            errs.append(np.max(np.abs([s.dev.h1, s.dev.h2] - ref_end)))
+            advance = make_advance(DEFAULT_PARAMS, op, dt, round(0.2 / dt), NO_DISTURBANCE, False)
+            errs.append(np.max(np.abs(np.array(advance(0.0, 0.1, 0.1, 0.0, 0.0)) - ref_end)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 3.7 <= slope <= 4.3
 

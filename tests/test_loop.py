@@ -19,8 +19,6 @@ from tankmpc import (
     augment,
     build_prediction,
     default_run_config,
-    disturbance_flow,
-    disturbance_inflows,
     linearize,
     make_operating_point,
     receding_step,
@@ -29,7 +27,7 @@ from tankmpc import (
     zoh_discretize,
 )
 from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL
-from tankmpc.plant import NO_DISTURBANCE, make_advance
+from tankmpc.plant import NO_DISTURBANCE, disturbance_flow, disturbance_inflows, make_advance
 
 from oracles import csv_text_by_value, settling_by_loop
 

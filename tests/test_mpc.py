@@ -10,12 +10,9 @@ from tankmpc import (
     MpcConfig,
     augment,
     build_prediction,
-    cost,
-    cost_gradient,
     linearize,
     make_operating_point,
     receding_step,
-    solve_optimal,
     zoh_discretize,
 )
 from tankmpc.mpc import AugmentedModel
@@ -26,6 +23,8 @@ from oracles import (
     naive_optimal_du,
     naive_prediction_matrices,
     random_system,
+    tracking_cost,
+    tracking_cost_gradient,
 )
 
 
@@ -106,7 +105,9 @@ class TestBuildPrediction:
         pred = build_prediction(scalar_augmented(1.0, 1.0), MpcConfig(2, 1, rw=0.3))
         assert np.array_equal(pred.psi, [[1.0], [1.0]])
         assert np.array_equal(pred.phi, [[1.0], [1.0]])
-        assert pred.hessian[0, 0] == pytest.approx(2.0 + 0.3)
+        # one move against the Hessian phi.T phi + rw = 2.3: both gains are 2 / 2.3
+        assert pred.kr[0, 0] == pytest.approx(2.0 / 2.3, rel=1e-15)
+        assert pred.kx[0, 0] == pytest.approx(2.0 / 2.3, rel=1e-15)
 
     def test_scalar_decaying(self):
         pred = build_prediction(scalar_augmented(0.5, 1.0), MpcConfig(3, 2))
@@ -157,11 +158,6 @@ class TestBuildPrediction:
             y_direct = iterate_prediction(a, b, c, x, du, npred)
             assert np.max(np.abs(pred.psi @ x + pred.phi @ du - y_direct)) < 1e-10
 
-    def test_hessian_symmetric_and_pd(self):
-        pred = build_prediction(tank_augmented(), MpcConfig(10, 3, rw=0.5))
-        assert np.array_equal(pred.hessian, pred.hessian.T)
-        assert np.all(np.linalg.eigvalsh(pred.hessian) > 0)
-
     def test_singular_hessian_fails_loudly(self):
         # b = 0 makes phi vanish; with rw = 0 the normal matrix is singular
         with pytest.raises(np.linalg.LinAlgError):
@@ -169,12 +165,14 @@ class TestBuildPrediction:
 
 
 class TestCostAndGradient:
+    """The tracking cost and its gradient (tests/oracles.py) on the package's
+    psi and phi: the references criterion 4 checks the law against."""
+
     def test_zero_cost_at_setpoint_with_zero_move(self):
-        aug = tank_augmented()
-        pred = build_prediction(aug, MpcConfig(10, 3))
+        pred = build_prediction(tank_augmented(), MpcConfig(10, 3))
         r = np.array([0.4, -0.2])
         x = np.concatenate([np.zeros(2), r])  # integrator state pinned at r
-        assert cost(pred, MpcConfig(10, 3), x, r, np.zeros(6)) == 0.0
+        assert tracking_cost(pred.psi, pred.phi, 1.0, x, r, np.zeros(6)) == 0.0
 
     def test_expanded_form_identity(self):
         """Residual form and expanded quadratic form agree to roundoff."""
@@ -190,101 +188,102 @@ class TestCostAndGradient:
             rs = np.tile(r, npred)
             e0 = rs - pred.psi @ x
             expanded = e0 @ e0 - 2 * du @ (pred.phi.T @ e0) + du @ ((pred.phi.T @ pred.phi + cfg.rw * np.eye(du.size)) @ du)
-            direct = cost(pred, cfg, x, r, du)
+            direct = tracking_cost(pred.psi, pred.phi, cfg.rw, x, r, du)
             assert direct == pytest.approx(expanded, rel=1e-10, abs=1e-12)
 
     def test_scalar_hand_expansion(self):
         # a=0.5, b=1, c=1, Np=2, Nc=1: Y = [0.5 x + du, 0.25 x + 0.5 du]
-        cfg = MpcConfig(2, 1, rw=0.7)
-        pred = build_prediction(scalar_augmented(0.5, 1.0), cfg)
+        pred = build_prediction(scalar_augmented(0.5, 1.0), MpcConfig(2, 1, rw=0.7))
         x, r, du = 0.8, 1.5, 0.4
         y1 = 0.5 * x + du
         y2 = 0.25 * x + 0.5 * du
         by_hand = (r - y1) ** 2 + (r - y2) ** 2 + 0.7 * du**2
-        assert cost(pred, cfg, [x], [r], [du]) == pytest.approx(by_hand, rel=1e-14)
+        assert tracking_cost(pred.psi, pred.phi, 0.7, [x], [r], [du]) == pytest.approx(by_hand, rel=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
             a, b, c, q, m, npred, nctl = random_system(rng)
             aug = AugmentedModel(a=a, b=b, c=c, n=a.shape[0] - q, m=m, q=q)
-            cfg = MpcConfig(npred, nctl, rw=float(rng.uniform(0.1, 2)))
-            pred = build_prediction(aug, cfg)
+            rw = float(rng.uniform(0.1, 2))
+            pred = build_prediction(aug, MpcConfig(npred, nctl, rw=rw))
             x = rng.uniform(-1, 1, a.shape[0])
             r = rng.uniform(-1, 1, q)
             du = rng.uniform(-1, 1, nctl * m)
-            g = cost_gradient(pred, cfg, x, r, du)
-            g_fd = fd_gradient(lambda v: cost(pred, cfg, x, r, v), du, step=1e-6)
+            g = tracking_cost_gradient(pred.psi, pred.phi, rw, x, r, du)
+            g_fd = fd_gradient(lambda v: tracking_cost(pred.psi, pred.phi, rw, x, r, v), du, step=1e-6)
             assert np.max(np.abs(g - g_fd)) / max(np.max(np.abs(g)), 1e-12) < 1e-5
 
     def test_gradient_vanishes_at_optimum(self):
         aug = tank_augmented()
-        cfg = MpcConfig(10, 3)
-        pred = build_prediction(aug, cfg)
+        pred = build_prediction(aug, MpcConfig(10, 3))
         rng = np.random.default_rng(41)
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, 4)
             r = rng.uniform(-0.5, 0.5, 2)
-            du = solve_optimal(pred, x, r)
-            assert np.max(np.abs(cost_gradient(pred, cfg, x, r, du))) < 1e-9
+            du = naive_optimal_du(aug.a, aug.b, aug.c, 10, 3, 1.0, x, r)
+            assert np.max(np.abs(tracking_cost_gradient(pred.psi, pred.phi, 1.0, x, r, du))) < 1e-9
 
     def test_gradient_without_plant_influence(self):
-        cfg = MpcConfig(3, 2, rw=0.9)
-        pred = build_prediction(scalar_augmented(0.8, 0.0), cfg)
+        pred = build_prediction(scalar_augmented(0.8, 0.0), MpcConfig(3, 2, rw=0.9))
         du = np.array([0.3, -1.1])
-        g = cost_gradient(pred, cfg, [0.5], [1.0], du)
+        g = tracking_cost_gradient(pred.psi, pred.phi, 0.9, [0.5], [1.0], du)
         assert np.allclose(g, 2 * 0.9 * du, atol=1e-14)
 
 
 class TestSolveOptimal:
+    """The first-move gain against the full-horizon optimum it is cut from,
+    the oracle's dense solve."""
+
     def test_zero_move_at_setpoint(self):
         pred = build_prediction(tank_augmented(), MpcConfig(10, 3))
         r = np.array([0.2, 0.1])
         x = np.concatenate([np.zeros(2), r])
-        assert np.array_equal(solve_optimal(pred, x, r), np.zeros(6))
+        assert np.max(np.abs(pred.kr @ r - pred.kx @ x)) < 1e-15
 
     def test_one_step_deadbeat(self):
         pred = build_prediction(scalar_augmented(1.0, 1.0), MpcConfig(1, 1, rw=0.0))
-        du = solve_optimal(pred, [0.0], [1.0])
+        du = pred.kr @ [1.0] - pred.kx @ [0.0]
         assert du[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_matches_independent_dense_solve(self):
-        rng = np.random.default_rng(53)
-        lin = linearize(DEFAULT_PARAMS, make_operating_point(DEFAULT_PARAMS, 4.0, 3.5))
-        aug = augment(zoh_discretize(lin, 0.05))
-        cfg = MpcConfig(10, 3)
-        pred = build_prediction(aug, cfg)
-        for _ in range(20):
-            x = rng.uniform(-1, 1, 4)
-            r = rng.uniform(-1, 1, 2)
-            du = solve_optimal(pred, x, r)
-            du_ref = naive_optimal_du(aug.a, aug.b, aug.c, 10, 3, 1.0, x, r)
-            assert np.max(np.abs(du - du_ref)) < 1e-6
+        """kr and kx are the dense solve's first move per unit setpoint and
+        per unit state: its columns for r = I, x = 0 and for r = 0, x = I."""
+        aug = tank_augmented()
+        pred = build_prediction(aug, MpcConfig(10, 3))
+        kr_ref = naive_optimal_du(aug.a, aug.b, aug.c, 10, 3, 1.0, np.zeros((4, 2)), np.eye(2))[:2]
+        kx_ref = -naive_optimal_du(aug.a, aug.b, aug.c, 10, 3, 1.0, np.eye(4), np.zeros((2, 4)))[:2]
+        assert np.max(np.abs(pred.kr - kr_ref)) < 1e-12
+        assert np.max(np.abs(pred.kx - kx_ref)) < 1e-12
 
     def test_minimizes_cost(self):
-        """The closed form must beat random perturbations of itself."""
+        """The optimum with its first block replaced by the law's move beats
+        random perturbations of itself."""
         rng = np.random.default_rng(59)
         aug = tank_augmented()
-        cfg = MpcConfig(8, 4, rw=0.2)
-        pred = build_prediction(aug, cfg)
+        pred = build_prediction(aug, MpcConfig(8, 4, rw=0.2))
         x = rng.uniform(-0.5, 0.5, 4)
         r = rng.uniform(-0.5, 0.5, 2)
-        du = solve_optimal(pred, x, r)
-        j_opt = cost(pred, cfg, x, r, du)
+        du = naive_optimal_du(aug.a, aug.b, aug.c, 8, 4, 0.2, x, r)
+        du[:2] = pred.kr @ r - pred.kx @ x
+        j_opt = tracking_cost(pred.psi, pred.phi, 0.2, x, r, du)
         for _ in range(50):
-            j_other = cost(pred, cfg, x, r, du + rng.normal(0, 0.1, du.size))
+            j_other = tracking_cost(pred.psi, pred.phi, 0.2, x, r, du + rng.normal(0, 0.1, du.size))
             assert j_opt <= j_other
 
     def test_argmin_scales_linearly(self):
-        aug = tank_augmented()
-        pred = build_prediction(aug, MpcConfig(10, 3))
+        pred = build_prediction(tank_augmented(), MpcConfig(10, 3))
         rng = np.random.default_rng(61)
-        x = rng.uniform(-1, 1, 4)
-        r = rng.uniform(-1, 1, 2)
-        base = solve_optimal(pred, x, r)
+        prev_y, y, r = (rng.uniform(-1, 1, 2) for _ in range(3))
+        prev_u = rng.uniform(-1, 1, 2)
+
+        def move(tau):
+            ctrl = ControllerState(tuple(tau * prev_y), tuple(tau * prev_u))
+            return np.array(receding_step(ctrl, pred, tuple(tau * y), tuple(tau * r))[1])
+
+        base = move(1.0)
         for tau in (0.5, 2.0, 7.5):
-            scaled = solve_optimal(pred, tau * x, tau * r)
-            assert np.allclose(scaled, tau * base, rtol=1e-12, atol=1e-14)
+            assert np.allclose(move(tau), tau * base, rtol=1e-12, atol=1e-14)
 
 
 class TestFirstMoveGain:
@@ -294,30 +293,34 @@ class TestFirstMoveGain:
     def test_gain_equals_first_optimal_move(self, npred, nctl, rw):
         """kr @ r - kx @ x is the first block of the full-horizon optimum.
 
-        Both sides carry roundoff of order cond(H) * eps: with rw = 0.01
-        and Nc = 5, cond(H) is ~2.5e4 and each side is ~1e-12 off a
-        50-digit reference, so the tolerance grows with cond(H) there.
+        Both sides carry roundoff of order cond(H) * eps, H = phi.T phi + rw I:
+        with rw = 0.01 and Nc = 5, cond(H) is ~2.5e4 and each side is ~1e-12
+        off a 50-digit reference, so the tolerance grows with cond(H) there.
         """
-        pred = build_prediction(tank_augmented(), MpcConfig(npred, nctl, rw))
+        aug = tank_augmented()
+        pred = build_prediction(aug, MpcConfig(npred, nctl, rw))
         assert pred.kr.shape == (2, 2) and pred.kx.shape == (2, 4)
-        tol = max(1e-12, 10 * np.linalg.cond(pred.hessian) * np.finfo(float).eps)
+        hessian = pred.phi.T @ pred.phi + rw * np.eye(nctl * 2)
+        tol = max(1e-12, 10 * np.linalg.cond(hessian) * np.finfo(float).eps)
         rng = np.random.default_rng(npred * 100 + nctl)
-        for _ in range(1000):
-            x = rng.uniform(-1, 1, 4)
-            r = rng.uniform(-1, 1, 2)
-            du = pred.kr @ r - pred.kx @ x
-            assert np.max(np.abs(du - solve_optimal(pred, x, r)[:2])) < tol
+        x = rng.uniform(-1, 1, (1000, 4)).T  # one case per column
+        r = rng.uniform(-1, 1, (1000, 2)).T
+        du = pred.kr @ r - pred.kx @ x
+        du_ref = naive_optimal_du(aug.a, aug.b, aug.c, npred, nctl, rw, x, r)[:2]
+        assert np.max(np.abs(du - du_ref)) < tol
 
     def test_gain_on_random_systems(self):
         rng = np.random.default_rng(67)
         for _ in range(50):
             a, b, c, q, m, npred, nctl = random_system(rng)
             aug = AugmentedModel(a=a, b=b, c=c, n=a.shape[0] - q, m=m, q=q)
-            pred = build_prediction(aug, MpcConfig(npred, nctl, rw=float(rng.uniform(0.1, 2))))
+            rw = float(rng.uniform(0.1, 2))
+            pred = build_prediction(aug, MpcConfig(npred, nctl, rw=rw))
             x = rng.uniform(-1, 1, a.shape[0])
             r = rng.uniform(-1, 1, q)
             du = pred.kr @ r - pred.kx @ x
-            assert np.allclose(du, solve_optimal(pred, x, r)[:m], rtol=1e-10, atol=1e-12)
+            du_ref = naive_optimal_du(a, b, c, npred, nctl, rw, x, r)[:m]
+            assert np.allclose(du, du_ref, rtol=1e-10, atol=1e-12)
 
     def test_receding_step_applies_first_optimal_move(self):
         aug = tank_augmented()
@@ -331,7 +334,8 @@ class TestFirstMoveGain:
             r = rng.uniform(-1, 1, 2)
             ctrl = ControllerState(prev_plant_state=prev_y, prev_control=prev_u)
             _, u = receding_step(ctrl, pred, y, r)
-            du = solve_optimal(pred, np.concatenate([y - prev_y, y]), r)[:2]
+            x = np.concatenate([y - prev_y, y])
+            du = naive_optimal_du(aug.a, aug.b, aug.c, 10, 3, 1.0, x, r)[:2]
             assert np.max(np.abs(u - (prev_u + du))) < 1e-12
 
     def test_setpoint_checked(self):

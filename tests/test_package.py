@@ -1,5 +1,5 @@
-"""Package-level properties: what importing tankmpc pulls in, and the
-names the benchmark's tracer patches."""
+"""Package-level properties: the public names, what importing tankmpc
+pulls in, and the names the benchmark's tracer patches."""
 
 import importlib.util
 import inspect
@@ -10,6 +10,37 @@ from pathlib import Path
 import tankmpc
 import tankmpc.loop
 import tankmpc.mpc
+import tankmpc.plant
+
+# The package's public names.  Changing the API means changing this list.
+PUBLIC_NAMES = [
+    "AugmentedModel", "ConfigError", "ControllerState", "DEFAULT_LEVELS", "DEFAULT_PARAMS",
+    "DeviationState", "DiscreteModel", "DisturbanceProfile", "LinearModel", "MpcConfig",
+    "OperatingPoint", "PredictionMatrices", "RunConfig", "Scenario", "SetpointPulse",
+    "SimulationError", "SimulationLog", "StepMetrics", "SummaryMetrics", "TankParams",
+    "__version__", "augment", "build_prediction", "bundled_config_path", "default_run_config",
+    "dumps_config", "linearize", "load_config", "loads_config", "make_operating_point",
+    "nonlinear_derivatives", "receding_step", "run_closed_loop", "steady_inflows", "summarize",
+    "zoh_discretize",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(tankmpc.__all__) == PUBLIC_NAMES
+    for name in tankmpc.__all__:
+        assert hasattr(tankmpc, name), name
+
+
+def test_open_loop_and_plant_reference_names_not_exported():
+    """The open-loop controller forms are gone; the plant's one-step and
+    pulse reference forms are importable from tankmpc.plant only."""
+    for name in ("cost", "cost_gradient", "solve_optimal", "PlantState", "rk4_step",
+                 "disturbance_flow", "disturbance_inflows"):
+        assert not hasattr(tankmpc, name), name
+    for name in ("PlantState", "rk4_step", "disturbance_flow", "disturbance_inflows"):
+        assert hasattr(tankmpc.plant, name), name
+    for name in ("cost", "cost_gradient", "solve_optimal"):
+        assert not hasattr(tankmpc.mpc, name), name
 
 
 def test_import_loads_no_scipy():

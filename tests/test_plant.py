@@ -11,19 +11,23 @@ from tankmpc import (
     DEFAULT_PARAMS,
     DeviationState,
     DisturbanceProfile,
-    PlantState,
     TankParams,
-    disturbance_flow,
-    disturbance_inflows,
     loads_config,
     make_operating_point,
     nonlinear_derivatives,
-    rk4_step,
     run_closed_loop,
     zoh_discretize,
     linearize,
 )
-from tankmpc.plant import NO_DISTURBANCE, make_advance, make_linear_advance
+from tankmpc.plant import (
+    NO_DISTURBANCE,
+    PlantState,
+    disturbance_flow,
+    disturbance_inflows,
+    make_advance,
+    make_linear_advance,
+    rk4_step,
+)
 
 from oracles import random_tank_params, rk4_by_derivatives
 
