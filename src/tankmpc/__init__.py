@@ -1,10 +1,11 @@
 """Receding-horizon level control for a two-coupled-tank plant.
 
-Layering: `tank` holds the nonlinear plant and its linearization,
-`discretize` samples the linear model, `mpc` builds the velocity-form
-predictive controller, `plant` integrates the true nonlinear dynamics,
-`loop` closes the loop over a scenario, and `cli`/`config` expose it
-all as a command-line tool.
+Layering: `tank` holds the nonlinear plant, its linearization and
+`LinearModel`, the one state-space record, `discretize` samples the
+linear model, `mpc` builds the velocity-form predictive controller,
+`plant` integrates the true nonlinear dynamics, `loop` closes the loop
+over a scenario, and `cli`/`config` expose it all as a command-line
+tool.
 """
 
 from .config import (
@@ -16,7 +17,7 @@ from .config import (
     loads_config,
     bundled_config_path,
 )
-from .discretize import DiscreteModel, zoh_discretize
+from .discretize import zoh_discretize
 from .loop import (
     Scenario,
     SetpointPulse,
@@ -28,7 +29,6 @@ from .loop import (
     summarize,
 )
 from .mpc import (
-    AugmentedModel,
     ControllerState,
     MpcConfig,
     PredictionMatrices,
@@ -53,13 +53,11 @@ from .tank import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedModel",
     "ConfigError",
     "ControllerState",
     "DEFAULT_LEVELS",
     "DEFAULT_PARAMS",
     "DeviationState",
-    "DiscreteModel",
     "DisturbanceProfile",
     "LinearModel",
     "MpcConfig",

@@ -54,10 +54,11 @@ def cmd_linearize(args) -> int:
     print(f"Operating point: l1={op.l1:g} m, l2={op.l2:g} m, "
           f"fi1_bar={op.fi1_bar:.4g} m^3/s, fi2_bar={op.fi2_bar:.4g} m^3/s")
     print("\nContinuous-time model:")
-    for name, mat in (("A", lin.a), ("B", lin.b), ("C", lin.c), ("D", lin.d)):
+    d = np.zeros((lin.n_outputs, lin.n_inputs))
+    for name, mat in (("A", lin.a), ("B", lin.b), ("C", lin.c), ("D", d)):
         print(_fmt_matrix(name, mat))
     print(f"\nZero-order-hold model at Ts = {sc.ts:g} s:")
-    for name, mat in (("Ad", disc.ad), ("Bd", disc.bd)):
+    for name, mat in (("Ad", disc.a), ("Bd", disc.b)):
         print(_fmt_matrix(name, mat))
     return EXIT_OK
 

@@ -1,9 +1,9 @@
-"""Zero-order-hold sampling of a continuous state-space model."""
+"""Zero-order-hold sampling of a continuous state-space model into a
+sampled `LinearModel`, with a numpy-only matrix exponential."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,50 +59,13 @@ def expm(a) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
-class DiscreteModel:
-    """Sampled state-space quadruple plus the sampling period."""
-
-    ad: np.ndarray
-    bd: np.ndarray
-    cd: np.ndarray
-    dd: np.ndarray
-    ts: float
-
-    def __post_init__(self):
-        if self.ts <= 0:
-            raise ValueError(f"sampling period must be positive, got {self.ts}")
-        for name in ("ad", "bd", "cd", "dd"):
-            m = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        if np.any(self.dd != 0.0):
-            raise ValueError("discrete feedthrough must be identically zero")
-        n = self.ad.shape[0]
-        if self.ad.shape != (n, n) or self.bd.shape[0] != n or self.cd.shape[1] != n:
-            raise ValueError(
-                f"inconsistent dimensions: ad {self.ad.shape}, bd {self.bd.shape}, cd {self.cd.shape}"
-            )
-
-    @property
-    def n_states(self) -> int:
-        return self.ad.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.bd.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.cd.shape[0]
-
-
-def zoh_discretize(model: LinearModel, ts: float) -> DiscreteModel:
+def zoh_discretize(model: LinearModel, ts: float) -> LinearModel:
     """Exact zero-order-hold discretization at sampling period ts.
 
-    ad = exp(a*ts) and bd = (integral_0^ts exp(a*tau) dtau) b, both read
-    off the matrix exponential of the (n+m)x(n+m) block matrix
-    [[a, b], [0, 0]] scaled by ts.  c and d carry over unchanged.
+    The sampled model has a = exp(A*ts) and b = (integral_0^ts
+    exp(A*tau) dtau) B, both read off the matrix exponential of the
+    (n+m)x(n+m) block matrix [[A, B], [0, 0]] scaled by ts, and shares
+    the read-only c.
     """
     if ts <= 0:
         raise ValueError(f"sampling period must be positive, got {ts}")
@@ -115,10 +78,4 @@ def zoh_discretize(model: LinearModel, ts: float) -> DiscreteModel:
     blk[:n, :n] = model.a
     blk[:n, n:] = model.b
     e = expm(blk * ts)
-    return DiscreteModel(
-        ad=e[:n, :n].copy(),
-        bd=e[:n, n:].copy(),
-        cd=model.c.copy(),
-        dd=np.zeros_like(model.d),
-        ts=ts,
-    )
+    return LinearModel(a=e[:n, :n], b=e[:n, n:], c=model.c)

@@ -1,10 +1,11 @@
 """Receding-horizon predictive control in velocity form.
 
 The sampled plant model is rewritten in control increments and stacked
-with the measured output, which embeds an integrator in the controller
-and gives offset-free tracking of constant setpoints.  Over a
-prediction horizon the future outputs are an affine map of the current
-augmented state and the stacked control increments,
+with the measured output (`augment`, another `LinearModel`), which
+embeds an integrator in the controller and gives offset-free tracking
+of constant setpoints.  Over a prediction horizon the future outputs are
+an affine map of the current augmented state and the stacked control
+increments,
 
     Y = psi @ x + phi @ dU,
 
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretize import DiscreteModel
+from .tank import LinearModel
 
 
 @dataclass(frozen=True)
@@ -52,36 +53,12 @@ class MpcConfig:
             raise ValueError(f"control-move weight must be >= 0, got {self.rw}")
 
 
-@dataclass(frozen=True)
-class AugmentedModel:
-    """Velocity-form model: state is [delta x_m; y], input is delta u.
+def augment(model: LinearModel) -> LinearModel:
+    """Velocity-form model of a sampled model (Ad, Bd, Cd): its state is
+    [delta x_m; y] and its input is delta u,
 
-    a = [[Ad,    0 ],     b = [[Bd   ],     c = [0  I]
-         [Cd Ad, I ]],         [Cd Bd]],
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    n: int  # plant states
-    m: int  # plant inputs
-    q: int  # plant outputs
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            mat = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
-        nq = self.n + self.q
-        if self.a.shape != (nq, nq) or self.b.shape != (nq, self.m) or self.c.shape != (self.q, nq):
-            raise ValueError(
-                f"inconsistent augmented dimensions: a {self.a.shape}, b {self.b.shape}, "
-                f"c {self.c.shape} for (n={self.n}, m={self.m}, q={self.q})"
-            )
-
-
-def augment(model: DiscreteModel) -> AugmentedModel:
-    """Stack the state-increment dynamics with the output recursion.
+        a = [[Ad,    0 ],     b = [[Bd   ],     c = [0  I].
+             [Cd Ad, I ]],         [Cd Bd]],
 
     The construction satisfies the one-step identity
     y(k+1) = y(k) + Cd Ad dx_m(k) + Cd Bd du(k).
@@ -89,17 +66,17 @@ def augment(model: DiscreteModel) -> AugmentedModel:
     n, m, q = model.n_states, model.n_inputs, model.n_outputs
 
     a = np.zeros((n + q, n + q))
-    a[:n, :n] = model.ad
-    a[n:, :n] = model.cd @ model.ad
+    a[:n, :n] = model.a
+    a[n:, :n] = model.c @ model.a
     a[n:, n:] = np.eye(q)
 
     b = np.zeros((n + q, m))
-    b[:n] = model.bd
-    b[n:] = model.cd @ model.bd
+    b[:n] = model.b
+    b[n:] = model.c @ model.b
 
     c = np.zeros((q, n + q))
     c[:, n:] = np.eye(q)
-    return AugmentedModel(a=a, b=b, c=c, n=n, m=m, q=q)
+    return LinearModel(a=a, b=b, c=c)
 
 
 @dataclass(frozen=True)
@@ -112,14 +89,13 @@ class PredictionMatrices:
     kx : (m, n+q)  first-move gain on the augmented state [dx_m; y]
     gains : kr and the dx_m block kx[:, :n], row by row, as one flat tuple
         of floats, the form the per-sample law reads them in
+    m, q : plant inputs and outputs, read off kr
     """
 
     psi: np.ndarray
     phi: np.ndarray
     kr: np.ndarray
     kx: np.ndarray
-    q: int
-    m: int
     gains: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -129,15 +105,22 @@ class PredictionMatrices:
         gains = self.kr.ravel().tolist() + self.kx[:, :n].ravel().tolist()
         object.__setattr__(self, "gains", tuple(gains))
 
+    @property
+    def m(self) -> int:
+        return self.kr.shape[0]
 
-def build_prediction(aug: AugmentedModel, cfg: MpcConfig) -> PredictionMatrices:
+    @property
+    def q(self) -> int:
+        return self.kr.shape[1]
+
+
+def build_prediction(aug: LinearModel, cfg: MpcConfig) -> PredictionMatrices:
     """Assemble psi, phi and the first-move gains.
 
     Raises numpy.linalg.LinAlgError if rw = 0 and phi.T phi is
     singular; the closed-form law assumes phi.T phi + rw I is invertible.
     """
-    nq = aug.n + aug.q
-    q, m = aug.q, aug.m
+    nq, m, q = aug.n_states, aug.n_inputs, aug.n_outputs
     npred, nctl = cfg.np_horizon, cfg.nc_horizon
 
     # block k of rows is C A^k, k = 0..Np, by doubling: the first `done`
@@ -163,7 +146,7 @@ def build_prediction(aug: AugmentedModel, cfg: MpcConfig) -> PredictionMatrices:
     np.linalg.cholesky(h)  # raises LinAlgError unless h is positive definite
     first = np.linalg.solve(h, phi.T)[:m]  # first-move rows of h^-1 phi.T
     kr = first.reshape(m, npred, q).sum(axis=1)
-    return PredictionMatrices(psi=psi, phi=phi, kr=kr, kx=first @ psi, q=q, m=m)
+    return PredictionMatrices(psi=psi, phi=phi, kr=kr, kx=first @ psi)
 
 
 class ControllerState(NamedTuple):

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .discretize import DiscreteModel
 from .tank import (  # noqa: F401  (nonlinear_derivatives: a boundary perfbench traces)
     DeviationState,
+    LinearModel,
     OperatingPoint,
     TankParams,
     nonlinear_derivatives,
@@ -217,14 +217,14 @@ def make_advance(
     return advance
 
 
-def make_linear_advance(disc: DiscreteModel, op: OperatingPoint, profile: DisturbanceProfile,
+def make_linear_advance(disc: LinearModel, op: OperatingPoint, profile: DisturbanceProfile,
                         clamp_flows: bool) -> AdvanceFunc:
-    """One controller sample of the sampled linear model, h <- ad h + bd f,
+    """One controller sample of the sampled linear model, h <- a h + b f,
     on floats with `make_advance`'s interface.  The feed f is the held control
     plus the pulse routed at the sample time t, each absolute feed floored at
     zero under clamp_flows; a non-finite state raises ArithmeticError."""
-    (a11, a12), (a21, a22) = disc.ad.tolist()
-    (b11, b12), (b21, b22) = disc.bd.tolist()
+    (a11, a12), (a21, a22) = disc.a.tolist()
+    (b11, b12), (b21, b22) = disc.b.tolist()
     fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
     start, end = profile.start, profile.start + profile.duration
     p1, p2 = profile.route(profile.flow(op))

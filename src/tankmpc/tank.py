@@ -5,8 +5,9 @@ drains to the outside through valve V2, and each tank has its own feed
 flow.  Both outflows follow the square-root orifice law, so the level
 dynamics are nonlinear.  This module holds the plant constants, the
 nonlinear level dynamics written as deviations from a steady operating
-point, the steady-state flow solver, and the first-order Taylor
-linearization about that operating point.
+point, the steady-state flow solver, the first-order Taylor
+linearization about that operating point, and `LinearModel`, the one
+state-space record of the package.
 
 Units: levels in m, flows in m^3/s, areas in m^2, discharge
 coefficients in m^(5/2)/s, time in s.
@@ -73,35 +74,24 @@ class DeviationState(NamedTuple):
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Continuous-time state-space quadruple (a, b, c, d), d identically zero."""
+    """State-space triple (a, b, c) with no feedthrough: the continuous
+    linearization, its zero-order-hold sampling and the controller's
+    velocity form alike.  The dimensions are read off the arrays."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
-        d = np.atleast_2d(np.asarray(self.d, dtype=float))
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError(f"state matrix must be square, got {a.shape}")
-        if b.shape[0] != n:
-            raise ValueError(f"input matrix has {b.shape[0]} rows, expected {n}")
-        if c.shape[1] != n:
-            raise ValueError(f"output matrix has {c.shape[1]} columns, expected {n}")
-        if d.shape != (c.shape[0], b.shape[1]):
-            raise ValueError(f"feedthrough shape {d.shape} != ({c.shape[0]}, {b.shape[1]})")
-        if np.any(d != 0.0):
-            raise ValueError("feedthrough matrix must be identically zero")
-        for m in (a, b, c, d):
-            m.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        for name in ("a", "b", "c"):
+            mat = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
+        n = self.a.shape[0]
+        if self.a.shape != (n, n) or self.b.shape[0] != n or self.c.shape[1] != n:
+            raise ValueError(
+                f"inconsistent dimensions: a {self.a.shape}, b {self.b.shape}, c {self.c.shape}"
+            )
 
     @property
     def n_states(self) -> int:
@@ -187,12 +177,12 @@ def make_operating_point(params: TankParams, l1: float, l2: float) -> OperatingP
 def linearize(params: TankParams, op: OperatingPoint) -> LinearModel:
     """First-order Taylor linearization of the level dynamics at the operating point.
 
-    Returns the continuous-time quadruple with
+    Returns the continuous-time model with
 
         a = [[-k1/a1,            k1/a1          ],
              [ k1/a2,  -(k1 + k2)/a2            ]],   k1 = alpha1/(2 sqrt(l1-l2)),
                                                       k2 = alpha2/(2 sqrt(l2)),
-        b = diag(1/a1, 1/a2),  c = I,  d = 0.
+        b = diag(1/a1, 1/a2),  c = I.
 
     Raises
     ------
@@ -212,4 +202,4 @@ def linearize(params: TankParams, op: OperatingPoint) -> LinearModel:
         ]
     )
     b = np.diag([1.0 / params.a1, 1.0 / params.a2])
-    return LinearModel(a=a, b=b, c=np.eye(2), d=np.zeros((2, 2)))
+    return LinearModel(a=a, b=b, c=np.eye(2))

@@ -31,6 +31,48 @@ def parse_matrix(out, name, rows=2):
     return np.array([[float(v) for v in row.split()] for row in block])
 
 
+# `tankmpc linearize` stdout on the bundled config and with plant.alpha1 = 0.0
+LINEARIZE_BUNDLED = """\
+Operating point: l1=4 m, l2=3.5 m, fi1_bar=1.556 m^3/s, fi2_bar=1.999 m^3/s
+
+Continuous-time model:
+A =     -7.925       7.925
+         9.784      -12.98
+B =      5.094           0
+             0       6.289
+C =          1           0
+             0           1
+D =          0           0
+             0           0
+
+Zero-order-hold model at Ts = 0.05 s:
+Ad =     0.7339      0.2433
+         0.3003      0.5787
+Bd =     0.2161     0.04504
+        0.04504      0.2381
+"""
+
+LINEARIZE_DECOUPLED = """\
+Operating point: l1=4 m, l2=3.5 m, fi1_bar=0 m^3/s, fi2_bar=3.555 m^3/s
+
+Continuous-time model:
+A =         -0           0
+             0      -3.194
+B =      5.094           0
+             0       6.289
+C =          1           0
+             0           1
+D =          0           0
+             0           0
+
+Zero-order-hold model at Ts = 0.05 s:
+Ad =          1           0
+              0      0.8524
+Bd =     0.2547           0
+              0      0.2906
+"""
+
+
 class TestLinearize:
     def test_default_config_matches_printed_plant(self, capsys):
         code, out, _ = run_cli(["linearize"], capsys)
@@ -42,6 +84,21 @@ class TestLinearize:
         assert "Ad = " in out and "Bd = " in out
         # four significant figures in the printout
         assert re.search(r"-7\.92\d", out)
+
+    @pytest.mark.parametrize("conf_text, expected", [
+        (None, LINEARIZE_BUNDLED),
+        ("plant.alpha1 = 0.0\n", LINEARIZE_DECOUPLED),
+    ], ids=["bundled", "alpha1_zero"])
+    def test_stdout_pinned(self, tmp_path, capsys, conf_text, expected):
+        """The whole printout, byte for byte: the D block and the sampled
+        matrices included."""
+        argv = ["linearize"]
+        if conf_text is not None:
+            conf = tmp_path / "model.conf"
+            conf.write_text(conf_text)
+            argv += ["--config", str(conf)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (0, expected, "")
 
     def test_singular_levels_exit_2(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"

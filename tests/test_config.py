@@ -1,6 +1,8 @@
 """Config parsing, validation diagnostics, and round-tripping."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +124,15 @@ def test_schema_keys():
 def test_bundled_config_equals_defaults():
     cfg = load_config(bundled_config_path())
     assert cfg == default_run_config()
+
+
+def test_readme_config_examples_load():
+    """Every ini block of README.md is a config that loads as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        loads_config(block)
 
 
 def test_load_missing_file():

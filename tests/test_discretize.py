@@ -1,5 +1,7 @@
 """Zero-order-hold discretization against closed forms and an eigen-oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,21 +15,21 @@ REF_LIN = linearize(DEFAULT_PARAMS, make_operating_point(DEFAULT_PARAMS, 4.0, 3.
 
 
 def scalar_model(a, b):
-    return LinearModel(a=[[a]], b=[[b]], c=[[1.0]], d=[[0.0]])
+    return LinearModel(a=[[a]], b=[[b]], c=[[1.0]])
 
 
 def test_zero_dynamics_pure_gain():
-    model = LinearModel(a=np.zeros((2, 2)), b=[[1.0, 2.0], [3.0, 4.0]], c=np.eye(2), d=np.zeros((2, 2)))
+    model = LinearModel(a=np.zeros((2, 2)), b=[[1.0, 2.0], [3.0, 4.0]], c=np.eye(2))
     disc = zoh_discretize(model, 0.5)
-    assert np.allclose(disc.ad, np.eye(2), atol=1e-14)
-    assert np.allclose(disc.bd, np.asarray(model.b) * 0.5, atol=1e-14)
+    assert np.allclose(disc.a, np.eye(2), atol=1e-14)
+    assert np.allclose(disc.b, np.asarray(model.b) * 0.5, atol=1e-14)
 
 
 def test_scalar_closed_form():
     disc = zoh_discretize(scalar_model(-1.0, 1.0), 0.05)
     # e^-0.05 and 1 - e^-0.05 to 50 digits
-    assert disc.ad[0, 0] == pytest.approx(0.951229424500714, rel=1e-12)
-    assert disc.bd[0, 0] == pytest.approx(0.048770575499285984, rel=1e-12)
+    assert disc.a[0, 0] == pytest.approx(0.951229424500714, rel=1e-12)
+    assert disc.b[0, 0] == pytest.approx(0.048770575499285984, rel=1e-12)
 
 
 def test_reference_plant_matches_eigendecomposition():
@@ -35,17 +37,18 @@ def test_reference_plant_matches_eigendecomposition():
     disc = zoh_discretize(REF_LIN, 0.05)
     ad_ref = expm_by_eig(REF_LIN.a, 0.05)
     bd_ref = np.linalg.solve(REF_LIN.a, (ad_ref - np.eye(2)) @ REF_LIN.b)
-    assert np.max(np.abs(disc.ad - ad_ref)) < 1e-10
-    assert np.max(np.abs(disc.bd - bd_ref)) < 1e-10
-    assert disc.cd is not None and np.array_equal(disc.cd, np.eye(2))
-    assert np.array_equal(disc.dd, np.zeros((2, 2)))
+    assert np.max(np.abs(disc.a - ad_ref)) < 1e-10
+    assert np.max(np.abs(disc.b - bd_ref)) < 1e-10
+    # the sampled model shares the read-only c and carries no feedthrough
+    assert disc.c is REF_LIN.c
+    assert [f.name for f in dataclasses.fields(disc)] == ["a", "b", "c"]
 
 
 def test_semigroup_property():
     d1 = zoh_discretize(REF_LIN, 0.03)
     d2 = zoh_discretize(REF_LIN, 0.07)
     d12 = zoh_discretize(REF_LIN, 0.10)
-    assert np.max(np.abs(d12.ad - d1.ad @ d2.ad)) < 1e-10
+    assert np.max(np.abs(d12.a - d1.a @ d2.a)) < 1e-10
 
 
 def test_euler_consistency_quadratic_decay():
@@ -55,8 +58,8 @@ def test_euler_consistency_quadratic_decay():
     ts = 0.02
     for _ in range(4):
         disc = zoh_discretize(REF_LIN, ts)
-        errs_a.append(np.linalg.norm(disc.ad - (np.eye(2) + a * ts)))
-        errs_b.append(np.linalg.norm(disc.bd - b * ts))
+        errs_a.append(np.linalg.norm(disc.a - (np.eye(2) + a * ts)))
+        errs_b.append(np.linalg.norm(disc.b - b * ts))
         ts /= 2
     for seq in (errs_a, errs_b):
         for big, small in zip(seq[:-1], seq[1:]):
@@ -65,14 +68,14 @@ def test_euler_consistency_quadratic_decay():
 
 def test_small_ts_continuity():
     disc = zoh_discretize(REF_LIN, 1e-8)
-    assert np.allclose(disc.ad, np.eye(2), atol=1e-6)
-    assert np.allclose(disc.bd, REF_LIN.b * 1e-8, rtol=1e-6)
+    assert np.allclose(disc.a, np.eye(2), atol=1e-6)
+    assert np.allclose(disc.b, REF_LIN.b * 1e-8, rtol=1e-6)
 
 
 def test_stability_preserved():
     disc = zoh_discretize(REF_LIN, 0.05)
     assert np.all(np.abs(np.linalg.eigvals(REF_LIN.a).real) > 0)  # both stable poles
-    assert np.all(np.abs(np.linalg.eigvals(disc.ad)) < 1.0)
+    assert np.all(np.abs(np.linalg.eigvals(disc.a)) < 1.0)
 
 
 def test_rejects_bad_inputs():
@@ -80,7 +83,7 @@ def test_rejects_bad_inputs():
         zoh_discretize(REF_LIN, 0.0)
     with pytest.raises(ValueError):
         zoh_discretize(REF_LIN, -0.05)
-    bad = LinearModel(a=[[np.inf]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+    bad = LinearModel(a=[[np.inf]], b=[[1.0]], c=[[1.0]])
     with pytest.raises(ValueError, match="finite"):
         zoh_discretize(bad, 0.05)
 

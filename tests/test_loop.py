@@ -229,7 +229,7 @@ class TestRunClosedLoop:
         log = run_closed_loop(sc)
         h = np.column_stack([log.h1, log.h2])
         feed = np.column_stack([log.fi1_abs - op.fi1_bar, log.fi2_abs - op.fi2_bar])
-        residual = h[1:] - h[:-1] @ disc.ad.T - feed[:-1] @ disc.bd.T
+        residual = h[1:] - h[:-1] @ disc.a.T - feed[:-1] @ disc.b.T
         assert np.max(np.abs(residual)) <= 1e-12
         assert (np.min(log.fi1_abs) == 0.0) == clamp
 

@@ -6,7 +6,7 @@ import pytest
 from tankmpc import (
     DEFAULT_PARAMS,
     ControllerState,
-    DiscreteModel,
+    LinearModel,
     MpcConfig,
     augment,
     build_prediction,
@@ -15,7 +15,6 @@ from tankmpc import (
     receding_step,
     zoh_discretize,
 )
-from tankmpc.mpc import AugmentedModel
 
 from oracles import (
     fd_gradient,
@@ -35,12 +34,12 @@ def tank_augmented():
 
 def scalar_augmented(a, b, c=1.0):
     """A 1x1 system treated as already augmented (n=0 plant states)."""
-    return AugmentedModel(a=[[a]], b=[[b]], c=[[c]], n=0, m=1, q=1)
+    return LinearModel(a=[[a]], b=[[b]], c=[[c]])
 
 
 class TestAugment:
     def test_identity_plant_blocks(self):
-        disc = DiscreteModel(ad=np.eye(2), bd=np.eye(2), cd=np.eye(2), dd=np.zeros((2, 2)), ts=1.0)
+        disc = LinearModel(a=np.eye(2), b=np.eye(2), c=np.eye(2))
         aug = augment(disc)
         eye, zero = np.eye(2), np.zeros((2, 2))
         assert np.array_equal(aug.a, np.block([[eye, zero], [eye, eye]]))
@@ -48,7 +47,7 @@ class TestAugment:
         assert np.array_equal(aug.c, np.hstack([zero, eye]))
 
     def test_scalar_blocks(self):
-        aug = augment(DiscreteModel(ad=[[0.9]], bd=[[0.1]], cd=[[1.0]], dd=[[0.0]], ts=1.0))
+        aug = augment(LinearModel(a=[[0.9]], b=[[0.1]], c=[[1.0]]))
         assert np.array_equal(aug.a, [[0.9, 0.0], [0.9, 1.0]])
         # lower input block is Cd*Bd: the output recursion adds Cd Bd du
         assert np.array_equal(aug.b, [[0.1], [0.1]])
@@ -62,7 +61,7 @@ class TestAugment:
             ad = rng.uniform(-1, 1, (n, n))
             bd = rng.uniform(-1, 1, (n, m))
             cd = rng.uniform(-1, 1, (q, n))
-            aug = augment(DiscreteModel(ad=ad, bd=bd, cd=cd, dd=np.zeros((q, m)), ts=0.1))
+            aug = augment(LinearModel(a=ad, b=bd, c=cd))
 
             xm_prev = rng.uniform(-1, 1, n)
             u_prev = rng.uniform(-1, 1, m)
@@ -85,8 +84,24 @@ class TestAugment:
         assert np.array_equal(aug.a[:2, 2:], np.zeros((2, 2)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            DiscreteModel(ad=np.eye(2), bd=np.ones((3, 1)), cd=np.eye(2), dd=np.zeros((2, 1)), ts=1.0)
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            LinearModel(a=np.eye(2), b=np.ones((3, 1)), c=np.eye(2))
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            LinearModel(a=np.eye(2), b=np.ones((2, 1)), c=np.ones((2, 3)))
+
+    def test_dimensions_read_off_the_arrays(self):
+        """augment of an (n, m, q) model has n + q states, m inputs and q
+        outputs, and its gains carry m and q in kr's shape."""
+        rng = np.random.default_rng(5)
+        n, m, q = 3, 2, 1
+        disc = LinearModel(a=rng.uniform(-1, 1, (n, n)), b=rng.uniform(-1, 1, (n, m)),
+                           c=rng.uniform(-1, 1, (q, n)))
+        assert (disc.n_states, disc.n_inputs, disc.n_outputs) == (n, m, q)
+        aug = augment(disc)
+        assert (aug.n_states, aug.n_inputs, aug.n_outputs) == (n + q, m, q)
+        pred = build_prediction(aug, MpcConfig(6, 2))
+        assert (pred.m, pred.q) == pred.kr.shape == (m, q)
+        assert len(pred.gains) == m * q + m * n
 
 
 class TestMpcConfig:
@@ -129,7 +144,7 @@ class TestBuildPrediction:
         rng = np.random.default_rng(17)
         for _ in range(25):
             a, b, c, q, m, npred, nctl = random_system(rng)
-            aug = AugmentedModel(a=a, b=b, c=c, n=a.shape[0] - q, m=m, q=q)
+            aug = LinearModel(a=a, b=b, c=c)
             pred = build_prediction(aug, MpcConfig(npred, nctl))
             psi_ref, phi_ref = naive_prediction_matrices(a, b, c, npred, nctl)
             assert np.allclose(pred.psi, psi_ref, atol=1e-12)
@@ -151,7 +166,7 @@ class TestBuildPrediction:
         rng = np.random.default_rng(29)
         for _ in range(50):
             a, b, c, q, m, npred, nctl = random_system(rng)
-            aug = AugmentedModel(a=a, b=b, c=c, n=a.shape[0] - q, m=m, q=q)
+            aug = LinearModel(a=a, b=b, c=c)
             pred = build_prediction(aug, MpcConfig(npred, nctl))
             x = rng.uniform(-1, 1, a.shape[0])
             du = rng.uniform(-1, 1, nctl * m)
@@ -179,7 +194,7 @@ class TestCostAndGradient:
         rng = np.random.default_rng(5)
         for _ in range(20):
             a, b, c, q, m, npred, nctl = random_system(rng)
-            aug = AugmentedModel(a=a, b=b, c=c, n=a.shape[0] - q, m=m, q=q)
+            aug = LinearModel(a=a, b=b, c=c)
             cfg = MpcConfig(npred, nctl, rw=float(rng.uniform(0, 2)))
             pred = build_prediction(aug, cfg)
             x = rng.uniform(-1, 1, a.shape[0])
@@ -204,7 +219,7 @@ class TestCostAndGradient:
         rng = np.random.default_rng(37)
         for _ in range(20):
             a, b, c, q, m, npred, nctl = random_system(rng)
-            aug = AugmentedModel(a=a, b=b, c=c, n=a.shape[0] - q, m=m, q=q)
+            aug = LinearModel(a=a, b=b, c=c)
             rw = float(rng.uniform(0.1, 2))
             pred = build_prediction(aug, MpcConfig(npred, nctl, rw=rw))
             x = rng.uniform(-1, 1, a.shape[0])
@@ -313,7 +328,7 @@ class TestFirstMoveGain:
         rng = np.random.default_rng(67)
         for _ in range(50):
             a, b, c, q, m, npred, nctl = random_system(rng)
-            aug = AugmentedModel(a=a, b=b, c=c, n=a.shape[0] - q, m=m, q=q)
+            aug = LinearModel(a=a, b=b, c=c)
             rw = float(rng.uniform(0.1, 2))
             pred = build_prediction(aug, MpcConfig(npred, nctl, rw=rw))
             x = rng.uniform(-1, 1, a.shape[0])

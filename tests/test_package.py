@@ -14,8 +14,8 @@ import tankmpc.plant
 
 # The package's public names.  Changing the API means changing this list.
 PUBLIC_NAMES = [
-    "AugmentedModel", "ConfigError", "ControllerState", "DEFAULT_LEVELS", "DEFAULT_PARAMS",
-    "DeviationState", "DiscreteModel", "DisturbanceProfile", "LinearModel", "MpcConfig",
+    "ConfigError", "ControllerState", "DEFAULT_LEVELS", "DEFAULT_PARAMS",
+    "DeviationState", "DisturbanceProfile", "LinearModel", "MpcConfig",
     "OperatingPoint", "PredictionMatrices", "RunConfig", "Scenario", "SetpointPulse",
     "SimulationError", "SimulationLog", "StepMetrics", "SummaryMetrics", "TankParams",
     "__version__", "augment", "build_prediction", "bundled_config_path", "default_run_config",
@@ -69,6 +69,9 @@ def test_traced_boundaries_resolve():
         assert callable(getattr(tracing._owner(owner), attr, None)), f"{owner}.{attr}"
     # the flop counter reads the prediction matrices from the second argument
     assert list(inspect.signature(tankmpc.mpc.receding_step).parameters)[1] == "pred"
+    _, _, pred = tankmpc.loop._controller(tankmpc.default_run_config().scenario)
+    flops = tracing.receding_step_flops((None, pred), {})
+    assert type(flops) is int and flops > 0
 
 
 def test_traced_run_records_controller_spans():

@@ -147,7 +147,7 @@ class TestRk4Step:
         for _ in range(20):  # 1 s at the controller rate
             for _ in range(4):
                 state = rk4_step(DEFAULT_PARAMS, DEFAULT_OP, state, u, None, 0.0125)
-            x_lin = disc.ad @ x_lin + disc.bd @ np.asarray(u)
+            x_lin = disc.a @ x_lin + disc.b @ np.asarray(u)
             h_nl = np.array([state.dev.h1, state.dev.h2])
             max_dev = max(max_dev, np.max(np.abs(h_nl - x_lin)))
             max_mag = max(max_mag, np.max(np.abs(h_nl)))
@@ -351,7 +351,7 @@ class TestLinearAdvance:
             bar = (op.fi1_bar, op.fi2_bar)
             f = [max(fb + ui + di, 0.0) - fb if clamp else ui + di
                  for fb, ui, di in zip(bar, u, d)]
-            want = disc.ad @ h + disc.bd @ f
+            want = disc.a @ h + disc.b @ f
             got = make_linear_advance(disc, op, profile, clamp)(t, *h, *u)
             assert np.max(np.abs(np.array(got) - want)) <= 1e-12, case
 
