@@ -39,7 +39,8 @@ def _load(config_path: str | None) -> RunConfig:
 
 
 def _fmt_matrix(name: str, mat: np.ndarray) -> str:
-    rows = ["  ".join(f"{v:10.4g}" for v in row) for row in np.atleast_2d(mat)]
+    # + 0.0 prints a negative zero as 0
+    rows = ["  ".join(f"{v + 0.0:10.4g}" for v in row) for row in np.atleast_2d(mat)]
     pad = " " * (len(name) + 3)
     return f"{name} = " + ("\n" + pad).join(rows)
 

@@ -9,50 +9,40 @@ import numpy as np
 
 from .tank import LinearModel
 
-# Coefficients b_0..b_m of the diagonal [m/m] Pade approximant to exp, and
-# the largest 1-norm theta_m at which it is accurate to double precision
-# without scaling (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
-_PADE = {m: np.array(b) for m, b in {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}.items()}
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-          (7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+# Coefficients b_0..b_13 of the diagonal [13/13] Pade approximant to exp,
+# scaled so that b_0 = 1, and the largest 1-norm theta_13 at which it is
+# accurate to double precision without scaling (Higham, SIAM J. Matrix Anal.
+# Appl. 26(4), 2005, Table 2.3).
+_B13 = np.array((
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)) / 64764752532480000.0
+_THETA13 = 5.371920351148152
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential of a finite square matrix by scaling and squaring.
 
-    Uses the lowest Pade degree m whose theta_m bounds the 1-norm of a;
-    beyond theta_13, a is scaled by 2^-s into range and the degree-13
-    result squared s times (Higham 2005, Algorithm 2.3).
+    One degree-13 Pade approximant: a whose 1-norm exceeds theta_13 is
+    scaled by 2^-s into range and the result squared s times (Higham
+    2005, Algorithm 2.3, with the degree fixed at 13).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     norm = np.abs(a).sum(axis=0).max()
     s = 0
-    for m, theta in _THETA:
-        if norm <= theta:
-            break
-    else:
-        s = math.ceil(math.log2(norm / theta))
+    if norm > _THETA13:
+        s = math.ceil(math.log2(norm / _THETA13))
         a = a * 0.5**s
-    b = _PADE[m]
     # numerator v + u and denominator v - u from the even powers of a
     a2 = a @ a
-    powers = np.empty((m // 2 + 1, n, n))
-    powers[0] = np.eye(n)
-    for k in range(1, m // 2 + 1):
-        np.matmul(powers[k - 1], a2, out=powers[k])
-    flat = powers.reshape(m // 2 + 1, n * n)
-    u = a @ (b[1::2] @ flat).reshape(n, n)
-    v = (b[0::2] @ flat).reshape(n, n)
+    powers = [np.eye(n)]
+    for _ in range(6):
+        powers.append(powers[-1] @ a2)
+    flat = np.reshape(powers, (7, n * n))
+    u = a @ (_B13[1::2] @ flat).reshape(n, n)
+    v = (_B13[0::2] @ flat).reshape(n, n)
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r

@@ -85,7 +85,9 @@ class LinearModel:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             mat = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            mat.setflags(write=False)
+            if mat.flags.writeable:  # freeze a copy, never the caller's array
+                mat = mat.copy()
+                mat.setflags(write=False)
             object.__setattr__(self, name, mat)
         n = self.a.shape[0]
         if self.a.shape != (n, n) or self.b.shape[0] != n or self.c.shape[1] != n:

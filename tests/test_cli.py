@@ -56,7 +56,7 @@ LINEARIZE_DECOUPLED = """\
 Operating point: l1=4 m, l2=3.5 m, fi1_bar=0 m^3/s, fi2_bar=3.555 m^3/s
 
 Continuous-time model:
-A =         -0           0
+A =          0           0
              0      -3.194
 B =      5.094           0
              0       6.289
@@ -193,13 +193,27 @@ class TestSimulate:
 
 class TestSweep:
     def test_single_point_sweep_matches_simulate(self, tmp_path, capsys):
-        ref_csv = tmp_path / "ref.csv"
-        run_cli(["simulate", "--out", str(ref_csv)], capsys)
-        out_dir = tmp_path / "sweep"
-        code, out, _ = run_cli(
-            ["sweep", "--param", "nc", "--values", "3", "--out-dir", str(out_dir)], capsys)
-        assert code == 0
-        assert (out_dir / "nc_3.csv").read_text() == ref_csv.read_text()
+        """Each sweep value's CSV equals `simulate` on a config of its own.
+        The values of one sweep share the model and CSV format memos, and a
+        15001-row log (sim.ts = 0.001) is four CSV blocks."""
+        cases = [  # (sweep config, param, values, {csv: simulate config})
+            ("", "nc", "3", {"nc_3.csv": ""}),
+            ("", "rw", "0.5,1,2", {f"rw_{v}.csv": f"mpc.rw = {v}\n" for v in ("0.5", "1", "2")}),
+            ("sim.ts = 0.001\n", "rw", "1,1.0",
+             {"rw_1.csv": "sim.ts = 0.001\n", "rw_1.0.csv": "sim.ts = 0.001\n"}),
+        ]
+        for i, (conf_text, param, values, expected) in enumerate(cases):
+            conf = tmp_path / f"sweep_{i}.conf"
+            conf.write_text(conf_text)
+            out_dir = tmp_path / f"sweep_{i}"
+            code, _, _ = run_cli(["sweep", "--config", str(conf), "--param", param,
+                                  "--values", values, "--out-dir", str(out_dir)], capsys)
+            assert code == 0
+            for name, ref_text in expected.items():
+                ref_conf, ref_csv = tmp_path / "ref.conf", tmp_path / "ref.csv"
+                ref_conf.write_text(ref_text)
+                run_cli(["simulate", "--config", str(ref_conf), "--out", str(ref_csv)], capsys)
+                assert (out_dir / name).read_bytes() == ref_csv.read_bytes(), (values, name)
 
     def test_rw_sweep_all_values(self, tmp_path, capsys):
         out_dir = tmp_path / "rw"

@@ -88,9 +88,10 @@ def test_rejects_bad_inputs():
         zoh_discretize(bad, 0.05)
 
 
-@pytest.mark.parametrize("norm", [1e-3, 0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 60.0])
+@pytest.mark.parametrize("norm", [1e-8, 1e-3, 0.01, 0.2, 0.9, 2.0, 5.0, 5.5, 20.0, 60.0])
 def test_expm_matches_scipy(norm):
-    """Every Pade degree, and scaling with up to 4 squarings, against scipy.
+    """The degree-13 Pade approximant against scipy: unscaled up to
+    theta_13 (about 5.37), then with 1 (norm 5.5) up to 4 squarings.
 
     Errors are normwise, relative to the largest entry.  From a norm of
     about 5 on, scipy's own error reaches 1e-13..1e-12 (checked against a

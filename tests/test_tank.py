@@ -9,6 +9,7 @@ import pytest
 from tankmpc import (
     DEFAULT_PARAMS,
     DeviationState,
+    LinearModel,
     OperatingPoint,
     TankParams,
     linearize,
@@ -179,3 +180,16 @@ class TestLinearize:
             col1 = np.array(nonlinear_derivatives(params, op, z, 1.0, 0.0)) - base
             col2 = np.array(nonlinear_derivatives(params, op, z, 0.0, 1.0)) - base
             assert np.array_equal(np.column_stack([col1, col2]), lin.b)
+
+
+def test_linear_model_freezes_a_copy():
+    """The record is read-only, yet the caller can still write the array it
+    passed; an array that is already read-only is shared, not copied."""
+    a, c = np.eye(2), np.eye(2)
+    c.setflags(write=False)
+    model = LinearModel(a=a, b=np.ones((2, 1)), c=c)
+    a[0, 0] = 5.0
+    assert model.a[0, 0] == 1.0 and not model.a.flags.writeable
+    assert model.c is c
+    with pytest.raises(ValueError, match="read-only"):
+        model.a[0, 0] = 5.0
