@@ -17,7 +17,6 @@ import numpy as np
 from .config import (
     ConfigError,
     RunConfig,
-    _parse_value,
     default_run_config,
     load_config,
     with_mpc_value,
@@ -131,8 +130,7 @@ def cmd_sweep(args) -> int:
     any_failed = False
     for raw in raw_values:
         try:
-            value = _parse_value(f"mpc.{args.param}", raw)
-            run_cfg = with_mpc_value(cfg, args.param, value)
+            run_cfg = with_mpc_value(cfg, args.param, raw)
             log = run_closed_loop(run_cfg.scenario)
             out_path = out_dir / f"{args.param}_{raw}.csv"
             _write_csv_atomic(log.to_csv_text(), out_path)

@@ -102,8 +102,8 @@ _TYPES = {key: type(value) for key, value in _flat(default_run_config()).items()
 _TYPES["output.path"] = str
 
 
-def _parse_value(key: str, raw: str):
-    """The raw text of key's value, as the key's type."""
+def _parse_value(key: str, raw):
+    """key's value, as the key's type, from its raw text or a number."""
     try:
         if _TYPES[key] is bool:
             if raw.lower() in ("true", "false"):
@@ -145,6 +145,8 @@ def _build(values: dict, base: RunConfig = default_run_config()) -> RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
             if value != math.inf:
                 raise ConfigError(f"{key} must be finite or inf, got {value!r}")
+        if key.endswith(".duration") and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value!r}")
     # "setpoint.h1.start" -> sections["setpoint.h1"]["start"]: a SetpointPulse field
     sections: dict = {}
     for key, value in {**_flat(base), **values}.items():
@@ -213,9 +215,10 @@ def bundled_config_path() -> Path:
 def with_mpc_value(cfg: RunConfig, name: str, value) -> RunConfig:
     """Copy of cfg with one MPC parameter (rw, np, nc) replaced.
 
-    The new value passes every check a config file's value would.
+    The value, its raw text or a number, is parsed and passes every check
+    a config file's value would.
     """
     if name not in ("rw", "np", "nc"):
         raise ConfigError(f"unknown sweep parameter {name!r} (expected rw, np or nc)")
     key = f"mpc.{name}"
-    return _build({key: _TYPES[key](value)}, base=cfg)
+    return _build({key: _parse_value(key, value)}, base=cfg)

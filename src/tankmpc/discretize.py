@@ -67,5 +67,9 @@ def zoh_discretize(model: LinearModel, ts: float) -> LinearModel:
     blk = np.zeros((n + m, n + m))
     blk[:n, :n] = model.a
     blk[:n, n:] = model.b
+    # in Python floats, which overflow to inf without a warning: a bound on
+    # the 1-norm of blk * ts, which must be finite for expm to scale it
+    if not math.isfinite(float(np.abs(blk).max()) * float(ts) * (n + m)):
+        raise ValueError(f"sampling period {ts!r} s overflows the model's exponential")
     e = expm(blk * ts)
     return LinearModel(a=e[:n, :n], b=e[:n, n:], c=model.c)

@@ -74,11 +74,6 @@ class SetpointPulse:
         if not math.isfinite(self.amplitude):
             raise ValueError("pulse amplitude must be finite")
 
-    def value(self, t: float) -> float:
-        if self.start <= t < self.start + self.duration:
-            return self.amplitude
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -134,23 +129,19 @@ class SimulationLog:
         Rows are encoded CSV_BLOCK at a time, so the temporary row-major
         copy stays small for long runs.  Each block is one %-pass over its
         six loop columns with the block's format (see `_block_format`),
-        which is recalled while a block has the head and the bits in t, r1,
-        r2 and u3 of the block encoded before it, as in the runs of a tuning
-        sweep.  The first block's format starts with the header, so a
-        one-block log is the result of one %-pass.
+        which is recalled while a block has the bits in t, r1, r2 and u3 of
+        the block encoded before it, as in the runs of a tuning sweep.
         """
         signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in _SIGNAL_COLUMNS]
         loop = [getattr(self, name) for name in _LOOP_COLUMNS]
-        header = ",".join(self.COLUMNS) + "\n"
-        parts = []
+        parts = [",".join(self.COLUMNS) + "\n"]
         for i in range(0, len(self), CSV_BLOCK):
-            head = header if i == 0 else ""
             block = [col[i : i + CSV_BLOCK] for col in signals]
-            key = (head, *(col.tobytes() for col in block))
-            fmt = _recall("csv", key, lambda: _block_format(head, *block))
+            fmt = _recall("csv", tuple(col.tobytes() for col in block),
+                          lambda: _block_format(*block))
             values = np.column_stack([col[i : i + CSV_BLOCK] for col in loop])
             parts.append(fmt % tuple(values.ravel().tolist()))
-        return "".join(parts) if parts else header
+        return "".join(parts)
 
 
 #: Log columns known before the loop runs: the time and the scenario's
@@ -166,9 +157,8 @@ _ROW_REST = "".join("," + ("%.9g" if name in _LOOP_COLUMNS else "{}")
                     for name in SimulationLog.COLUMNS[1:]) + "\n"
 
 
-def _block_format(head: str, t: np.ndarray, r1: np.ndarray, r2: np.ndarray,
-                  u3: np.ndarray) -> str:
-    """The %-format of one block of CSV rows after head: each row's t field
+def _block_format(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, u3: np.ndarray) -> str:
+    """The %-format of one block of CSV rows: each row's t field
     as text, the text of r1, r2 and u3, formatted once per run of rows over
     which none of them changes its bits (0.0 and -0.0 print differently),
     and %.9g for each loop column.  Each run of rows is one %-pass over its
@@ -177,7 +167,7 @@ def _block_format(head: str, t: np.ndarray, r1: np.ndarray, r2: np.ndarray,
     held = np.column_stack([r1, r2, u3])
     bits = held.view(np.int64)
     cuts = [0, *(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist(), len(held)]
-    parts = [head]
+    parts = []
     for a, b in zip(cuts, cuts[1:]):
         rest = _ROW_REST.format(*("%.9g" % v for v in held[a].tolist()))
         parts.append(("%.9g\n" * (b - a) % tuple(times[a:b])).replace("\n", rest))
@@ -246,6 +236,8 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     # memory: the last measurement p and the remembered move m
     kr11, kr12, kr21, kr22, kx11, kx12, kx21, kx22 = pred.gains
     h1, h2 = 0.0, 0.0  # level deviations
+    # the remembered measurement is the first one, so the first state
+    # increment is zero: no derivative kick at start
     p1, p2, m1, m2 = h1, h2, 0.0, 0.0
     clamp_warned = False
     last = n - 1

@@ -155,16 +155,6 @@ class ControllerState(NamedTuple):
     prev_plant_state: tuple[float, ...]  # last measured plant state (= output here)
     prev_control: tuple[float, ...]  # last applied control, deviation flows
 
-    @classmethod
-    def initial(cls, measurement, n_inputs: int) -> "ControllerState":
-        """Start-up state: zero increment, zero deviation control.
-
-        Seeding the history with the first measurement makes the first
-        state increment zero, so there is no derivative kick at start.
-        """
-        y = tuple(np.asarray(measurement, dtype=float).reshape(-1).tolist())
-        return cls(prev_plant_state=y, prev_control=(0.0,) * n_inputs)
-
 
 def receding_step(
     ctrl: ControllerState,

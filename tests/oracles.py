@@ -151,19 +151,46 @@ def settling_by_loop(t, r, y, dwell):
     return out
 
 
+def setpoint_value(pulse, t):
+    """A SetpointPulse's setpoint at time t: its amplitude on
+    [start, start + duration), 0.0 elsewhere."""
+    return pulse.amplitude if pulse.start <= t < pulse.start + pulse.duration else 0.0
+
+
+def controller_start(measurement, n_inputs):
+    """The controller's start-up state: the first measurement remembered as
+    the last one, so the first state increment is zero (no derivative kick),
+    and zero deviation control."""
+    from tankmpc import ControllerState
+
+    y = tuple(np.asarray(measurement, dtype=float).reshape(-1).tolist())
+    return ControllerState(prev_plant_state=y, prev_control=(0.0,) * n_inputs)
+
+
+def disturbance_feeds(profile, op, t):
+    """(tank 1, tank 2) feed flows a DisturbanceProfile adds at time t:
+    magnitude percent of fi1_bar on [start, start + duration), 0.0
+    elsewhere, routed to its target; a zero flow feeds neither tank."""
+    on = profile.start <= t < profile.start + profile.duration
+    f = profile.magnitude / 100.0 * op.fi1_bar if on else 0.0
+    if f == 0.0:
+        return 0.0, 0.0
+    return (f if profile.target in ("tank1", "both") else 0.0,
+            f if profile.target in ("tank2", "both") else 0.0)
+
+
 def rk4_by_derivatives(params, op, t, h, u, dt, substeps, profile, clamp_flows):
     """`substeps` classical Runge-Kutta steps of the plant entered at t, and
     the levels (h1, h2) after them, from tank.nonlinear_derivatives with the
-    feed looked up by plant.disturbance_inflows at every stage time.  Stage
-    levels are floored at empty, as is each step's end, which must be finite."""
+    feed resolved by disturbance_feeds at every stage time.  Stage levels
+    are floored at empty, as is each step's end, which must be finite."""
     from tankmpc import nonlinear_derivatives
-    from tankmpc.plant import disturbance_inflows
 
     lo = (-op.l1, -op.l2)
     bars = (op.fi1_bar, op.fi2_bar)
 
     def rates(s, at):
-        d = disturbance_inflows(profile, op, at)
+        d = disturbance_feeds(profile, op, at)
         if clamp_flows:
             d = [max(bar + ui + di, 0.0) - bar - ui for bar, ui, di in zip(bars, u, d)]
         fi = [ui + di for ui, di in zip(u, d)]

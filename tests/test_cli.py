@@ -6,6 +6,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import tankmpc
 from tankmpc.cli import main
 
 
@@ -190,6 +193,27 @@ class TestSimulate:
         assert not target_dir.exists()
         assert list(tmp_path.iterdir()) == []  # no temp files left behind
 
+    def test_output_path_is_a_directory_exit_3_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "run.csv"
+        target.mkdir()
+        code, _, err = run_cli(["simulate", "--out", str(target)], capsys)
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [target]  # the temp file is removed
+        assert list(target.iterdir()) == []
+
+    def test_temp_name_collision_takes_a_fresh_name(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / f"run.csv.{bytes(6).hex()}.tmp"
+        taken.write_text("not ours")
+        draws = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        code, _, _ = run_cli(["simulate", "--out", str(tmp_path / "run.csv")], capsys)
+        assert code == 0
+        assert next(draws, None) is None  # two collisions, then a fresh name
+        assert taken.read_text() == "not ours"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", taken.name]
+        assert (tmp_path / "run.csv").read_text().startswith("t,r1,r2,")
+
 
 class TestSweep:
     def test_single_point_sweep_matches_simulate(self, tmp_path, capsys):
@@ -267,6 +291,12 @@ class TestSweep:
         assert "np=x  FAILED: bad value for 'mpc.np': 'x' (" in out
         assert (tmp_path / "np" / "np_10.csv").exists()
 
+    def test_empty_values_list_exit_2(self, tmp_path, capsys):
+        code, out, err = run_cli(["sweep", "--param", "rw", "--values", " , ",
+                                  "--out-dir", str(tmp_path / "rw")], capsys)
+        assert (code, out, err) == (2, "", "error: empty --values list\n")
+        assert not (tmp_path / "rw").exists()
+
     def test_rejects_unknown_param(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["sweep", "--param", "ts", "--values", "1", "--out-dir", "x"])
@@ -302,6 +332,25 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, tmp_path, capsys, mess
     monkeypatch.setattr("tankmpc.cli.run_closed_loop", exhausted)
     code, out, err = run_cli(["simulate", "--out", str(tmp_path / "run.csv")], capsys)
     assert code == 3 and err == line
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "linearize"])
+def test_sampling_period_overflow_exits_2_with_one_line(tmp_path, command):
+    """sim.ts = 1e308 overflows exp(A ts): one named line on stderr, no
+    numpy warning ahead of it, in a process of its own."""
+    conf = tmp_path / "ts.conf"
+    conf.write_text("sim.ts = 1e308\n")
+    args = [command, "--config", str(conf)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "run.csv")]
+    src = str(Path(tankmpc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONWARNINGS": "default",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tankmpc.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: sampling period 1e+308 s overflows the model's exponential\n"
     assert not (tmp_path / "run.csv").exists()
 
 

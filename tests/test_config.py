@@ -8,6 +8,8 @@ import pytest
 
 from tankmpc import (
     ConfigError,
+    DisturbanceProfile,
+    SetpointPulse,
     default_run_config,
     dumps_config,
     load_config,
@@ -102,6 +104,18 @@ def test_semantic_invariants_enforced():
         loads_config("plant.alpha2 = 0.0\n")
 
 
+@pytest.mark.parametrize("key", ["setpoint.h1.duration", "setpoint.h2.duration",
+                                 "disturbance.duration"])
+def test_negative_duration_names_the_key(key):
+    with pytest.raises(ConfigError) as exc_info:
+        loads_config(f"{key} = -1\n")
+    assert str(exc_info.value) == f"{key} must be >= 0, got -1.0"
+    # constructed directly, the pulse records still refuse it
+    record = SetpointPulse if key.startswith("setpoint") else DisturbanceProfile
+    with pytest.raises(ValueError, match="pulse duration must be >= 0, got -1"):
+        record(duration=-1.0)
+
+
 def test_round_trip_identity():
     cfg = loads_config("mpc.rw = 0.25\ndisturbance.target = tank2\noutput.path = out.csv\n")
     assert loads_config(dumps_config(cfg)) == cfg
@@ -182,8 +196,12 @@ def _outcome(make):
     *[("rw", v) for v in (0.5, 0.0, -1.0, math.nan, math.inf, -math.inf)],
     *[("np", v) for v in (3, 2, 0, -1, 83333, 83334, 10**9)],  # at the bundled nc = 3
     *[("nc", v) for v in (1, 10, 11, 0, -1, 10**9)],  # at the bundled np = 10
+    # raw text, as `sweep --values` passes it
+    *[pytest.param(name, raw, id=f"{name}-text {raw}") for name in ("rw", "np", "nc")
+      for raw in ("abc", "3.5", "0", "1e400", "nan", "-1", "inf", "2", "true")],
 ])
 def test_swept_value_checked_like_config_value(name, value):
+    # a config's parse errors also name the line
     cfg = default_run_config()
     assert (_outcome(lambda: with_mpc_value(cfg, name, value))
-            == _outcome(lambda: loads_config(f"mpc.{name} = {value}\n")))
+            == _outcome(lambda: loads_config(f"mpc.{name} = {value}\n")).replace("line 1: ", ""))

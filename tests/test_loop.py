@@ -8,7 +8,6 @@ import pytest
 
 from tankmpc import (
     DEFAULT_PARAMS,
-    ControllerState,
     DisturbanceProfile,
     MpcConfig,
     Scenario,
@@ -29,7 +28,7 @@ from tankmpc import (
 from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL
 from tankmpc.plant import NO_DISTURBANCE, disturbance_flow, disturbance_inflows, make_advance
 
-from oracles import csv_text_by_value, settling_by_loop
+from oracles import controller_start, csv_text_by_value, setpoint_value, settling_by_loop
 
 
 def make_scenario(**overrides):
@@ -189,8 +188,8 @@ class TestRunClosedLoop:
 
                 at = (case, linear_plant)
                 assert hexes(log.t) == hexes(times), at
-                assert hexes(log.r1) == hexes(r1.value(t) for t in times), at
-                assert hexes(log.r2) == hexes(r2.value(t) for t in times), at
+                assert hexes(log.r1) == hexes(setpoint_value(r1, t) for t in times), at
+                assert hexes(log.r2) == hexes(setpoint_value(r2, t) for t in times), at
                 assert hexes(log.u3) == hexes(disturbance_flow(dist, op, t) for t in times), at
                 routed = [disturbance_inflows(dist, op, t) for t in times]
                 assert hexes(log.fi1_abs) == hexes(op.fi1_bar + u + d for u, (d, _)
@@ -403,7 +402,7 @@ class TestControlLaw:
             disc = zoh_discretize(linearize(sc.params, op), sc.ts)
             pred = build_prediction(augment(disc), sc.mpc)
             log = run_closed_loop(sc)
-            ctrl = ControllerState.initial((0.0, 0.0), n_inputs=2)
+            ctrl = controller_start((0.0, 0.0), n_inputs=2)
             moves = []
             for t, h1, h2, r1, r2 in zip(*(getattr(log, c).tolist()
                                            for c in ("t", "h1", "h2", "r1", "r2"))):
@@ -578,6 +577,11 @@ class TestRecall:
 
 
 class TestSummarize:
+    def test_empty_log_rejected(self):
+        empty = SimulationLog(**{name: np.empty(0) for name in SimulationLog.COLUMNS})
+        with pytest.raises(ValueError, match="empty simulation log"):
+            summarize(empty, DEFAULT_SCENARIO)
+
     def test_already_at_setpoint(self):
         sc = make_scenario(setpoints=(SetpointPulse(), SetpointPulse()),
                            disturbance=NO_DISTURBANCE, t_end=2.0)

@@ -17,6 +17,7 @@ from tankmpc import (
 )
 
 from oracles import (
+    controller_start,
     fd_gradient,
     iterate_prediction,
     naive_optimal_du,
@@ -357,7 +358,7 @@ class TestFirstMoveGain:
         aug = tank_augmented()
         cfg = MpcConfig(10, 3)
         pred = build_prediction(aug, cfg)
-        ctrl = ControllerState.initial(np.zeros(2), n_inputs=2)
+        ctrl = controller_start(np.zeros(2), n_inputs=2)
         with pytest.raises(ValueError, match="entries"):
             receding_step(ctrl, pred, np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="finite"):
@@ -378,7 +379,7 @@ class TestRecedingStep:
         assert np.array_equal(new_ctrl.prev_control, u)
 
     def test_first_step_at_operating_point(self):
-        ctrl = ControllerState.initial(np.zeros(2), n_inputs=2)
+        ctrl = controller_start(np.zeros(2), n_inputs=2)
         _, u = receding_step(ctrl, self.pred, np.zeros(2), np.zeros(2))
         assert np.array_equal(u, np.zeros(2))
 
@@ -390,7 +391,7 @@ class TestRecedingStep:
             assert np.array_equal(self.aug.c @ x, np.array([0.3, -0.1]))
 
     def test_measurement_dimension_checked(self):
-        ctrl = ControllerState.initial(np.zeros(2), n_inputs=2)
+        ctrl = controller_start(np.zeros(2), n_inputs=2)
         with pytest.raises(ValueError):
             receding_step(ctrl, self.pred, np.zeros(3), np.zeros(2))
 
