@@ -103,15 +103,18 @@ _TYPES["output.path"] = str
 
 
 def _parse_value(key: str, raw):
-    """key's value, as the key's type, from its raw text or a number."""
+    """key's value, as the key's type, from its raw text or a number.  A
+    number is read as its text, str(raw), as a config line would give it:
+    so an int key takes no bool, no non-finite and no fractional number."""
+    text = raw if isinstance(raw, str) else str(raw)
     try:
         if _TYPES[key] is bool:
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
+            if text.lower() in ("true", "false"):
+                return text.lower() == "true"
             raise ValueError("expected true or false")
-        return _TYPES[key](raw)
+        return _TYPES[key](text)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
+        raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from None
 
 
 def parse_config_text(text: str) -> dict:

@@ -6,7 +6,8 @@ advance the plant by one call of its kernel, entered at k ts, the run's
 one clock.  The controller runs on the linearized model while the plant
 stays nonlinear (or, as a diagnostic, is the sampled linear model),
 exactly the mismatch the scheme is meant to tolerate.  The scenario's
-signals at the sample times are computed once per run.
+signals at the sample times are computed once per run, before the loop,
+and the absolute feeds it applied after it, from the logged moves.
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
@@ -222,8 +223,8 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     u3_col = _pulse(t_col, dist.start, dist.duration, flow)
     d1_col, d2_col = (_pulse(t_col, dist.start, dist.duration, d) for d in dist.route(flow))
 
-    width = len(_LOOP_COLUMNS)
-    rows = np.empty(n * width)  # the loop columns, row by row
+    width = 4  # h1, h2, u1, u2 are logged; the feeds follow from u after the loop
+    rows = np.empty(n * width)  # the logged columns, row by row
     fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
     clamp = scenario.clamp_flows
     if scenario.linear_plant:
@@ -254,20 +255,21 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
                 m1 = u1 = m1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2))
                 m2 = u2 = m2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2))
                 p1, p2 = h1, h2
+                logged += (h1, h2, u1, u2)
 
-                fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
-                if clamp and (fi1_abs < 0 or fi2_abs < 0):
-                    if not clamp_warned:
-                        clamp_warned = True
-                        logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_k)
-                    # the controller remembers the deviation the floored feed
-                    # applies, not the one it commanded, so it does not wind up
-                    if fi1_abs < 0:
-                        fi1_abs, m1 = 0.0, 0.0 - fi1_bar - d1_k
-                    if fi2_abs < 0:
-                        fi2_abs, m2 = 0.0, 0.0 - fi2_bar - d2_k
-
-                logged += (h1, h2, u1, u2, fi1_abs, fi2_abs)
+                if clamp:
+                    fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
+                    if fi1_abs < 0 or fi2_abs < 0:
+                        if not clamp_warned:
+                            clamp_warned = True
+                            logger.warning("feed-flow clamp active from sample %d (t=%.4g s)",
+                                           k, t_k)
+                        # the controller remembers the deviation the floored feed
+                        # applies, not the one it commanded, so it does not wind up
+                        if fi1_abs < 0:
+                            m1 = 0.0 - fi1_bar - d1_k
+                        if fi2_abs < 0:
+                            m2 = 0.0 - fi2_bar - d2_k
 
                 if k < last:
                     h1, h2 = advance(t_k, h1, h2, u1, u2)
@@ -275,9 +277,13 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
                 raise SimulationError(k, t_k, exc) from exc
         rows[i * width : i * width + len(logged)] = logged
 
-    cols = rows.reshape(n, width).T.copy()
-    return SimulationLog(t=t_col, r1=r1_col, r2=r2_col, u3=u3_col,
-                         **dict(zip(_LOOP_COLUMNS, cols)))
+    h1_col, h2_col, u1_col, u2_col = rows.reshape(n, width).T.copy()
+    # the absolute feeds the loop applied, each floored at zero under the clamp
+    fi1_col, fi2_col = fi1_bar + u1_col + d1_col, fi2_bar + u2_col + d2_col
+    if clamp:
+        fi1_col, fi2_col = (np.where(fi < 0, 0.0, fi) for fi in (fi1_col, fi2_col))
+    return SimulationLog(t=t_col, r1=r1_col, r2=r2_col, h1=h1_col, h2=h2_col, u1=u1_col,
+                         u2=u2_col, u3=u3_col, fi1_abs=fi1_col, fi2_abs=fi2_col)
 
 
 @dataclass
@@ -301,25 +307,39 @@ class SummaryMetrics:
     max_control_step: dict[str, float] = field(default_factory=dict)
 
 
-def _segment_metrics(name, t, y, target, step, i0, i1) -> StepMetrics:
+def _segment_metrics(name, t, y, target: float, step: float, i0, i1) -> StepMetrics:
+    """The metrics of y over the samples [i0, i1) after a setpoint step to target.
+
+    A step smaller than the level's resolution, the spacing of floats at
+    the larger of |target| and the segment's largest |y - target|, cannot
+    be told from rounding, and it reports as no step does: no rise time and
+    0 % overshoot.  So every field is finite for a log whose values and
+    their differences are.
+    """
     seg_t, seg_y = t[i0:i1], y[i0:i1]
+    off = seg_y - target
+    dist = np.abs(off)
     band = 0.02 * max(abs(target), abs(step))
 
     rise_time = None
     overshoot = 0.0
-    if step != 0.0:
+    if abs(step) >= math.ulp(max(abs(target), float(dist.max()))):
         base = target - step
-        sgn = 1.0 if step > 0 else -1.0
         lo, hi = base + 0.1 * step, base + 0.9 * step
-        idx10 = np.nonzero(sgn * (seg_y - lo) >= 0)[0]
-        idx90 = np.nonzero(sgn * (seg_y - hi) >= 0)[0]
-        if idx10.size and idx90.size:
-            rise_time = float(seg_t[idx90[0]] - seg_t[idx10[0]])
-        overshoot = max(0.0, float(np.max(sgn * (seg_y - target))) / abs(step) * 100.0)
+        # y past a level in the step's direction (y - lo >= 0 just when y >= lo),
+        # and the largest excess over the target in that direction
+        if step > 0:
+            at10, at90, excess = seg_y >= lo, seg_y >= hi, off.max()
+        else:
+            at10, at90, excess = seg_y <= lo, seg_y <= hi, -off.min()
+        i10, i90 = at10.argmax(), at90.argmax()
+        if at10[i10] and at90[i90]:
+            rise_time = float(seg_t[i90] - seg_t[i10])
+        overshoot = max(0.0, float(excess) / abs(step) * 100.0)
 
     # settled once the signal stays in the band through the segment end,
     # and only if it dwells there long enough to mean it
-    in_band = np.abs(seg_y - target) <= band if band > 0 else seg_y == target
+    in_band = dist <= band if band > 0 else seg_y == target
     outside = np.flatnonzero(~in_band)
     trailing = len(seg_y) - (int(outside[-1]) + 1 if outside.size else 0)
     settled = trailing >= SETTLE_DWELL
@@ -328,12 +348,12 @@ def _segment_metrics(name, t, y, target, step, i0, i1) -> StepMetrics:
     return StepMetrics(
         output=name,
         t_edge=float(seg_t[0]),
-        target=float(target),
-        step=float(step),
+        target=target,
+        step=step,
         rise_time=rise_time,
         settling_time=settling_time,
         overshoot_pct=overshoot,
-        steady_state_error=float(abs(seg_y[-1] - target)),
+        steady_state_error=float(dist[-1]),
         settled=settled,
     )
 
@@ -356,11 +376,11 @@ def summarize(log: SimulationLog, scenario: Scenario) -> SummaryMetrics:
         bounds = edges + [len(log)]
         metrics = []
         for e, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):
-            target = r[i0]
-            prev = y[0] if e == 0 else r[i0 - 1]
+            target = float(r[i0])
+            prev = float(y[0] if e == 0 else r[i0 - 1])
             metrics.append(_segment_metrics(name, log.t, y, target, target - prev, i0, i1))
         out.outputs[name] = metrics
     for name, u in (("u1", log.u1), ("u2", log.u2)):
         du = np.diff(u)
-        out.max_control_step[name] = float(np.max(np.abs(du))) if du.size else 0.0
+        out.max_control_step[name] = float(np.abs(du).max()) if du.size else 0.0
     return out

@@ -114,11 +114,14 @@ class PredictionMatrices:
         return self.kr.shape[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises the named ValueError below
 def build_prediction(aug: LinearModel, cfg: MpcConfig) -> PredictionMatrices:
     """Assemble psi, phi and the first-move gains.
 
     Raises numpy.linalg.LinAlgError if rw = 0 and phi.T phi is
     singular; the closed-form law assumes phi.T phi + rw I is invertible.
+    Raises ValueError, naming this stage, if phi.T phi or the gains
+    overflow, as they do for a plant scaled far out of range.
     """
     nq, m, q = aug.n_states, aug.n_inputs, aug.n_outputs
     npred, nctl = cfg.np_horizon, cfg.nc_horizon
@@ -142,11 +145,21 @@ def build_prediction(aug: LinearModel, cfg: MpcConfig) -> PredictionMatrices:
         phi[j * q :, j * m : (j + 1) * m] = impulse[: (npred - j) * q]
 
     h = phi.T @ phi
+    if not np.isfinite(h).all():
+        raise _overflow("phi.T phi")
     h = (h + h.T) * 0.5 + cfg.rw * np.eye(nctl * m)
     np.linalg.cholesky(h)  # raises LinAlgError unless h is positive definite
     first = np.linalg.solve(h, phi.T)[:m]  # first-move rows of h^-1 phi.T
     kr = first.reshape(m, npred, q).sum(axis=1)
-    return PredictionMatrices(psi=psi, phi=phi, kr=kr, kx=first @ psi)
+    kx = first @ psi
+    if not (np.isfinite(kr).all() and np.isfinite(kx).all()):
+        raise _overflow("the first-move gain")
+    return PredictionMatrices(psi=psi, phi=phi, kr=kr, kx=kx)
+
+
+def _overflow(what: str) -> ValueError:
+    return ValueError(f"prediction set-up: {what} overflows; the plant.* and mpc.* values "
+                      f"are out of range")
 
 
 class ControllerState(NamedTuple):

@@ -5,7 +5,8 @@ classical Runge-Kutta scheme between controller samples; the control
 flows are held constant over each sample while the disturbance flow is
 resolved at the integrator stage times.  `make_advance` binds one run's
 constants into one kernel on plain floats that runs all substeps of a
-controller sample, with the rate equations and the pulse feed inline.
+controller sample on the physical levels, with the rate equations and the
+pulse feed inline.
 `make_linear_advance` is the diagnostic sampled linear model behind the
 same interface.  Both return levels only; the closed loop enters each
 sample at its time k ts.  `rk4_step` (one step of the kernel on a
@@ -111,22 +112,25 @@ def make_advance(
     entered at the sample time t, with the plant constants, the step size
     and the disturbance pulse bound once.  The control (u1, u2) is held
     over the call.  The feed, held control plus the routed pulse on
-    [start, start + duration), is resolved once per call into its pulse-on
-    and pulse-off values (with clamp_flows each absolute feed floored at
-    zero), and each stage picks one by its time t, t + dt/2 or t + dt;
-    when no pulse edge lies in (t, t + 2 substeps dt], t's pick serves all.
-    The rates are `tank.nonlinear_derivatives` written inline, in its order.
-    Physical levels are floored at zero, the step that empties a tank
-    logs a warning, and a non-finite state raises ArithmeticError.
+    [start, start + duration), with clamp_flows each absolute feed floored
+    at zero, is picked at each stage time t, t + dt/2 or t + dt; when no
+    pulse edge lies in (t, t + 2 substeps dt], t's pick serves all stages.
+    The steps carry the physical levels x = l + h, formed once on entry and
+    returned as x - l.  The rates are `tank.nonlinear_derivatives` on x: the
+    same deviation flows, so that a plant at rest with zero feed stays at
+    exactly h = 0, each multiplied by the reciprocal of its tank's area;
+    they agree with it to a few ulps, not bit for bit.  Levels are floored
+    at empty, the step that empties a tank logs a warning, and a non-finite
+    state raises ArithmeticError.
     """
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
-    a1, a2, alpha1, alpha2 = params.a1, params.a2, params.alpha1, params.alpha2
+    alpha1, alpha2 = params.alpha1, params.alpha2
+    ra1, ra2 = 1.0 / params.a1, 1.0 / params.a2
     l1, l2 = op.l1, op.l2
     fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
     q12_bar = alpha1 * math.sqrt(l1 - l2)
     sqrt_l2 = math.sqrt(l2)
-    lo1, lo2 = -l1, -l2
     half, sixth = dt / 2, dt / 6
     start, end = profile.start, profile.start + profile.duration
     p1, p2 = profile.route(profile.flow(op))
@@ -134,85 +138,100 @@ def make_advance(
     # rounded t + dt is the float nearest the sum, and t itself is a float
     # dt away from it, so each step moves the clock by at most 2 dt
     reach = 2 * substeps * dt
-    consts = (a1, a2, alpha1, alpha2, l1, l2, fi1_bar, fi2_bar, q12_bar, sqrt_l2, lo1, lo2,
-              dt, half, sixth, start, end, p1, p2, reach, range(substeps), math.sqrt, math.inf)
+    consts = (alpha1, alpha2, ra1, ra2, l1, l2, fi1_bar, fi2_bar, q12_bar, sqrt_l2,
+              dt, half, sixth, start, end, p1, p2, reach, range(substeps), math.sqrt)
 
     def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float]:
         # the run's constants as fast locals
-        (a1, a2, alpha1, alpha2, l1, l2, fi1_bar, fi2_bar, q12_bar, sqrt_l2, lo1, lo2,
-         dt, half, sixth, start, end, p1, p2, reach, steps, sqrt, inf) = consts
-        if clamp_flows:
-            fon = (u1 + (max(fi1_bar + u1 + p1, 0.0) - fi1_bar - u1),
-                   u2 + (max(fi2_bar + u2 + p2, 0.0) - fi2_bar - u2))
-            foff = (u1 + (max(fi1_bar + u1 + 0.0, 0.0) - fi1_bar - u1),
-                    u2 + (max(fi2_bar + u2 + 0.0, 0.0) - fi2_bar - u2))
+        (alpha1, alpha2, ra1, ra2, l1, l2, fi1_bar, fi2_bar, q12_bar, sqrt_l2,
+         dt, half, sixth, start, end, p1, p2, reach, steps, sqrt) = consts
+        on = start <= t < end
+        # Unless a pulse edge lies in (t, t + reach], every stage feeds the
+        # pulse as t does, and only that feed is built.
+        last = t + reach
+        edge = t < start <= last or t < end <= last
+        if clamp_flows or edge:
+            if clamp_flows:
+                fon = (u1 + (max(fi1_bar + u1 + p1, 0.0) - fi1_bar - u1),
+                       u2 + (max(fi2_bar + u2 + p2, 0.0) - fi2_bar - u2))
+                foff = (u1 + (max(fi1_bar + u1 + 0.0, 0.0) - fi1_bar - u1),
+                        u2 + (max(fi2_bar + u2 + 0.0, 0.0) - fi2_bar - u2))
+            else:
+                fon, foff = (u1 + p1, u2 + p2), (u1 + 0.0, u2 + 0.0)
+            g1, g2 = fon if on else foff
+        elif on:
+            g1, g2 = u1 + p1, u2 + p2
         else:
             # off the pulse the routed flow is 0.0, and u + 0.0 turns a -0.0 into 0.0
-            fon, foff = (u1 + p1, u2 + p2), (u1 + 0.0, u2 + 0.0)
+            g1, g2 = u1 + 0.0, u2 + 0.0
         # Every stage floors its levels at empty, so hard drains stay
-        # integrable and the physical levels x1, x2 are never negative:
-        # nonlinear_derivatives' domain check and sqrt(x2) guard cannot fire.
-        # A step starts from the floored end of the one before, and its
-        # feed is the one its predecessor's last stage picked at that time.
-        # Unless a pulse edge lies in (t, t + reach], every stage feeds the
-        # pulse as t does.
-        f1 = h1 if h1 > lo1 else lo1
-        f2 = h2 if h2 > lo2 else lo2
-        g1, g2 = fon if start <= t < end else foff
-        edge = t < start <= t + reach or t < end <= t + reach
+        # integrable and the levels y1, y2 the rates read are never negative:
+        # the sqrt(y2) of the outlet flow cannot fail.  A step starts from
+        # the floored end of the one before, and its feed is the one its
+        # predecessor's last stage picked at that time.
+        x1, x2 = l1 + h1, l2 + h2
+        y1 = 0.0 if x1 < 0.0 else x1
+        y2 = 0.0 if x2 < 0.0 else x2
         for _ in steps:
-            tm, te = t + half, t + dt
-            x1 = l1 + f1
-            x2 = l2 + f2
-            hd = x1 - x2
+            te = t + dt
+            hd = y1 - y2
             q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
-            k11 = (g1 - q12) / a1
-            k12 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
+            k11 = (g1 - q12) * ra1
+            k12 = (g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12) * ra2
 
             if edge:
+                tm = t + half
                 g1, g2 = fon if start <= tm < end else foff
-            s1, s2 = h1 + half * k11, h2 + half * k12
-            x1 = l1 + (s1 if s1 > lo1 else lo1)
-            x2 = l2 + (s2 if s2 > lo2 else lo2)
-            hd = x1 - x2
+            y1, y2 = x1 + half * k11, x2 + half * k12
+            if y1 < 0.0:
+                y1 = 0.0
+            if y2 < 0.0:
+                y2 = 0.0
+            hd = y1 - y2
             q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
-            k21 = (g1 - q12) / a1
-            k22 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
+            k21 = (g1 - q12) * ra1
+            k22 = (g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12) * ra2
 
-            s1, s2 = h1 + half * k21, h2 + half * k22
-            x1 = l1 + (s1 if s1 > lo1 else lo1)
-            x2 = l2 + (s2 if s2 > lo2 else lo2)
-            hd = x1 - x2
+            y1, y2 = x1 + half * k21, x2 + half * k22
+            if y1 < 0.0:
+                y1 = 0.0
+            if y2 < 0.0:
+                y2 = 0.0
+            hd = y1 - y2
             q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
-            k31 = (g1 - q12) / a1
-            k32 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
+            k31 = (g1 - q12) * ra1
+            k32 = (g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12) * ra2
 
             if edge:
                 g1, g2 = fon if start <= te < end else foff
-            s1, s2 = h1 + dt * k31, h2 + dt * k32
-            x1 = l1 + (s1 if s1 > lo1 else lo1)
-            x2 = l2 + (s2 if s2 > lo2 else lo2)
-            hd = x1 - x2
+            y1, y2 = x1 + dt * k31, x2 + dt * k32
+            if y1 < 0.0:
+                y1 = 0.0
+            if y2 < 0.0:
+                y2 = 0.0
+            hd = y1 - y2
             q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
-            k41 = (g1 - q12) / a1
-            k42 = (g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12) / a2
+            k41 = (g1 - q12) * ra1
+            k42 = (g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12) * ra2
 
-            n1 = h1 + sixth * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
-            n2 = h2 + sixth * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
-            if not (-inf < n1 < inf and -inf < n2 < inf):
+            n1 = x1 + sixth * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+            n2 = x2 + sixth * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
+            # x - x is 0.0 for a finite x, and nan for an infinite or nan one
+            if (n1 - n1) + (n2 - n2) != 0.0:
                 raise ArithmeticError(f"plant state non-finite at t={te:.6g}")
-            # floor physical levels at empty; warn only on the step that empties a tank
-            if n1 < lo1:
-                if h1 > lo1:
+            # floor the levels at empty; warn only on the step that empties a tank
+            if n1 < 0.0:
+                if x1 > 0.0:
                     logger.warning("tank 1 ran empty at t=%.4g s; level clamped to 0", te)
-                n1 = lo1
-            if n2 < lo2:
-                if h2 > lo2:
+                n1 = 0.0
+            if n2 < 0.0:
+                if x2 > 0.0:
                     logger.warning("tank 2 ran empty at t=%.4g s; level clamped to 0", te)
-                n2 = lo2
-            t, h1, h2 = te, n1, n2
-            f1, f2 = n1, n2
-        return h1, h2
+                n2 = 0.0
+            t = te
+            x1 = y1 = n1
+            x2 = y2 = n2
+        return x1 - l1, x2 - l2
 
     return advance
 

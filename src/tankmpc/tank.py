@@ -128,9 +128,9 @@ def nonlinear_derivatives(
     Returns
     -------
     (dh1_dt, dh2_dt) in m/s, exactly (0, 0) at h = 0, fi = 0: the steady
-    outflow terms cancel.  `plant.make_advance` writes these expressions
-    inline, in the same order, so its steps match an RK4 built on this
-    function bit for bit.
+    outflow terms cancel.  `plant.make_advance` computes the same deviation
+    flows on the physical levels it carries, times the reciprocal areas, so
+    its rates agree with these to a few ulps, not bit for bit.
     """
     h1, h2 = state
     lvl1 = op.l1 + h1

@@ -179,34 +179,83 @@ def disturbance_feeds(profile, op, t):
             f if profile.target in ("tank2", "both") else 0.0)
 
 
+def closed_loop_matrices(disc, pred):
+    """The closed loop of the fixed-gain law and the sampled linear plant,
+    with no clamp, as (m, n_w, k_z, k_r): the state z = (h(k), h(k-1),
+    u(k-1)) moves as z(k+1) = m z(k) + n_w (r(k), d(k)), r the setpoint
+    and d the routed pulse, and the applied move is u(k) = k_z z(k) + k_r r(k),
+    with u = m_prev + kr (r - h) - kx_dx (h - h_prev)."""
+    a, b = np.asarray(disc.a), np.asarray(disc.b)
+    n, nu = b.shape
+    kr = np.asarray(pred.kr)
+    kd = np.asarray(pred.kx)[:, :n]
+    k_z = np.hstack([-(kr + kd), kd, np.eye(nu)])
+    m = np.block([[a + b @ k_z[:, :n], b @ k_z[:, n:]],
+                  [np.eye(n), np.zeros((n, n + nu))],
+                  [k_z]])
+    n_w = np.block([[b @ kr, b],
+                    [np.zeros((n, kr.shape[1] + nu))],
+                    [kr, np.zeros((nu, nu))]])
+    return m, n_w, k_z, kr
+
+
+def linear_closed_loop(disc, pred, fi_bar, r, d):
+    """The logged h, u and absolute feeds fi of a linear-plant run with no
+    clamp, one row per sample, by iterating closed_loop_matrices from
+    z(0) = 0, given the setpoints r and routed pulse d at the sample times
+    (one row per sample).  The feed is fi_bar + u + d."""
+    m, n_w, k_z, k_r = closed_loop_matrices(disc, pred)
+    r, d = np.asarray(r, dtype=float), np.asarray(d, dtype=float)
+    z = np.zeros(m.shape[0])
+    n = np.asarray(disc.a).shape[0]
+    hs, us = [], []
+    for r_k, d_k in zip(r, d):
+        hs.append(z[:n])
+        us.append(k_z @ z + k_r @ r_k)
+        z = m @ z + n_w @ np.concatenate([r_k, d_k])
+    h, u = np.array(hs), np.array(us)
+    return h, u, np.asarray(fi_bar) + u + d
+
+
+def level_rates(params, op, x, fi1, fi2):
+    """Level rates (dh1/dt, dh2/dt) at the physical levels x = (x1, x2) >= 0:
+    tank.nonlinear_derivatives' deviation flows, its orifice law for the
+    coupling valve signed by the head, each over its tank's area as a
+    product with the reciprocal area."""
+    x1, x2 = x
+    head = x1 - x2
+    q12 = (params.alpha1 * math.copysign(math.sqrt(abs(head)), head)
+           - params.alpha1 * math.sqrt(op.l1 - op.l2))
+    q2 = params.alpha2 * (math.sqrt(x2) - math.sqrt(op.l2))
+    return (fi1 - q12) * (1.0 / params.a1), (fi2 - q2 + q12) * (1.0 / params.a2)
+
+
 def rk4_by_derivatives(params, op, t, h, u, dt, substeps, profile, clamp_flows):
     """`substeps` classical Runge-Kutta steps of the plant entered at t, and
-    the levels (h1, h2) after them, from tank.nonlinear_derivatives with the
-    feed resolved by disturbance_feeds at every stage time.  Stage levels
-    are floored at empty, as is each step's end, which must be finite."""
-    from tankmpc import nonlinear_derivatives
-
-    lo = (-op.l1, -op.l2)
+    the levels (h1, h2) after them, from level_rates with the feed resolved
+    by disturbance_feeds at every stage time.  The steps carry the physical
+    levels x = l + h and return x - l; stage levels are floored at empty, as
+    is each step's end, which must be finite."""
+    ls = (op.l1, op.l2)
     bars = (op.fi1_bar, op.fi2_bar)
 
-    def rates(s, at):
+    def rates(x, at):
         d = disturbance_feeds(profile, op, at)
         if clamp_flows:
             d = [max(bar + ui + di, 0.0) - bar - ui for bar, ui, di in zip(bars, u, d)]
         fi = [ui + di for ui, di in zip(u, d)]
-        floored = [si if si > loi else loi for si, loi in zip(s, lo)]
-        return nonlinear_derivatives(params, op, floored, *fi)
+        return level_rates(params, op, [0.0 if xi < 0.0 else xi for xi in x], *fi)
 
-    h = list(h)
+    x = [li + hi for li, hi in zip(ls, h)]
     for _ in range(substeps):
-        k1 = rates(h, t)
-        k2 = rates([hi + dt / 2 * ki for hi, ki in zip(h, k1)], t + dt / 2)
-        k3 = rates([hi + dt / 2 * ki for hi, ki in zip(h, k2)], t + dt / 2)
-        k4 = rates([hi + dt * ki for hi, ki in zip(h, k3)], t + dt)
-        h = [hi + dt / 6 * (a + 2 * b + 2 * c + d)
-             for hi, a, b, c, d in zip(h, k1, k2, k3, k4)]
-        if not all(math.isfinite(hi) for hi in h):
+        k1 = rates(x, t)
+        k2 = rates([xi + dt / 2 * ki for xi, ki in zip(x, k1)], t + dt / 2)
+        k3 = rates([xi + dt / 2 * ki for xi, ki in zip(x, k2)], t + dt / 2)
+        k4 = rates([xi + dt * ki for xi, ki in zip(x, k3)], t + dt)
+        x = [xi + dt / 6 * (a + 2 * b + 2 * c + d)
+             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        if not all(math.isfinite(xi) for xi in x):
             raise ArithmeticError("plant state non-finite")
-        h = [loi if hi < loi else hi for hi, loi in zip(h, lo)]
+        x = [0.0 if xi < 0.0 else xi for xi in x]
         t = t + dt
-    return h[0], h[1]
+    return x[0] - ls[0], x[1] - ls[1]

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,23 +336,51 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, tmp_path, capsys, mess
     assert not (tmp_path / "run.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "linearize"])
-def test_sampling_period_overflow_exits_2_with_one_line(tmp_path, command):
-    """sim.ts = 1e308 overflows exp(A ts): one named line on stderr, no
-    numpy warning ahead of it, in a process of its own."""
-    conf = tmp_path / "ts.conf"
-    conf.write_text("sim.ts = 1e308\n")
+def cli_process(tmp_path, conf_text, command):
+    """`python -m tankmpc.cli <command>` on a config of its own, in a process
+    of its own with numpy's warnings shown, and the CSV path it may write."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(conf_text)
+    csv = tmp_path / "run.csv"
     args = [command, "--config", str(conf)]
     if command == "simulate":
-        args += ["--out", str(tmp_path / "run.csv")]
+        args += ["--out", str(csv)]
     src = str(Path(tankmpc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONWARNINGS": "default",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "tankmpc.cli", *args], capture_output=True,
                           text=True, env=env, timeout=120)
+    return proc, csv
+
+
+@pytest.mark.parametrize("command", ["simulate", "linearize"])
+def test_sampling_period_overflow_exits_2_with_one_line(tmp_path, command):
+    """sim.ts = 1e308 overflows exp(A ts): one named line on stderr, no
+    numpy warning ahead of it, in a process of its own."""
+    proc, csv = cli_process(tmp_path, "sim.ts = 1e308\n", command)
     assert proc.returncode == 2
     assert proc.stderr == "error: sampling period 1e+308 s overflows the model's exponential\n"
-    assert not (tmp_path / "run.csv").exists()
+    assert not csv.exists()
+
+
+def test_prediction_overflow_exits_2_with_one_line(tmp_path):
+    """plant.a2 = 1e-300 overflows phi.T phi: build_prediction names its
+    stage in one line, before the first sample (was a two-line numpy
+    warning, then a failure at sample 0 with exit 3)."""
+    proc, csv = cli_process(tmp_path, "plant.a2 = 1e-300\n", "simulate")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: prediction set-up: phi.T phi overflows; the plant.* and "
+                           "mpc.* values are out of range\n")
+    assert not csv.exists()
+
+
+def test_subnormal_setpoint_step_summarized_finite(tmp_path):
+    """A 5e-324 m setpoint step runs and reports finite metrics, with
+    nothing on stderr (the overshoot read inf%, after a numpy warning)."""
+    proc, csv = cli_process(tmp_path, "setpoint.h1.amplitude = 5e-324\n", "simulate")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "inf" not in proc.stdout and "nan" not in proc.stdout
+    assert "overshoot 0.00%" in proc.stdout and csv.exists()
 
 
 def _either(valid, invalid):
@@ -386,24 +415,70 @@ CONFIG_VALUES = {
 }
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.dictionaries(st.sampled_from(sorted(CONFIG_VALUES)), st.none(), max_size=8)
-       .flatmap(lambda keys: st.fixed_dictionaries({k: CONFIG_VALUES[k] for k in keys})))
-@example({"setpoint.h1.amplitude": 1e308})  # the plant overflows: exit 3
-@example({"sim.substeps": 10**8})  # too many RK4 steps: exit 2
-def test_simulate_exits_with_a_documented_code(values):
-    """Any config runs (0) or fails with one line: 2 config, 3 runtime.
+#: Configs of up to eight keys, each drawn from CONFIG_VALUES.
+CONFIGS = (st.dictionaries(st.sampled_from(sorted(CONFIG_VALUES)), st.none(), max_size=8)
+           .flatmap(lambda keys: st.fixed_dictionaries({k: CONFIG_VALUES[k] for k in keys})))
 
-    Derandomized, so the suite sees the same configs on every run.
-    """
+
+def main_on_config(values, *args):
+    """main([*args, "--config", <values as a file>]) with RuntimeWarnings
+    raised as errors: (exit code, stderr, the config text).  An `{out}` in
+    args is a path in the config's temporary directory."""
     text = "".join(f"{key} = {value}\n" for key, value in values.items())
     with tempfile.TemporaryDirectory() as tmp:
         conf = Path(tmp) / "run.conf"
         conf.write_text(text)
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["simulate", "--config", str(conf), "--out", str(Path(tmp) / "run.csv")])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*(arg.format(out=tmp) for arg in args), "--config", str(conf)])
+    return code, err.getvalue(), text
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(CONFIGS)
+@example({"setpoint.h1.amplitude": 1e308})  # the plant overflows: exit 3
+@example({"sim.substeps": 10**8})  # too many RK4 steps: exit 2
+@example({"sim.ts": 1e308})  # exp(A ts) overflows: exit 2
+@example({"plant.a2": 1e-300})  # phi.T phi overflows: exit 2
+@example({"setpoint.h1.amplitude": 5e-324})  # a step below the level's resolution: exit 0
+def test_simulate_exits_with_a_documented_code(values):
+    """Any config runs (0) or fails with one line: 2 config, 3 runtime.
+    A numpy RuntimeWarning, which would print lines of its own, fails it.
+
+    Derandomized, so the suite sees the same configs on every run.
+    """
+    code, err, text = main_on_config(values, "simulate", "--out", "{out}/run.csv")
     assert code in (0, 2, 3), text
     if code:
-        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue(), text
+        assert err.startswith("error: ") and "Traceback" not in err, text
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(CONFIGS)
+@example({"sim.ts": 1e308})
+@example({"plant.a2": 1e-300})
+@example({"setpoint.h1.amplitude": 5e-324})
+def test_linearize_and_sweep_exit_with_a_documented_code(values):
+    """`linearize` runs (0) or fails with one line (2, 3); `sweep` runs (0),
+    lists each failed value on a line of its own (1), or fails with one line
+    (2, 3).  A numpy RuntimeWarning fails it, as it does for `simulate`."""
+    code, err, text = main_on_config(values, "linearize")
+    assert code in (0, 2, 3), text
+    lines = err.splitlines()
+    assert len(lines) == (0 if code == 0 else 1), text
+    assert code == 0 or lines[0].startswith("error: "), text
+
+    code, err, text = main_on_config(values, "sweep", "--param", "rw", "--values", "1,0.5",
+                                     "--out-dir", "{out}/sweep")
+    assert code in (0, 1, 2, 3), text
+    lines = err.splitlines()
+    if code == 0:
+        assert lines == [], text
+    elif code == 1:
+        assert 1 <= len(lines) <= 2 and all(ln.startswith("value ") for ln in lines), text
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), text

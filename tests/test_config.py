@@ -196,6 +196,11 @@ def _outcome(make):
     *[("rw", v) for v in (0.5, 0.0, -1.0, math.nan, math.inf, -math.inf)],
     *[("np", v) for v in (3, 2, 0, -1, 83333, 83334, 10**9)],  # at the bundled nc = 3
     *[("nc", v) for v in (1, 10, 11, 0, -1, 10**9)],  # at the bundled np = 10
+    # a number is read as its text: an int key takes no bool, no non-finite
+    # and no fractional number, and a float key no bool
+    *[("np", v) for v in (12.7, 12.0, True, False, math.inf, -math.inf, math.nan)],
+    *[("nc", v) for v in (2.5, math.inf)],
+    *[("rw", v) for v in (True, False)],
     # raw text, as `sweep --values` passes it
     *[pytest.param(name, raw, id=f"{name}-text {raw}") for name in ("rw", "np", "nc")
       for raw in ("abc", "3.5", "0", "1e400", "nan", "-1", "inf", "2", "true")],

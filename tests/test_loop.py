@@ -1,5 +1,6 @@
 """Closed-loop behavior: tracking, rejection, logging, metrics."""
 
+import dataclasses
 import logging
 import math
 
@@ -28,7 +29,16 @@ from tankmpc import (
 from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL
 from tankmpc.plant import NO_DISTURBANCE, disturbance_flow, disturbance_inflows, make_advance
 
-from oracles import controller_start, csv_text_by_value, setpoint_value, settling_by_loop
+from oracles import (
+    closed_loop_matrices,
+    controller_start,
+    csv_text_by_value,
+    disturbance_feeds,
+    linear_closed_loop,
+    random_tank_params,
+    setpoint_value,
+    settling_by_loop,
+)
 
 
 def make_scenario(**overrides):
@@ -418,6 +428,54 @@ class TestControlLaw:
                              in zip(log.u1.tolist(), log.u2.tolist())], j
 
 
+class TestLinearClosedLoop:
+    """Linear-plant runs with no clamp against the closed loop written as one
+    linear recursion on (h, previous h, previous u), which shares no code
+    with the inline law, the linear kernel or the feed columns."""
+
+    @pytest.mark.parametrize("target", ["tank1", "tank2", "both"])
+    @pytest.mark.parametrize("rw, npred, nctl, ts", [(0.01, 3, 1, 0.05), (1.0, 10, 3, 0.05),
+                                                     (100.0, 40, 10, 0.05), (0.01, 40, 10, 0.2),
+                                                     (100.0, 3, 1, 0.2)])
+    def test_log_is_the_linear_recursion(self, rw, npred, nctl, ts, target):
+        sc = make_scenario(linear_plant=True, mpc=MpcConfig(npred, nctl, rw), ts=ts,
+                           disturbance=DisturbanceProfile(start=8.0, duration=2.0,
+                                                          magnitude=50.0, target=target))
+        op = make_operating_point(sc.params, *sc.op_levels)
+        disc = zoh_discretize(linearize(sc.params, op), ts)
+        pred = build_prediction(augment(disc), sc.mpc)
+        m = closed_loop_matrices(disc, pred)[0]
+        assert np.max(np.abs(np.linalg.eigvals(m))) < 1.0  # the loop is stable
+
+        log = run_closed_loop(sc)
+        times = log.t.tolist()
+        r = [[setpoint_value(p, t) for p in sc.setpoints] for t in times]
+        d = [disturbance_feeds(sc.disturbance, op, t) for t in times]
+        h, u, fi = linear_closed_loop(disc, pred, (op.fi1_bar, op.fi2_bar), r, d)
+        for name, want in (("h1", h[:, 0]), ("h2", h[:, 1]), ("u1", u[:, 0]),
+                           ("u2", u[:, 1]), ("fi1_abs", fi[:, 0]), ("fi2_abs", fi[:, 1])):
+            assert np.max(np.abs(getattr(log, name) - want)) <= 1e-12, name
+
+    def test_dc_gain_is_identity_and_kx_y_block_is_kr(self):
+        # the velocity form's offset-free claim, stated on the loop itself:
+        # a constant setpoint r is reached as h = r, whatever the plant and
+        # tuning, and the law's gain on y is its gain on r
+        rng = np.random.default_rng(20261021)
+        for case in range(300):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            npred = int(rng.integers(1, 41))
+            cfg = MpcConfig(npred, int(rng.integers(1, npred + 1)),
+                            float(10.0 ** rng.uniform(-3.0, 3.0)))
+            disc = zoh_discretize(linearize(params, op), float(rng.uniform(0.01, 0.5)))
+            pred = build_prediction(augment(disc), cfg)
+            kx_y = pred.kx[:, disc.n_states:]
+            assert np.max(np.abs(kx_y - pred.kr)) <= 1e-12 * np.max(np.abs(pred.kr)), case
+            m, n_w, _, _ = closed_loop_matrices(disc, pred)
+            dc = np.linalg.solve(np.eye(m.shape[0]) - m, n_w[:, :2])[: disc.n_states]
+            assert np.max(np.abs(dc - np.eye(2))) <= 1e-12, case
+
+
 class TestCsvContract:
     def test_header_and_shape(self):
         text = run_closed_loop(make_scenario(t_end=0.25)).to_csv_text()
@@ -617,6 +675,35 @@ class TestSummarize:
             got = [(m.t_edge, m.settling_time)
                    for m in summarize(log, DEFAULT_SCENARIO).outputs["h1"]]
             assert got == settling_by_loop(t, r, y, SETTLE_DWELL)
+
+    def test_step_below_the_level_resolution_reports_no_step(self):
+        # a 5e-324 m step cannot be told from rounding: no rise time, 0 %
+        # overshoot (it read inf), and every field finite
+        sc = make_scenario(setpoints=(SetpointPulse(5e-324, 0.5, 5.0), SetpointPulse(0.3, 0.5, 5.0)))
+        m = summarize(run_closed_loop(sc), sc)
+        rising = m.outputs["h1"][1]
+        assert rising.step == 5e-324
+        assert rising.rise_time is None and rising.overshoot_pct == 0.0
+        for segs in m.outputs.values():
+            for seg in segs:
+                assert all(math.isfinite(v) for v in dataclasses.astuple(seg)[1:]
+                           if v is not None), seg
+
+    def test_every_field_finite_on_finite_logs(self):
+        # steps and excursions from subnormal to large, none overflowing a difference
+        rng = np.random.default_rng(29)
+        for case in range(300):
+            runs = rng.integers(1, 3 * SETTLE_DWELL, size=int(rng.integers(1, 6)))
+            levels = rng.choice([-1.0, 0.0, 1.0], size=runs.size) * 10.0 ** rng.uniform(
+                -323.5, 100.0, size=runs.size)
+            r = np.repeat(levels, runs)
+            y = r + 10.0 ** rng.uniform(-323.5, 100.0) * rng.standard_normal(r.size)
+            t = np.arange(r.size) * 0.05
+            zero = np.zeros(r.size)
+            log = SimulationLog(t, r, zero, y, zero, zero, zero, zero, zero, zero)
+            for seg in summarize(log, DEFAULT_SCENARIO).outputs["h1"]:
+                assert all(math.isfinite(v) for v in dataclasses.astuple(seg)[1:]
+                           if v is not None), (case, seg)
 
     def test_unsettled_run_is_marked_not_crashed(self):
         sc = make_scenario(t_end=0.7, setpoints=(

@@ -29,7 +29,7 @@ from tankmpc.plant import (
     rk4_step,
 )
 
-from oracles import random_tank_params, rk4_by_derivatives
+from oracles import level_rates, random_tank_params, rk4_by_derivatives
 
 DEFAULT_OP = make_operating_point(DEFAULT_PARAMS, 4.0, 3.5)
 
@@ -313,6 +313,50 @@ class TestAdvanceKernel:
         assert h[1] == -0.5
         empties = [rec for rec in caplog.records if "ran empty" in rec.message]
         assert len(empties) == 1 and "tank 2" in empties[0].message
+
+    def test_oracle_rates_are_nonlinear_derivatives(self):
+        # the oracle's rates on physical levels and reciprocal areas, against
+        # tank.nonlinear_derivatives on the same levels as deviations
+        rng = np.random.default_rng(20261019)
+        for case in range(2000):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            h = (rng.uniform(-1.0, 1.0, 2) * [l1, l2]).tolist()
+            fi = (rng.uniform(-2.0, 2.0, 2) * op.fi1_bar).tolist()
+            got = level_rates(params, op, (op.l1 + h[0], op.l2 + h[1]), *fi)
+            want = nonlinear_derivatives(params, op, DeviationState(*h), *fi)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 4 * math.ulp(w), case
+
+    def test_plant_at_rest_stays_at_exactly_zero(self):
+        # zero deviation in, exactly (0.0, 0.0) out on every call, with or
+        # without the clamp and across zero-flow pulse edges: the rates are
+        # deviation flows, which cancel bit for bit at the operating point.
+        # Areas are drawn where 1/a is finite (zoh_discretize rejects the rest).
+        rng = np.random.default_rng(20261020)
+        for case in range(400):
+            a1, a2 = (10.0 ** rng.uniform(-300.0, 300.0, 2)).tolist()
+            alpha1 = 0.0 if case % 10 == 0 else float(10.0 ** rng.uniform(-3.0, 3.0))
+            l2 = float(10.0 ** rng.uniform(-6.0, 4.0))
+            l1 = l2 + float(10.0 ** rng.uniform(-6.0, 4.0))
+            alpha2 = float(10.0 ** rng.uniform(-3.0, 3.0))
+            clamp = bool(case % 2)
+            if clamp:  # a floored negative steady feed would not be a rest
+                alpha2 += alpha1 * math.sqrt(l1 - l2) / math.sqrt(l2)
+            params = TankParams(a1=a1, a2=a2, alpha1=alpha1, alpha2=alpha2)
+            op = make_operating_point(params, l1, l2)
+            assert not clamp or op.fi2_bar >= 0.0
+            substeps = int(rng.integers(1, 9))
+            ts = float(10.0 ** rng.uniform(-4.0, 1.0))
+            profile = DisturbanceProfile(start=float(rng.uniform(0.0, 20 * ts)),
+                                         duration=float(rng.uniform(0.0, 20 * ts)),
+                                         magnitude=0.0, target="both")
+            advance = make_advance(params, op, ts / substeps, substeps, profile, clamp)
+            h = rng.choice([0.0, -0.0], 2).tolist()
+            for k in range(20):
+                u = rng.choice([0.0, -0.0], 2).tolist()
+                h = advance(k * ts, *h, *u)
+                assert outcome(lambda: h) == [(0.0).hex()] * 2, (case, k)
 
     @pytest.mark.parametrize("h, u", [((0.0, 0.0), (math.inf, 0.0)),
                                       ((0.0, 0.0), (0.0, math.nan)),
