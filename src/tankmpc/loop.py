@@ -2,8 +2,10 @@
 
 Per sample: read the plant levels, form the setpoint, apply the
 fixed-gain control move, hold the absolute flows over the interval, and
-advance the plant by one call of its kernel, entered at k ts, the run's
-one clock.  The controller runs on the linearized model while the plant
+advance the plant from k ts, the run's one clock.  All of that is one
+loop body, `plant.make_loop`, which this module runs once per block of
+CSV_BLOCK samples; no function is called per sample on the nonlinear
+plant.  The controller runs on the linearized model while the plant
 stays nonlinear (or, as a diagnostic, is the sampled linear model),
 exactly the mismatch the scheme is meant to tolerate.  The scenario's
 signals at the sample times are computed once per run, before the loop,
@@ -11,14 +13,13 @@ and the absolute feeds it applied after it, from the logged moves.
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
-gains, the CSV format of a block of rows), keyed bit for bit.  So the runs
-of a tuning sweep share their model and CSV format, and a study of one plant
-its whole controller set-up.
+gains, the CSV formats of a log's blocks of rows), keyed bit for bit.  So
+the runs of a tuning sweep share their model and CSV formats, and a study of
+one plant its whole controller set-up.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -33,13 +34,10 @@ from .plant import (  # noqa: F401  (unused here; perfbench/tracing.BOUNDARIES
     DisturbanceProfile,
     disturbance_flow,
     disturbance_inflows,
-    make_advance,
-    make_linear_advance,
+    make_loop,
     rk4_step,
 )
 from .tank import TankParams, linearize, make_operating_point
-
-logger = logging.getLogger(__name__)
 
 #: Samples a signal must stay inside the settling band to count as settled.
 SETTLE_DWELL = 10
@@ -129,17 +127,19 @@ class SimulationLog:
 
         Rows are encoded CSV_BLOCK at a time, so the temporary row-major
         copy stays small for long runs.  Each block is one %-pass over its
-        six loop columns with the block's format (see `_block_format`),
-        which is recalled while a block has the bits in t, r1, r2 and u3 of
-        the block encoded before it, as in the runs of a tuning sweep.
+        six loop columns with the block's format (see `_block_format`).
+        The formats of every block are recalled while a log has the bits in
+        t, r1, r2 and u3 of the log encoded before it, as in the runs of a
+        tuning sweep.
         """
         signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in _SIGNAL_COLUMNS]
         loop = [getattr(self, name) for name in _LOOP_COLUMNS]
+        starts = range(0, len(self), CSV_BLOCK)
+        formats = _recall("csv", tuple(col.tobytes() for col in signals),
+                          lambda: [_block_format(*(col[i : i + CSV_BLOCK] for col in signals))
+                                   for i in starts])
         parts = [",".join(self.COLUMNS) + "\n"]
-        for i in range(0, len(self), CSV_BLOCK):
-            block = [col[i : i + CSV_BLOCK] for col in signals]
-            fmt = _recall("csv", tuple(col.tobytes() for col in block),
-                          lambda: _block_format(*block))
+        for i, fmt in zip(starts, formats):
             values = np.column_stack([col[i : i + CSV_BLOCK] for col in loop])
             parts.append(fmt % tuple(values.ravel().tolist()))
         return "".join(parts)
@@ -225,61 +225,28 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
 
     width = 4  # h1, h2, u1, u2 are logged; the feeds follow from u after the loop
     rows = np.empty(n * width)  # the logged columns, row by row
-    fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
     clamp = scenario.clamp_flows
-    if scenario.linear_plant:
-        advance = make_linear_advance(disc, op, dist, clamp)
-    else:
-        advance = make_advance(scenario.params, op, ts / scenario.substeps, scenario.substeps,
-                               dist, clamp)
+    run = make_loop(scenario.params, op, ts, scenario.substeps, dist, clamp, pred.gains,
+                    disc if scenario.linear_plant else None)
 
-    # receding_step's law, in its expression order, on the controller's
-    # memory: the last measurement p and the remembered move m
-    kr11, kr12, kr21, kr22, kx11, kx12, kx21, kx22 = pred.gains
-    h1, h2 = 0.0, 0.0  # level deviations
-    # the remembered measurement is the first one, so the first state
-    # increment is zero: no derivative kick at start
-    p1, p2, m1, m2 = h1, h2, 0.0, 0.0
-    clamp_warned = False
-    last = n - 1
-
-    # CSV_BLOCK samples at a time: their signals read as floats, and their
-    # logged values gathered in one flat list of floats
+    # CSV_BLOCK samples at a time, their logged values gathered in one flat
+    # list of floats; the loop body carries the plant and the controller's
+    # memory from block to block
+    carry = None
     for i in range(0, n, CSV_BLOCK):
-        block = [col[i : i + CSV_BLOCK].tolist() for col in (t_col, r1_col, r2_col, d1_col, d2_col)]
+        j = min(i + CSV_BLOCK, n)
         logged = []
-        for k, (t_k, r1_k, r2_k, d1_k, d2_k) in enumerate(zip(*block), i):
-            try:
-                e1, e2 = r1_k - h1, r2_k - h2
-                dx1, dx2 = h1 - p1, h2 - p2
-                m1 = u1 = m1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2))
-                m2 = u2 = m2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2))
-                p1, p2 = h1, h2
-                logged += (h1, h2, u1, u2)
-
-                if clamp:
-                    fi1_abs, fi2_abs = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
-                    if fi1_abs < 0 or fi2_abs < 0:
-                        if not clamp_warned:
-                            clamp_warned = True
-                            logger.warning("feed-flow clamp active from sample %d (t=%.4g s)",
-                                           k, t_k)
-                        # the controller remembers the deviation the floored feed
-                        # applies, not the one it commanded, so it does not wind up
-                        if fi1_abs < 0:
-                            m1 = 0.0 - fi1_bar - d1_k
-                        if fi2_abs < 0:
-                            m2 = 0.0 - fi2_bar - d2_k
-
-                if k < last:
-                    h1, h2 = advance(t_k, h1, h2, u1, u2)
-            except Exception as exc:
-                raise SimulationError(k, t_k, exc) from exc
-        rows[i * width : i * width + len(logged)] = logged
+        try:
+            carry = run(i, t_col[i:j], r1_col[i:j], r2_col[i:j], d1_col[i:j], d2_col[i:j],
+                        carry, logged, j == n)
+        except Exception as exc:
+            k = i + len(logged) // width - 1  # the sample logged last raised in its step
+            raise SimulationError(k, float(t_col[k]), exc) from exc
+        rows[i * width : j * width] = logged
 
     h1_col, h2_col, u1_col, u2_col = rows.reshape(n, width).T.copy()
     # the absolute feeds the loop applied, each floored at zero under the clamp
-    fi1_col, fi2_col = fi1_bar + u1_col + d1_col, fi2_bar + u2_col + d2_col
+    fi1_col, fi2_col = op.fi1_bar + u1_col + d1_col, op.fi2_bar + u2_col + d2_col
     if clamp:
         fi1_col, fi2_col = (np.where(fi < 0, 0.0, fi) for fi in (fi1_col, fi2_col))
     return SimulationLog(t=t_col, r1=r1_col, r2=r2_col, h1=h1_col, h2=h2_col, u1=u1_col,

@@ -217,45 +217,89 @@ def linear_closed_loop(disc, pred, fi_bar, r, d):
     return h, u, np.asarray(fi_bar) + u + d
 
 
-def level_rates(params, op, x, fi1, fi2):
-    """Level rates (dh1/dt, dh2/dt) at the physical levels x = (x1, x2) >= 0:
-    tank.nonlinear_derivatives' deviation flows, its orifice law for the
-    coupling valve signed by the head, each over its tank's area as a
-    product with the reciprocal area."""
+def net_flows(params, op, x, fi1, fi2):
+    """Net inflows (into tank 1, into tank 2) at the physical levels
+    x = (x1, x2) >= 0, in deviations from the steady flows: the feed
+    deviations fi1, fi2 less tank.nonlinear_derivatives' outflow deviations,
+    its orifice law for the coupling valve signed by the head."""
     x1, x2 = x
     head = x1 - x2
     q12 = (params.alpha1 * math.copysign(math.sqrt(abs(head)), head)
            - params.alpha1 * math.sqrt(op.l1 - op.l2))
     q2 = params.alpha2 * (math.sqrt(x2) - math.sqrt(op.l2))
-    return (fi1 - q12) * (1.0 / params.a1), (fi2 - q2 + q12) * (1.0 / params.a2)
+    return fi1 - q12, fi2 - q2 + q12
 
 
-def rk4_by_derivatives(params, op, t, h, u, dt, substeps, profile, clamp_flows):
-    """`substeps` classical Runge-Kutta steps of the plant entered at t, and
-    the levels (h1, h2) after them, from level_rates with the feed resolved
-    by disturbance_feeds at every stage time.  The steps carry the physical
-    levels x = l + h and return x - l; stage levels are floored at empty, as
-    is each step's end, which must be finite."""
-    ls = (op.l1, op.l2)
+def level_rates(params, op, x, fi1, fi2):
+    """Level rates (dh1/dt, dh2/dt) at the physical levels x: net_flows
+    over each tank's area, as a product with the reciprocal area."""
+    f1, f2 = net_flows(params, op, x, fi1, fi2)
+    return f1 * (1.0 / params.a1), f2 * (1.0 / params.a2)
+
+
+def rk4_by_derivatives(params, op, t, x, u, dt, substeps, profile, clamp_flows):
+    """`substeps` classical Runge-Kutta steps of the plant from the physical
+    levels x = (x1, x2) at time t, and the levels after them.  Each stage
+    takes net_flows with the feed resolved by disturbance_feeds at its stage
+    time, and moves a level by its flow times (dt/2)/a, dt/a or (dt/6)/a;
+    the stage flows combine as f1 + f4 + 2 (f2 + f3).  Stage levels are
+    floored at empty, as is each step's end, which must be finite."""
+    areas = (params.a1, params.a2)
     bars = (op.fi1_bar, op.fi2_bar)
+    half = [dt / 2 / a for a in areas]
+    whole = [dt / a for a in areas]
+    sixth = [dt / 6 / a for a in areas]
 
-    def rates(x, at):
+    def flows(x, at):
         d = disturbance_feeds(profile, op, at)
         if clamp_flows:
             d = [max(bar + ui + di, 0.0) - bar - ui for bar, ui, di in zip(bars, u, d)]
         fi = [ui + di for ui, di in zip(u, d)]
-        return level_rates(params, op, [0.0 if xi < 0.0 else xi for xi in x], *fi)
+        return net_flows(params, op, [0.0 if xi < 0.0 else xi for xi in x], *fi)
 
-    x = [li + hi for li, hi in zip(ls, h)]
+    def moved(x, c, f):
+        return [xi + ci * fi for xi, ci, fi in zip(x, c, f)]
+
     for _ in range(substeps):
-        k1 = rates(x, t)
-        k2 = rates([xi + dt / 2 * ki for xi, ki in zip(x, k1)], t + dt / 2)
-        k3 = rates([xi + dt / 2 * ki for xi, ki in zip(x, k2)], t + dt / 2)
-        k4 = rates([xi + dt * ki for xi, ki in zip(x, k3)], t + dt)
-        x = [xi + dt / 6 * (a + 2 * b + 2 * c + d)
-             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        f1 = flows(x, t)
+        f2 = flows(moved(x, half, f1), t + dt / 2)
+        f3 = flows(moved(x, half, f2), t + dt / 2)
+        f4 = flows(moved(x, whole, f3), t + dt)
+        x = moved(x, sixth, [a + d + 2.0 * (b + c) for a, b, c, d in zip(f1, f2, f3, f4)])
         if not all(math.isfinite(xi) for xi in x):
             raise ArithmeticError("plant state non-finite")
         x = [0.0 if xi < 0.0 else xi for xi in x]
         t = t + dt
-    return x[0] - ls[0], x[1] - ls[1]
+    return x
+
+
+def closed_loop_by_samples(params, op, pred, ts, substeps, profile, clamp_flows, setpoints,
+                           ctrl=None):
+    """The logged (h1, h2) and (u1, u2) of a nonlinear closed-loop run, one
+    sample at a time: at t = k ts, tankmpc.receding_step on h = x - l and
+    the setpoints (r1, r2) of sample k, under clamp_flows the floored move
+    remembered in place of the commanded one, and then rk4_by_derivatives
+    over the sample on the physical levels x, carried from sample to sample
+    (none after the last).  ctrl is the controller's start, by default
+    controller_start at h = 0."""
+    from tankmpc import receding_step
+
+    x = [op.l1 + 0.0, op.l2 + 0.0]
+    ctrl = controller_start((0.0, 0.0), 2) if ctrl is None else ctrl
+    bars = (op.fi1_bar, op.fi2_bar)
+    hs, us = [], []
+    for k, r in enumerate(setpoints):
+        t = k * ts
+        h = (x[0] - op.l1, x[1] - op.l2)
+        ctrl, u = receding_step(ctrl, pred, h, r)
+        hs.append(h)
+        us.append(u)
+        if clamp_flows:
+            d = disturbance_feeds(profile, op, t)
+            applied = tuple(0.0 - bar - di if bar + ui + di < 0 else ui
+                            for bar, ui, di in zip(bars, u, d))
+            ctrl = ctrl._replace(prev_control=applied)
+        if k < len(setpoints) - 1:
+            x = rk4_by_derivatives(params, op, t, x, u, ts / substeps, substeps, profile,
+                                   clamp_flows)
+    return hs, us

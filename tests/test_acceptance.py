@@ -32,7 +32,7 @@ from tankmpc import (
     summarize,
     zoh_discretize,
 )
-from tankmpc.plant import NO_DISTURBANCE, make_advance
+from tankmpc.plant import NO_DISTURBANCE, make_loop
 
 from oracles import (
     fd_gradient,
@@ -169,13 +169,18 @@ def test_criterion_7_integrator_and_plant_invariants():
                    budget_s=10.0):
         op, lin = reference_setup()
 
+        # the loop body's plant steps with zero gains and a zero move
+        def run(ts, substeps, n, h0):
+            logged = []
+            zero = np.zeros(n)
+            make_loop(DEFAULT_PARAMS, op, ts, substeps, NO_DISTURBANCE, False, (0.0,) * 8)(
+                0, np.arange(n) * ts, zero, zero, zero, zero,
+                (op.l1 + h0, op.l2 + h0, h0, h0, 0.0, 0.0, False), logged, True)
+            return np.array(logged).reshape(n, 4)[:, :2]
+
         # equilibrium hold: drift below 1e-9 per step over 300 steps
-        step = make_advance(DEFAULT_PARAMS, op, 0.0125, 1, NO_DISTURBANCE, False)
-        h = (0.0, 0.0)
-        for k in range(300):
-            prev, h = h, step(k * 0.0125, *h, 0.0, 0.0)
-            assert abs(h[0] - prev[0]) < 1e-9
-            assert abs(h[1] - prev[1]) < 1e-9
+        h = run(0.0125, 1, 301, 0.0)
+        assert np.max(np.abs(np.diff(h, axis=0))) < 1e-9
 
         # RK4 order: slope 4 +/- 0.3 against an adaptive reference
         def rhs(t, h):
@@ -187,8 +192,7 @@ def test_criterion_7_integrator_and_plant_invariants():
         dts = [0.025, 0.0125, 0.00625]
         errs = []
         for dt in dts:
-            advance = make_advance(DEFAULT_PARAMS, op, dt, round(0.2 / dt), NO_DISTURBANCE, False)
-            errs.append(np.max(np.abs(np.array(advance(0.0, 0.1, 0.1, 0.0, 0.0)) - ref_end)))
+            errs.append(np.max(np.abs(run(0.2, round(0.2 / dt), 2, 0.1)[1] - ref_end)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 3.7 <= slope <= 4.3
 

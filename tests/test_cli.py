@@ -374,6 +374,19 @@ def test_prediction_overflow_exits_2_with_one_line(tmp_path):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "linearize"])
+def test_negative_steady_feed_exits_2_with_one_line(tmp_path, command):
+    """alpha1 = 4, alpha2 = 0.5 at the bundled levels need a steady tank-2
+    feed of -1.89 m^3/s: one line naming the keys (the run exited 0, logging
+    that negative feed at every sample)."""
+    proc, csv = cli_process(tmp_path, "plant.alpha1 = 4.0\nplant.alpha2 = 0.5\n", command)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: operating.l1, operating.l2, plant.alpha1 and plant.alpha2 "
+                           "give a negative steady tank-2 feed: alpha2*sqrt(l2) = 0.935414 < "
+                           "alpha1*sqrt(l1 - l2) = 2.82843\n")
+    assert not csv.exists()
+
+
 def test_subnormal_setpoint_step_summarized_finite(tmp_path):
     """A 5e-324 m setpoint step runs and reports finite metrics, with
     nothing on stderr (the overshoot read inf%, after a numpy warning)."""

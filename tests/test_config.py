@@ -4,9 +4,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tankmpc import (
+    DEFAULT_PARAMS,
     ConfigError,
     DisturbanceProfile,
     SetpointPulse,
@@ -15,6 +17,8 @@ from tankmpc import (
     load_config,
     loads_config,
     bundled_config_path,
+    make_operating_point,
+    TankParams,
 )
 from tankmpc.config import (
     MAX_HORIZON_PRODUCT,
@@ -102,6 +106,30 @@ def test_semantic_invariants_enforced():
         loads_config("operating.l1 = 3.5\noperating.l2 = 3.5\n")
     with pytest.raises(ConfigError):
         loads_config("plant.alpha2 = 0.0\n")
+
+
+def test_negative_steady_feed_rejected_exactly_when_the_operating_point_has_one():
+    # the config refuses just the points whose steady tank-2 feed is negative,
+    # boundary included: at alpha2 sqrt(l2) = alpha1 sqrt(l1 - l2) it is 0.0
+    rng = np.random.default_rng(20261023)
+    for case in range(300):
+        l2 = float(rng.uniform(0.5, 5.0))
+        l1 = l2 + float(rng.uniform(0.1, 3.0))
+        alpha1 = float(rng.uniform(0.0, 4.0))
+        alpha2 = float(rng.choice([rng.uniform(0.1, 4.0),
+                                   alpha1 * math.sqrt(l1 - l2) / math.sqrt(l2)]))
+        if alpha2 <= 0.0:
+            continue
+        params = TankParams(DEFAULT_PARAMS.a1, DEFAULT_PARAMS.a2, alpha1, alpha2)
+        negative = make_operating_point(params, l1, l2).fi2_bar < 0.0
+        text = (f"plant.alpha1 = {alpha1!r}\nplant.alpha2 = {alpha2!r}\n"
+                f"operating.l1 = {l1!r}\noperating.l2 = {l2!r}\n")
+        if negative:
+            with pytest.raises(ConfigError, match=r"^operating\.l1, operating\.l2, plant\.alpha1 "
+                               r"and plant\.alpha2 give a negative steady tank-2 feed"):
+                loads_config(text)
+        else:
+            assert loads_config(text).scenario.params == params, case
 
 
 @pytest.mark.parametrize("key", ["setpoint.h1.duration", "setpoint.h2.duration",

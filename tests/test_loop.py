@@ -20,6 +20,7 @@ from tankmpc import (
     build_prediction,
     default_run_config,
     linearize,
+    loads_config,
     make_operating_point,
     receding_step,
     run_closed_loop,
@@ -27,9 +28,10 @@ from tankmpc import (
     zoh_discretize,
 )
 from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL
-from tankmpc.plant import NO_DISTURBANCE, disturbance_flow, disturbance_inflows, make_advance
+from tankmpc.plant import NO_DISTURBANCE, disturbance_flow, disturbance_inflows
 
 from oracles import (
+    closed_loop_by_samples,
     closed_loop_matrices,
     controller_start,
     csv_text_by_value,
@@ -55,6 +57,10 @@ def constant_setpoints(r1, r2):
 
 
 DEFAULT_SCENARIO = make_scenario()
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
 
 
 class TestRunClosedLoop:
@@ -126,43 +132,61 @@ class TestRunClosedLoop:
         assert np.allclose(log.fi1_abs, 1.5556349186104046 + log.u1 + log.u3, atol=1e-12)
         assert np.allclose(log.fi2_abs, 1.9989395988248397 + log.u2, atol=1e-12)
 
-    @pytest.mark.parametrize("ts", [0.05, 0.01])
-    def test_plant_entered_at_the_logged_sample_times(self, monkeypatch, ts):
-        # the loop owns the clock: every kernel call starts at the logged k * ts
-        import tankmpc.loop as loop
+    def test_h_and_u_match_the_sample_by_sample_oracle(self):
+        # the loop body's law, clamp memory and RK4 substeps against
+        # receding_step and rk4_by_derivatives applied one sample at a time,
+        # in hex: clamp on and off, pulse and setpoint edges on sample times,
+        # on stage times and between them, 1-16 substeps, setpoints deep
+        # enough to empty a tank, and +-0.0 inputs
+        rng = np.random.default_rng(20261022)
+        emptied = clamped = 0
+        for case in range(240):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            ts = float(rng.choice([0.05, 0.01, rng.uniform(0.01, 0.2)]))
+            substeps = int(rng.integers(1, 17))
+            n = int(rng.integers(2, 41))
+            npred = int(rng.integers(2, 16))
+            mpc = MpcConfig(npred, int(rng.integers(1, min(npred, 4) + 1)),
+                            float(10.0 ** rng.uniform(-2.0, 1.0)))
 
-        entries = []
+            def edge():
+                k = int(rng.integers(0, n))
+                return float(rng.choice([k * ts, k * ts + int(rng.integers(1, 2 * substeps))
+                                         * (ts / substeps) / 2, rng.uniform(0.0, n * ts)]))
 
-        def recording(make):
-            def made(*args):
-                advance = make(*args)
+            def window():
+                start, end = sorted([edge(), edge()])
+                return {"start": start,
+                        "duration": math.inf if rng.random() < 0.1 else end - start}
 
-                def recorded(t, *state):
-                    entries.append(t)
-                    return advance(t, *state)
-                return recorded
-            return made
+            def amplitude(level):
+                return float(rng.choice([0.0, -0.0, rng.uniform(-0.5, 0.5) * level,
+                                         -rng.uniform(1.0, 1.5) * level]))
 
-        for name in ("make_advance", "make_linear_advance"):
-            monkeypatch.setattr(loop, name, recording(getattr(loop, name)))
-        for linear_plant in (False, True):
-            entries.clear()
-            log = run_closed_loop(make_scenario(ts=ts, linear_plant=linear_plant))
-            assert [t.hex() for t in entries] == [t.hex() for t in log.t[:-1].tolist()]
-
-    def test_pulse_end_on_a_sample_time_reaches_the_plant_as_logged(self):
-        # the bundled pulse ends at t = 10.0 = 200 ts, and the log shows it off
-        # from sample 200: the step from sample 200 is the undisturbed one
-        sc = DEFAULT_SCENARIO
-        log = run_closed_loop(sc)
-        k = 200
-        assert log.t[k] == 10.0 == sc.disturbance.start + sc.disturbance.duration
-        assert log.u3[k] == 0.0 < log.u3[k - 1]
-        op = make_operating_point(sc.params, *sc.op_levels)
-        undisturbed = make_advance(sc.params, op, sc.ts / sc.substeps, sc.substeps,
-                                   NO_DISTURBANCE, sc.clamp_flows)
-        want = undisturbed(10.0, *(float(getattr(log, c)[k]) for c in ("h1", "h2", "u1", "u2")))
-        assert [float(log.h1[k + 1]).hex(), float(log.h2[k + 1]).hex()] == [v.hex() for v in want]
+            setpoints = (SetpointPulse(amplitude(l1), **window()),
+                         SetpointPulse(amplitude(l2), **window()))
+            magnitude = float(rng.choice([0.0, -0.0, rng.uniform(-200.0, 100.0)]))
+            dist = DisturbanceProfile(magnitude=magnitude, **window(),
+                                      target=str(rng.choice(["tank1", "tank2", "both"])))
+            sc = Scenario(params=params, op_levels=(l1, l2), mpc=mpc, ts=ts, t_end=(n - 1) * ts,
+                          setpoints=setpoints, disturbance=dist, substeps=substeps,
+                          clamp_flows=bool(case % 2))
+            n = sc.n_samples()
+            disc = zoh_discretize(linearize(params, op), ts)
+            pred = build_prediction(augment(disc), mpc)
+            log = run_closed_loop(sc)
+            r = [[setpoint_value(p, k * ts) for p in setpoints] for k in range(n)]
+            hs, us = closed_loop_by_samples(params, op, pred, ts, substeps, dist,
+                                            sc.clamp_flows, r)
+            for j, name in enumerate(("h1", "h2")):
+                assert hexes(getattr(log, name)) == hexes(h[j] for h in hs), (case, name)
+            for j, name in enumerate(("u1", "u2")):
+                assert hexes(getattr(log, name)) == hexes(u[j] for u in us), (case, name)
+            emptied += bool(np.any(log.h1 == -l1) or np.any(log.h2 == -l2))
+            clamped += sc.clamp_flows and bool(np.any(log.fi1_abs == 0.0)
+                                               or np.any(log.fi2_abs == 0.0))
+        assert emptied >= 10 and clamped >= 10, (emptied, clamped)
 
     def test_signal_columns_match_per_sample_values(self):
         # t, r1, r2 and u3 are built once per run and the routed disturbance is
@@ -192,10 +216,6 @@ class TestRunClosedLoop:
                 op = make_operating_point(sc.params, *sc.op_levels)
                 log = run_closed_loop(sc)
                 times = [k * ts for k in range(sc.n_samples())]
-
-                def hexes(values):
-                    return [float(v).hex() for v in values]
-
                 at = (case, linear_plant)
                 assert hexes(log.t) == hexes(times), at
                 assert hexes(log.r1) == hexes(setpoint_value(r1, t) for t in times), at
@@ -275,6 +295,22 @@ class TestRunClosedLoop:
             run_closed_loop(sc)
         assert exc_info.value.sample_index >= 0
         assert "sample" in str(exc_info.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("linear_plant", [False, True])
+    def test_failure_in_a_later_block_names_its_sample(self, linear_plant):
+        # a setpoint step of 1e308 past the first CSV_BLOCK samples: the error
+        # names the sample whose plant step failed, at its logged time, and the
+        # plant's own message
+        ts = 0.001
+        sc = make_scenario(setpoints=(SetpointPulse(1e308, 4.5, math.inf), SetpointPulse()),
+                           ts=ts, t_end=5.0, substeps=1, linear_plant=linear_plant)
+        with pytest.raises(SimulationError) as exc_info:
+            run_closed_loop(sc)
+        k = exc_info.value.sample_index
+        assert CSV_BLOCK < 4500 <= k < sc.n_samples() - 1
+        cause = "plant state non-finite" + ("" if linear_plant else f" at t={(k + 1) * ts:.6g}")
+        assert str(exc_info.value) == f"simulation failed at sample {k} (t={k * ts:.6g} s): {cause}"
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -476,6 +512,44 @@ class TestLinearClosedLoop:
             assert np.max(np.abs(dc - np.eye(2))) <= 1e-12, case
 
 
+class TestSmallSignal:
+    """The nonlinear closed loop tends to the linear one at second order in
+    the input amplitude: the bundled inputs scaled by s, the largest level
+    deviation from linear_closed_loop falls by about 4 per halving of s."""
+
+    @staticmethod
+    def deviations(setpoint_scale, pulse_scale):
+        base = DEFAULT_SCENARIO
+        out = []
+        for s in (0.1, 0.05, 0.025):
+            setpoints = tuple(dataclasses.replace(p, amplitude=p.amplitude * s * setpoint_scale)
+                              for p in base.setpoints)
+            dist = dataclasses.replace(base.disturbance,
+                                       magnitude=base.disturbance.magnitude * s * pulse_scale)
+            sc = make_scenario(setpoints=setpoints, disturbance=dist)
+            op = make_operating_point(sc.params, *sc.op_levels)
+            disc = zoh_discretize(linearize(sc.params, op), sc.ts)
+            pred = build_prediction(augment(disc), sc.mpc)
+            log = run_closed_loop(sc)
+            times = log.t.tolist()
+            r = [[setpoint_value(p, t) for p in setpoints] for t in times]
+            d = [disturbance_feeds(dist, op, t) for t in times]
+            h = linear_closed_loop(disc, pred, (op.fi1_bar, op.fi2_bar), r, d)[0]
+            out.append(max(np.max(np.abs(log.h1 - h[:, 0])), np.max(np.abs(log.h2 - h[:, 1]))))
+        return out
+
+    def test_setpoints_only_converge_at_second_order(self):
+        devs = self.deviations(1.0, 0.0)
+        assert all(a >= 3.5 * b > 0.0 for a, b in zip(devs, devs[1:])), devs  # measured 3.97
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: each RK4 step reads its last stage "
+                       "with the next interval's feed, so a pulse edge leaks dt/6 of the pulse "
+                       "into the step before it, a first-order error (measured ratio 2.00)")
+    def test_disturbance_only_converges_at_second_order(self):
+        devs = self.deviations(0.0, 1.0)
+        assert all(a >= 3.5 * b > 0.0 for a, b in zip(devs, devs[1:])), devs
+
+
 class TestCsvContract:
     def test_header_and_shape(self):
         text = run_closed_loop(make_scenario(t_end=0.25)).to_csv_text()
@@ -524,8 +598,8 @@ class TestCsvContract:
 
 
 class TestCsvBlockMemo:
-    """`to_csv_text` reuses the last block format it made for a block with
-    the head and the bits in t, r1, r2 and u3 of the block encoded before it."""
+    """`to_csv_text` reuses the block formats it made for the last log when
+    a log has the bits in t, r1, r2 and u3 of the log encoded before it."""
 
     @staticmethod
     def _variants(n):
@@ -590,6 +664,30 @@ class TestCsvBlockMemo:
         for name in (change, "base", "base"):
             logs[name].to_csv_text()
         assert len(made) == 3  # the change misses once, and the base after it
+
+
+    def test_second_value_of_a_long_sweep_builds_no_block_format(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # a sim.ts = 0.001 log is 15001 rows, four blocks: the first sweep
+        # value builds their formats, and the second reuses all four
+        import tankmpc.cli as cli
+        import tankmpc.loop as loop
+
+        made = []
+        real = loop._block_format
+        monkeypatch.setattr(loop, "_block_format", lambda *args: made.append(args) or real(*args))
+        monkeypatch.setattr(loop, "_last", {})
+        conf = tmp_path / "long.conf"
+        conf.write_text("sim.ts = 0.001\n")
+        for value, builds in (("1", 4), ("2", 4)):
+            code = cli.main(["sweep", "--config", str(conf), "--param", "rw", "--values", value,
+                             "--out-dir", str(tmp_path / value)])
+            assert code == 0 and len(made) == builds
+        capsys.readouterr()
+        assert 3 * CSV_BLOCK < 15001 < 4 * CSV_BLOCK
+        text = (tmp_path / "2" / "rw_2.csv").read_text()
+        assert text == csv_text_by_value(run_closed_loop(loads_config(
+            "sim.ts = 0.001\nmpc.rw = 2\n").scenario))
 
 
 class TestRecall:

@@ -1,4 +1,5 @@
-"""Nonlinear and sampled linear plant kernels, and the disturbance pulse."""
+"""The nonlinear plant step of the loop body, the sampled linear kernel, and the
+disturbance pulse."""
 
 import logging
 import math
@@ -9,9 +10,14 @@ from scipy.integrate import solve_ivp
 
 from tankmpc import (
     DEFAULT_PARAMS,
+    ControllerState,
     DeviationState,
     DisturbanceProfile,
+    MpcConfig,
+    PredictionMatrices,
     TankParams,
+    augment,
+    build_prediction,
     loads_config,
     make_operating_point,
     nonlinear_derivatives,
@@ -24,12 +30,12 @@ from tankmpc.plant import (
     PlantState,
     disturbance_flow,
     disturbance_inflows,
-    make_advance,
     make_linear_advance,
+    make_loop,
     rk4_step,
 )
 
-from oracles import level_rates, random_tank_params, rk4_by_derivatives
+from oracles import closed_loop_by_samples, disturbance_feeds, level_rates, random_tank_params
 
 DEFAULT_OP = make_operating_point(DEFAULT_PARAMS, 4.0, 3.5)
 
@@ -217,100 +223,51 @@ class TestRk4Step:
             rk4_step(DEFAULT_PARAMS, DEFAULT_OP, state, (0.0, 0.0), None, 0.0)
 
 
-def stage_times(t, dt, substeps):
-    """The stage times of `substeps` steps, summed the way the kernel sums them."""
-    times = []
-    for _ in range(substeps):
-        times += [t, t + dt / 2, t + dt]
-        t = t + dt
-    return times
+#: Zero gains: the law holds the move it starts from.
+ZERO_GAINS = (0.0,) * 8
 
 
-def outcome(run):
-    """A step's result as exact hex floats (sign of zero included), or its error."""
-    try:
-        return [x.hex() for x in run()]
-    except ArithmeticError:
-        return "ArithmeticError"
+def zero_gain_prediction():
+    """PredictionMatrices whose law holds its move, for receding_step."""
+    return PredictionMatrices(psi=np.zeros((2, 4)), phi=np.zeros((2, 2)), kr=np.zeros((2, 2)),
+                              kx=np.zeros((2, 4)))
+
+
+def run_loop(params, op, ts, substeps, profile, clamp, gains, r, carry=None, i=0, final=True):
+    """make_loop's body over the samples i, i + 1, ... at k ts, with the
+    setpoints r (one (r1, r2) row per sample) and the pulse routed at each
+    sample time: the logged (h1, h2, u1, u2) rows and the carry after them."""
+    run = make_loop(params, op, ts, substeps, profile, clamp, gains)
+    t = np.arange(i, i + len(r)) * ts
+    d = np.array([disturbance_feeds(profile, op, tk) for tk in t.tolist()])
+    r = np.array(r, dtype=float)
+    logged = []
+    carry = run(i, t, r[:, 0], r[:, 1], d[:, 0], d[:, 1], carry, logged, final)
+    return np.array(logged).reshape(-1, 4), carry
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 class TestAdvanceKernel:
-    def test_matches_rk4_oracle_bit_for_bit(self):
-        rng = np.random.default_rng(20261018)
-
-        def check(case, params, op, dt, substeps, t0, start, duration):
-            l1, l2 = op.l1, op.l2
-            profile = DisturbanceProfile(start=start, duration=duration,
-                                         magnitude=float(rng.uniform(-300.0, 300.0)),
-                                         target=str(rng.choice(["tank1", "tank2", "both"])))
-            # levels from below empty to well above the operating point
-            h = (rng.uniform(-1.2, 1.0, 2) * [l1, l2]).tolist()
-            u = (rng.uniform(-2.0, 2.0, 2) * op.fi1_bar).tolist()
-            if rng.random() < 0.2:
-                h, u = rng.choice([0.0, -0.0], 2).tolist(), rng.choice([0.0, -0.0], 2).tolist()
-            clamp = bool(rng.integers(2))
-            advance = make_advance(params, op, dt, substeps, profile, clamp)
-            got = outcome(lambda: advance(t0, *h, *u))
-            want = outcome(lambda: rk4_by_derivatives(params, op, t0, h, u, dt, substeps,
-                                                      profile, clamp))
-            assert got == want, f"case {case}"
-
-        for case in range(400):
-            params, l1, l2 = random_tank_params(rng)
-            op = make_operating_point(params, l1, l2)
-            substeps = int(rng.integers(1, 9))
-            dt = float(rng.uniform(1e-3, 0.1))
-            t0 = float(rng.uniform(0.0, 20.0))
-            # pulse edges on a stage time or halfway between two of them
-            times = stage_times(t0, dt, substeps)
-            edges = []
-            for _ in range(2):
-                i = int(rng.integers(len(times) - 1))
-                edges.append(times[i] if rng.random() < 0.5 else (times[i] + times[i + 1]) / 2)
-            start, end = sorted(edges)
-            check(case, params, op, dt, substeps, t0, start, end - start)
-
-        # Edges outside the stage times too: before t, at t, just past the
-        # last stage time, and at t + 2 substeps dt, the reach of one call,
-        # or 1 ulp either side of it; endless pulses; and steps of ~0.6 ulp(t),
-        # each of which rounds up to a whole ulp, so that the stage times
-        # outrun t + substeps dt.
-        for case in range(400, 800):
-            params, l1, l2 = random_tank_params(rng)
-            op = make_operating_point(params, l1, l2)
-            substeps = int(rng.integers(1, 9))
-            if case % 4 == 0:
-                t0 = 1e6
-                dt = 0.6 * math.ulp(t0) * float(rng.uniform(0.9, 1.1))
-            else:
-                dt = float(rng.uniform(1e-3, 0.1))
-                t0 = float(rng.uniform(0.0, 20.0))
-            times = stage_times(t0, dt, substeps)
-            reach = t0 + 2 * substeps * dt
-            edges = []
-            for _ in range(2):
-                i = int(rng.integers(len(times)))
-                edges.append([times[i], t0 - float(rng.uniform(0.0, 2.0)) * substeps * dt, t0,
-                              math.nextafter(times[-1], math.inf),
-                              math.nextafter(reach, -math.inf), reach,
-                              math.nextafter(reach, math.inf)][int(rng.integers(7))])
-            start, end = sorted(edges)
-            duration = math.inf if rng.random() < 0.2 else end - start
-            check(case, params, op, dt, substeps, t0, start, duration)
+    """The plant step inside make_loop's body: its floors, warnings, errors
+    and rest state.  Its logged values against a sample-by-sample oracle are
+    pinned in test_loop.py (TestRunClosedLoop)."""
 
     def test_empty_tank_floored_and_warned_once(self, caplog):
-        # 8 substeps a call drain tank 2 over several calls, each entered at its
-        # sample time k * 0.1: one event, one warning
+        # 8 substeps a sample, the move held at (0, -50) by zero gains, drain
+        # tank 2 over several samples at k * 0.1: one event, one warning
         op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
-        advance = make_advance(DEFAULT_PARAMS, op, 0.0125, 8, NO_DISTURBANCE, False)
-        h = (0.0, 0.0)
+        start = (op.l1, op.l2, 0.0, 0.0, 0.0, -50.0, False)
         with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
-            for k in range(25):
-                want = rk4_by_derivatives(DEFAULT_PARAMS, op, k * 0.1, h, (0.0, -50.0),
-                                          0.0125, 8, NO_DISTURBANCE, False)
-                h = advance(k * 0.1, *h, 0.0, -50.0)
-                assert outcome(lambda: h) == outcome(lambda: want)
-        assert h[1] == -0.5
+            rows, carry = run_loop(DEFAULT_PARAMS, op, 0.1, 8, NO_DISTURBANCE, False, ZERO_GAINS,
+                                   [(0.0, 0.0)] * 25, carry=start)
+        hs, us = closed_loop_by_samples(DEFAULT_PARAMS, op, zero_gain_prediction(), 0.1, 8,
+                                        NO_DISTURBANCE, False, [(0.0, 0.0)] * 25,
+                                        ctrl=ControllerState((0.0, 0.0), (0.0, -50.0)))
+        assert hexes(rows[:, :2]) == hexes(hs) and hexes(rows[:, 2:]) == hexes(us)
+        assert rows[-1, 1] == -0.5 and carry[1] == 0.0
         empties = [rec for rec in caplog.records if "ran empty" in rec.message]
         assert len(empties) == 1 and "tank 2" in empties[0].message
 
@@ -329,10 +286,11 @@ class TestAdvanceKernel:
                 assert abs(g - w) <= 4 * math.ulp(w), case
 
     def test_plant_at_rest_stays_at_exactly_zero(self):
-        # zero deviation in, exactly (0.0, 0.0) out on every call, with or
-        # without the clamp and across zero-flow pulse edges: the rates are
-        # deviation flows, which cancel bit for bit at the operating point.
-        # Areas are drawn where 1/a is finite (zoh_discretize rejects the rest).
+        # zero setpoints, zero-flow pulse edges and any finite gains: every
+        # logged level and move is exactly 0.0, with or without the clamp,
+        # across blocks: the rates are deviation flows, which cancel bit for
+        # bit at the operating point.  Areas are drawn where 1/a is finite
+        # (zoh_discretize rejects the rest).
         rng = np.random.default_rng(20261020)
         for case in range(400):
             a1, a2 = (10.0 ** rng.uniform(-300.0, 300.0, 2)).tolist()
@@ -351,20 +309,28 @@ class TestAdvanceKernel:
             profile = DisturbanceProfile(start=float(rng.uniform(0.0, 20 * ts)),
                                          duration=float(rng.uniform(0.0, 20 * ts)),
                                          magnitude=0.0, target="both")
-            advance = make_advance(params, op, ts / substeps, substeps, profile, clamp)
-            h = rng.choice([0.0, -0.0], 2).tolist()
-            for k in range(20):
-                u = rng.choice([0.0, -0.0], 2).tolist()
-                h = advance(k * ts, *h, *u)
-                assert outcome(lambda: h) == [(0.0).hex()] * 2, (case, k)
+            gains = tuple((rng.standard_normal(8) * 10.0 ** rng.uniform(-3.0, 3.0)).tolist())
+            r = rng.choice([0.0, -0.0], (20, 2)).tolist()
+            first, carry = run_loop(params, op, ts, substeps, profile, clamp, gains, r[:10],
+                                    final=False)
+            second, carry = run_loop(params, op, ts, substeps, profile, clamp, gains, r[10:],
+                                     carry=carry, i=10)
+            assert hexes([first, second]) == [(0.0).hex()] * 80, case
+            assert carry[:2] == (l1, l2), case
 
     @pytest.mark.parametrize("h, u", [((0.0, 0.0), (math.inf, 0.0)),
                                       ((0.0, 0.0), (0.0, math.nan)),
                                       ((math.nan, 0.0), (0.0, 0.0))])
     def test_non_finite_state_raises(self, h, u):
-        advance = make_advance(DEFAULT_PARAMS, DEFAULT_OP, 0.0125, 4, NO_DISTURBANCE, True)
-        with pytest.raises(ArithmeticError):
-            advance(0.0, *h, *u)
+        # the first step of the first sample ends non-finite, at t = dt
+        op = DEFAULT_OP
+        start = (op.l1 + h[0], op.l2 + h[1], *h, *u, False)
+        pred = build_prediction(augment(zoh_discretize(linearize(DEFAULT_PARAMS, op), 0.05)),
+                                MpcConfig(10, 3, 1.0))
+        for gains in (ZERO_GAINS, pred.gains):
+            with pytest.raises(ArithmeticError, match=r"^plant state non-finite at t=0\.0125$"):
+                run_loop(DEFAULT_PARAMS, op, 0.05, 4, NO_DISTURBANCE, True, gains,
+                         [(0.0, 0.0)] * 3, carry=start)
 
 
 class TestLinearAdvance:
