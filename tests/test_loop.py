@@ -27,8 +27,14 @@ from tankmpc import (
     summarize,
     zoh_discretize,
 )
-from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL
-from tankmpc.plant import NO_DISTURBANCE, disturbance_flow, disturbance_inflows
+from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL, _controller
+from tankmpc.plant import (
+    NO_DISTURBANCE,
+    disturbance_flow,
+    disturbance_inflows,
+    make_linear_advance,
+    make_loop,
+)
 
 from oracles import (
     closed_loop_by_samples,
@@ -131,6 +137,64 @@ class TestRunClosedLoop:
         # absolute flow reconstruction on the disturbed channel
         assert np.allclose(log.fi1_abs, 1.5556349186104046 + log.u1 + log.u3, atol=1e-12)
         assert np.allclose(log.fi2_abs, 1.9989395988248397 + log.u2, atol=1e-12)
+
+    @pytest.mark.parametrize("ts", [0.05, 0.01])
+    def test_plant_entered_at_the_logged_sample_times(self, monkeypatch, ts):
+        # the loop owns the clock: the body steps each sample from the time the
+        # loop hands it, which is the logged k * ts, and the linear plant's
+        # per-sample call is entered at that time too
+        import tankmpc.loop as loop
+        import tankmpc.plant as plant
+
+        entries, linear_entries = [], []
+
+        def recording_loop(*args):
+            run = make_loop(*args)
+
+            def recorded(i, t, *rest):
+                final = rest[-1]
+                entries.extend(t.tolist()[:-1] if final else t.tolist())
+                return run(i, t, *rest)
+            return recorded
+
+        def recording_linear(*args):
+            advance = make_linear_advance(*args)
+
+            def recorded(t, *state):
+                linear_entries.append(t)
+                return advance(t, *state)
+            return recorded
+
+        monkeypatch.setattr(loop, "make_loop", recording_loop)
+        monkeypatch.setattr(plant, "make_linear_advance", recording_linear)
+        for linear_plant in (False, True):
+            entries.clear()
+            linear_entries.clear()
+            log = run_closed_loop(make_scenario(ts=ts, linear_plant=linear_plant))
+            want = hexes(log.t[:-1].tolist())
+            assert hexes(entries) == want
+            assert hexes(linear_entries) == (want if linear_plant else [])
+
+    def test_pulse_end_on_a_sample_time_reaches_the_plant_as_logged(self):
+        # the bundled pulse ends at t = 10.0 = 200 ts, and the log shows it off
+        # from sample 200: the step from sample 200 is the undisturbed one
+        sc = DEFAULT_SCENARIO
+        log = run_closed_loop(sc)
+        k = 200
+        assert log.t[k] == 10.0 == sc.disturbance.start + sc.disturbance.duration
+        assert log.u3[k] == 0.0 < log.u3[k - 1]
+        op, _, pred = _controller(sc)
+        d = np.array([disturbance_feeds(sc.disturbance, op, t) for t in log.t.tolist()])
+        disturbed, undisturbed = (
+            make_loop(sc.params, op, sc.ts, sc.substeps, profile, sc.clamp_flows, pred.gains)
+            for profile in (sc.disturbance, NO_DISTURBANCE))
+        carry = disturbed(0, log.t[:k], log.r1[:k], log.r2[:k], d[:k, 0], d[:k, 1], None, [],
+                          False)
+        logged = []
+        x1, x2, *_ = undisturbed(k, log.t[k : k + 1], log.r1[k : k + 1], log.r2[k : k + 1],
+                                 np.zeros(1), np.zeros(1), carry, logged, False)
+        assert hexes(logged) == hexes([getattr(log, c)[k] for c in ("h1", "h2", "u1", "u2")])
+        assert hexes([x1 - op.l1, x2 - op.l2]) == hexes([log.h1[k + 1], log.h2[k + 1]])
 
     def test_h_and_u_match_the_sample_by_sample_oracle(self):
         # the loop body's law, clamp memory and RK4 substeps against

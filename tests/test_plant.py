@@ -35,7 +35,13 @@ from tankmpc.plant import (
     rk4_step,
 )
 
-from oracles import closed_loop_by_samples, disturbance_feeds, level_rates, random_tank_params
+from oracles import (
+    closed_loop_by_samples,
+    disturbance_feeds,
+    level_rates,
+    random_tank_params,
+    rk4_by_derivatives,
+)
 
 DEFAULT_OP = make_operating_point(DEFAULT_PARAMS, 4.0, 3.5)
 
@@ -250,10 +256,105 @@ def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
+def stage_times(t, dt, substeps):
+    """The stage times of `substeps` steps, summed the way the body sums them."""
+    times = []
+    for _ in range(substeps):
+        times += [t, t + dt / 2, t + dt]
+        t = t + dt
+    return times
+
+
+def outcome(run):
+    """A step's result as exact hex floats (sign of zero included), or its error."""
+    try:
+        return [x.hex() for x in run()]
+    except ArithmeticError:
+        return "ArithmeticError"
+
+
+def plant_step(params, op, t, x, u, ts, substeps, profile, clamp):
+    """The levels after one sample of make_loop's body entered at t from the
+    levels x, its law holding the move u (zero gains), the pulse routed at t."""
+    run = make_loop(params, op, ts, substeps, profile, clamp, ZERO_GAINS)
+    d1, d2 = disturbance_feeds(profile, op, t)
+    carry = run(0, np.array([t]), np.zeros(1), np.zeros(1), np.array([d1]), np.array([d2]),
+                (*x, 0.0, 0.0, *u, False), [], False)
+    return carry[:2]
+
+
 class TestAdvanceKernel:
-    """The plant step inside make_loop's body: its floors, warnings, errors
-    and rest state.  Its logged values against a sample-by-sample oracle are
-    pinned in test_loop.py (TestRunClosedLoop)."""
+    """The plant step inside make_loop's body: one sample against the RK4
+    oracle, its floors, warnings, errors and rest state.  The logged values
+    of whole runs against a sample-by-sample oracle are pinned in
+    test_loop.py (TestRunClosedLoop)."""
+
+    def test_matches_rk4_oracle_bit_for_bit(self):
+        # one sample of the body, with zero gains and a preset move, against
+        # rk4_by_derivatives from the same levels and time, compared in hex
+        rng = np.random.default_rng(20261018)
+
+        def check(case, params, op, ts, substeps, t0, start, duration):
+            dt = ts / substeps
+            l1, l2 = op.l1, op.l2
+            profile = DisturbanceProfile(start=start, duration=duration,
+                                         magnitude=float(rng.uniform(-300.0, 300.0)),
+                                         target=str(rng.choice(["tank1", "tank2", "both"])))
+            # levels from below empty (entered as empty) to well above the operating point
+            h = (rng.uniform(-1.2, 1.0, 2) * [l1, l2]).tolist()
+            u = (rng.uniform(-2.0, 2.0, 2) * op.fi1_bar).tolist()
+            if rng.random() < 0.2:
+                h, u = rng.choice([0.0, -0.0], 2).tolist(), rng.choice([0.0, -0.0], 2).tolist()
+            x = [max(l + hi, 0.0) for l, hi in zip((l1, l2), h)]
+            clamp = bool(rng.integers(2))
+            got = outcome(lambda: plant_step(params, op, t0, x, u, ts, substeps, profile, clamp))
+            want = outcome(lambda: rk4_by_derivatives(params, op, t0, x, u, dt, substeps,
+                                                      profile, clamp))
+            assert got == want, f"case {case}"
+
+        for case in range(400):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            substeps = int(rng.integers(1, 9))
+            ts = float(rng.uniform(1e-3, 0.1)) * substeps
+            t0 = float(rng.uniform(0.0, 20.0))
+            # pulse edges on a stage time or halfway between two of them
+            times = stage_times(t0, ts / substeps, substeps)
+            edges = []
+            for _ in range(2):
+                i = int(rng.integers(len(times) - 1))
+                edges.append(times[i] if rng.random() < 0.5 else (times[i] + times[i + 1]) / 2)
+            start, end = sorted(edges)
+            check(case, params, op, ts, substeps, t0, start, end - start)
+
+        # Edges outside the stage times too: before t, at t, just past the
+        # last stage time, and at t + 2 substeps dt, the reach of one sample,
+        # or 1 ulp either side of it; endless pulses; and steps of ~0.6 ulp(t),
+        # each of which rounds up to a whole ulp, so that the stage times
+        # outrun t + substeps dt.
+        for case in range(400, 800):
+            params, l1, l2 = random_tank_params(rng)
+            op = make_operating_point(params, l1, l2)
+            substeps = int(rng.integers(1, 9))
+            if case % 4 == 0:
+                t0 = 1e6
+                ts = 0.6 * math.ulp(t0) * float(rng.uniform(0.9, 1.1)) * substeps
+            else:
+                ts = float(rng.uniform(1e-3, 0.1)) * substeps
+                t0 = float(rng.uniform(0.0, 20.0))
+            dt = ts / substeps
+            times = stage_times(t0, dt, substeps)
+            reach = t0 + 2 * substeps * dt
+            edges = []
+            for _ in range(2):
+                i = int(rng.integers(len(times)))
+                edges.append([times[i], t0 - float(rng.uniform(0.0, 2.0)) * substeps * dt, t0,
+                              math.nextafter(times[-1], math.inf),
+                              math.nextafter(reach, -math.inf), reach,
+                              math.nextafter(reach, math.inf)][int(rng.integers(7))])
+            start, end = sorted(edges)
+            duration = math.inf if rng.random() < 0.2 else end - start
+            check(case, params, op, ts, substeps, t0, start, duration)
 
     def test_empty_tank_floored_and_warned_once(self, caplog):
         # 8 substeps a sample, the move held at (0, -50) by zero gains, drain
