@@ -4,9 +4,9 @@ Per sample: read the plant levels, form the setpoint, apply the
 fixed-gain control move, hold the absolute flows over the interval, and
 advance the plant from k ts, the run's one clock.  All of that is one
 loop body, `plant.make_loop`, which this module runs once per block of
-CSV_BLOCK samples; no function is called per sample on the nonlinear
-plant.  The controller runs on the linearized model while the plant
-stays nonlinear (or, as a diagnostic, is the sampled linear model),
+CSV_BLOCK samples; no function is called per sample, on either plant.
+The controller runs on the linearized model while the plant stays
+nonlinear (or, as a diagnostic, is the sampled linear model),
 exactly the mismatch the scheme is meant to tolerate.  The scenario's
 signals at the sample times are computed once per run, before the loop,
 and the absolute feeds it applied after it, from the logged moves.

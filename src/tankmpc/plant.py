@@ -6,11 +6,11 @@ flows are held constant over each sample while the disturbance flow is
 resolved at the integrator stage times.  `make_loop` binds one run's
 constants (the plant, the step size, the pulse, the clamp and the
 fixed gain) into one loop body that runs a block of samples on plain
-floats: per sample the fixed-gain law, the clamp memory and all RK4
-substeps of the nonlinear plant, inline, on the physical levels it
-carries from sample to sample.  No function is called per sample on the
-nonlinear plant.  `make_linear_advance`, the diagnostic sampled linear
-model, is the loop's other branch, called once per sample.
+floats: per sample the fixed-gain law, the clamp memory, the sample's
+held feed, worked out once, and one plant step from it, inline.  The
+step is all RK4 substeps of the nonlinear plant on the physical levels
+the body carries from sample to sample, or, as a diagnostic, one step of
+the sampled linear model.  No function is called per sample.
 `rk4_step` (one sample of the loop with zero gains and a preset move,
 on a `PlantState`) and `disturbance_flow`/`disturbance_inflows` (the
 pulse at one time) are reference forms the package does not export;
@@ -38,9 +38,6 @@ from .tank import (  # noqa: F401  (nonlinear_derivatives: a boundary perfbench 
 logger = logging.getLogger(__name__)
 #: The clamp is an event of the closed loop, and it is reported under the loop's name.
 loop_logger = logging.getLogger("tankmpc.loop")
-
-# one controller sample entered at t = k ts: (t, h1, h2, u1, u2) -> (h1, h2) at its end
-AdvanceFunc = Callable[[float, float, float, float, float], tuple[float, float]]
 
 #: What one block of samples hands the next: the levels x1, x2 the plant
 #: carries, the controller's last measurement p1, p2 and remembered move
@@ -132,29 +129,33 @@ def make_loop(
     block of kx, row by row) in `mpc.receding_step`'s expression order.
     Under clamp_flows an absolute feed that would go negative is floored
     at zero, the controller remembers the floored move so that it does
-    not wind up, and the first such sample is reported.  The plant step
-    comes last, and it is the one part of a sample that raises.
+    not wind up, and the first such sample is reported.  Then the sample's
+    held feed g is worked out once: the move plus the pulse routed at t,
+    each absolute feed floored at zero under clamp_flows.  The plant steps
+    from it last, and its step is the one part of a sample that raises.
 
     The nonlinear plant takes `substeps` classical Runge-Kutta steps of
     dt = ts / substeps on the physical levels x, floored at empty at every
     stage and step end.  A stage computes the net flows, the feed less the
     deviation outflows of `tank.nonlinear_derivatives` (so a plant at rest
     stays at exactly h = 0), and moves the levels by a flow times (dt/2)/a,
-    dt/a or (dt/6)/a.  The feed, held control plus the pulse routed on
-    [start, start + duration), floored under clamp_flows, is picked at each
-    stage time t, t + dt/2 or t + dt; unless a pulse edge lies in
-    (t, t + 2 substeps dt] it is the sample's own.  The step that empties
-    a tank logs a warning, and a non-finite state raises ArithmeticError.
-    With linear_model the plant is instead one `make_linear_advance` call
-    a sample, its deviation state carried as levels about l = 0.
+    dt/a or (dt/6)/a.  The first stage takes g.  Only if a pulse edge lies
+    in (t, t + 2 substeps dt] is the feed picked again at the later stage
+    times t + dt/2 and t + dt: held control plus the pulse routed on
+    [start, start + duration), floored under clamp_flows.  The step that
+    empties a tank logs a warning, and a non-finite state raises
+    ArithmeticError naming the time it was reached.  With linear_model the
+    plant is instead one step x <- a x + b g of that sampled model, its
+    deviation state carried as levels about l = 0; a non-finite state
+    raises the same error at t + ts.
     """
     dt = ts / substeps
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
-    if linear_model is None:
-        advance, l1, l2 = None, op.l1, op.l2
-    else:
-        advance, l1, l2 = make_linear_advance(linear_model, op, profile, clamp_flows), 0.0, 0.0
+    linear = linear_model is not None
+    l1, l2 = (0.0, 0.0) if linear else (op.l1, op.l2)
+    # the sampled model's a and then b, row by row
+    ab = np.concatenate([linear_model.a, linear_model.b], None).tolist() if linear else [0.0] * 8
     alpha1, alpha2 = params.alpha1, params.alpha2
     q12_bar = alpha1 * math.sqrt(op.l1 - op.l2)
     sqrt_l2 = math.sqrt(op.l2)
@@ -171,15 +172,17 @@ def make_loop(
     reach = 2 * substeps * dt
     consts = (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, op.fi1_bar, op.fi2_bar,
               half1, half2, whole1, whole2, sixth1, sixth2, dt, half, start, end,
-              pulse1, pulse2, range(substeps), tuple(gains), clamp_flows, advance, math.sqrt)
+              pulse1, pulse2, range(substeps), tuple(gains), clamp_flows, linear, ab, ts,
+              math.sqrt)
 
     def run(i: int, t: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: np.ndarray,
             d2: np.ndarray, carry: Carry | None, logged: list, final: bool) -> Carry:
         # the run's constants as fast locals
         (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, fi1_bar, fi2_bar,
          half1, half2, whole1, whole2, sixth1, sixth2, dt, half, start, end,
-         pulse1, pulse2, steps, gains, clamp, advance, sqrt) = consts
+         pulse1, pulse2, steps, gains, clamp, linear, ab, ts, sqrt) = consts
         kr11, kr12, kr21, kr22, kx11, kx12, kx21, kx22 = gains
+        a11, a12, a21, a22, b11, b12, b21, b22 = ab
         # at the start the remembered measurement is the first one, so the
         # first state increment is zero: no derivative kick
         x1, x2, p1, p2, m1, m2, warned = (
@@ -209,13 +212,24 @@ def make_loop(
                         m1 = 0.0 - fi1_bar - d1_k
                     if fi2 < 0:
                         m2 = 0.0 - fi2_bar - d2_k
+                # the sample's held feed, each absolute feed floored at zero
+                g1 = u1 + (max(fi1, 0.0) - fi1_bar - u1)
+                g2 = u2 + (max(fi2, 0.0) - fi2_bar - u2)
+            else:
+                # off the pulse d is 0.0, and u + 0.0 turns a -0.0 into 0.0
+                g1, g2 = u1 + d1_k, u2 + d2_k
             if k == stop:
                 break
-            if advance is not None:
-                x1, x2 = advance(t_k, x1, x2, u1, u2)
+            if linear:
+                n1 = a11 * x1 + a12 * x2 + (b11 * g1 + b12 * g2)
+                n2 = a21 * x1 + a22 * x2 + (b21 * g1 + b22 * g2)
+                if (n1 - n1) + (n2 - n2) != 0.0:
+                    raise ArithmeticError(f"plant state non-finite at t={t_k + ts:.6g}")
+                x1, x2 = n1, n2
                 continue
 
-            if clamp or edge_k:
+            if edge_k:
+                # the feed picked again at a later stage time, across a pulse edge
                 if clamp:
                     fon = (u1 + (max(fi1_bar + u1 + pulse1, 0.0) - fi1_bar - u1),
                            u2 + (max(fi2_bar + u2 + pulse2, 0.0) - fi2_bar - u2))
@@ -223,10 +237,6 @@ def make_loop(
                             u2 + (max(fi2_bar + u2 + 0.0, 0.0) - fi2_bar - u2))
                 else:
                     fon, foff = (u1 + pulse1, u2 + pulse2), (u1 + 0.0, u2 + 0.0)
-                g1, g2 = fon if start <= t_k < end else foff
-            else:
-                # off the pulse d is 0.0, and u + 0.0 turns a -0.0 into 0.0
-                g1, g2 = u1 + d1_k, u2 + d2_k
             # A step starts from the floored end of the one before, and its
             # feed is the one its predecessor's last stage picked at that time.
             tj = t_k
@@ -291,33 +301,6 @@ def make_loop(
         return x1, x2, p1, p2, m1, m2, warned
 
     return run
-
-
-def make_linear_advance(disc: LinearModel, op: OperatingPoint, profile: DisturbanceProfile,
-                        clamp_flows: bool) -> AdvanceFunc:
-    """One controller sample of the sampled linear model, h <- a h + b f,
-    on floats, entered at the sample time t.  The feed f is the held control
-    plus the pulse routed at t, each absolute feed floored at zero under
-    clamp_flows; a non-finite state raises ArithmeticError."""
-    (a11, a12), (a21, a22) = disc.a.tolist()
-    (b11, b12), (b21, b22) = disc.b.tolist()
-    fi1_bar, fi2_bar = op.fi1_bar, op.fi2_bar
-    start, end = profile.start, profile.start + profile.duration
-    p1, p2 = profile.route(profile.flow(op))
-
-    def advance(t: float, h1: float, h2: float, u1: float, u2: float) -> tuple[float, float]:
-        d1, d2 = (p1, p2) if start <= t < end else (0.0, 0.0)
-        if clamp_flows:
-            d1 = max(fi1_bar + u1 + d1, 0.0) - fi1_bar - u1
-            d2 = max(fi2_bar + u2 + d2, 0.0) - fi2_bar - u2
-        f1, f2 = u1 + d1, u2 + d2
-        n1 = a11 * h1 + a12 * h2 + (b11 * f1 + b12 * f2)
-        n2 = a21 * h1 + a22 * h2 + (b21 * f1 + b22 * f2)
-        if not (math.isfinite(n1) and math.isfinite(n2)):
-            raise ArithmeticError("plant state non-finite")
-        return n1, n2
-
-    return advance
 
 
 def rk4_step(

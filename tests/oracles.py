@@ -273,24 +273,45 @@ def rk4_by_derivatives(params, op, t, x, u, dt, substeps, profile, clamp_flows):
     return x
 
 
+def linear_step(model, op, t, h, u, profile, clamp_flows):
+    """One sample of the sampled linear model, h <- a h + b f, on floats:
+    the feed f is the move u plus the pulse routed by disturbance_feeds at
+    the sample time t, each absolute feed floored at zero under clamp_flows.
+    The new state must be finite."""
+    (a11, a12), (a21, a22) = model.a.tolist()
+    (b11, b12), (b21, b22) = model.b.tolist()
+    d = disturbance_feeds(profile, op, t)
+    if clamp_flows:
+        d = [max(bar + ui + di, 0.0) - bar - ui
+             for bar, ui, di in zip((op.fi1_bar, op.fi2_bar), u, d)]
+    f1, f2 = (ui + di for ui, di in zip(u, d))
+    h = [a11 * h[0] + a12 * h[1] + (b11 * f1 + b12 * f2),
+         a21 * h[0] + a22 * h[1] + (b21 * f1 + b22 * f2)]
+    if not all(math.isfinite(hi) for hi in h):
+        raise ArithmeticError("plant state non-finite")
+    return h
+
+
 def closed_loop_by_samples(params, op, pred, ts, substeps, profile, clamp_flows, setpoints,
-                           ctrl=None):
-    """The logged (h1, h2) and (u1, u2) of a nonlinear closed-loop run, one
-    sample at a time: at t = k ts, tankmpc.receding_step on h = x - l and
-    the setpoints (r1, r2) of sample k, under clamp_flows the floored move
-    remembered in place of the commanded one, and then rk4_by_derivatives
-    over the sample on the physical levels x, carried from sample to sample
-    (none after the last).  ctrl is the controller's start, by default
-    controller_start at h = 0."""
+                           ctrl=None, linear_model=None):
+    """The logged (h1, h2) and (u1, u2) of a closed-loop run, one sample at
+    a time: at t = k ts, tankmpc.receding_step on h = x - l and the setpoints
+    (r1, r2) of sample k, under clamp_flows the floored move remembered in
+    place of the commanded one, and then the plant over the sample (none
+    after the last): rk4_by_derivatives on the physical levels x, carried
+    from sample to sample, or with linear_model linear_step on the
+    deviations h, which it carries as levels about l = 0.  ctrl is the
+    controller's start, by default controller_start at h = 0."""
     from tankmpc import receding_step
 
-    x = [op.l1 + 0.0, op.l2 + 0.0]
+    l1, l2 = (op.l1, op.l2) if linear_model is None else (0.0, 0.0)
+    x = [l1 + 0.0, l2 + 0.0]
     ctrl = controller_start((0.0, 0.0), 2) if ctrl is None else ctrl
     bars = (op.fi1_bar, op.fi2_bar)
     hs, us = [], []
     for k, r in enumerate(setpoints):
         t = k * ts
-        h = (x[0] - op.l1, x[1] - op.l2)
+        h = (x[0] - l1, x[1] - l2)
         ctrl, u = receding_step(ctrl, pred, h, r)
         hs.append(h)
         us.append(u)
@@ -299,7 +320,11 @@ def closed_loop_by_samples(params, op, pred, ts, substeps, profile, clamp_flows,
             applied = tuple(0.0 - bar - di if bar + ui + di < 0 else ui
                             for bar, ui, di in zip(bars, u, d))
             ctrl = ctrl._replace(prev_control=applied)
-        if k < len(setpoints) - 1:
+        if k == len(setpoints) - 1:
+            break
+        if linear_model is None:
             x = rk4_by_derivatives(params, op, t, x, u, ts / substeps, substeps, profile,
                                    clamp_flows)
+        else:
+            x = linear_step(linear_model, op, t, x, u, profile, clamp_flows)
     return hs, us

@@ -185,7 +185,7 @@ class TestSimulate:
                                 "--out", str(tmp_path / "run.csv")], capsys)
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "non-finite" in err and not (tmp_path / "run.csv").exists()
+        assert "non-finite at t=" in err and not (tmp_path / "run.csv").exists()
 
     def test_unwritable_output_exit_3_no_partial_file(self, tmp_path, capsys):
         target_dir = tmp_path / "missing"

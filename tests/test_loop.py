@@ -32,7 +32,6 @@ from tankmpc.plant import (
     NO_DISTURBANCE,
     disturbance_flow,
     disturbance_inflows,
-    make_linear_advance,
     make_loop,
 )
 
@@ -67,6 +66,60 @@ DEFAULT_SCENARIO = make_scenario()
 
 def hexes(values):
     return [float(v).hex() for v in values]
+
+
+def oracle_run(rng, case, linear_plant):
+    """A random scenario, its run and the sample-by-sample oracle's logged
+    (h1, h2) and (u1, u2), as (scenario, log, hs, us): the clamp on in
+    odd cases, pulse and setpoint edges on sample times, on stage times and
+    between them, 1-16 substeps, setpoints deep enough to empty a tank, and
+    +-0.0 inputs."""
+    params, l1, l2 = random_tank_params(rng)
+    op = make_operating_point(params, l1, l2)
+    ts = float(rng.choice([0.05, 0.01, rng.uniform(0.01, 0.2)]))
+    substeps = int(rng.integers(1, 17))
+    n = int(rng.integers(2, 41))
+    npred = int(rng.integers(2, 16))
+    mpc = MpcConfig(npred, int(rng.integers(1, min(npred, 4) + 1)),
+                    float(10.0 ** rng.uniform(-2.0, 1.0)))
+
+    def edge():
+        k = int(rng.integers(0, n))
+        return float(rng.choice([k * ts, k * ts + int(rng.integers(1, 2 * substeps))
+                                 * (ts / substeps) / 2, rng.uniform(0.0, n * ts)]))
+
+    def window():
+        start, end = sorted([edge(), edge()])
+        return {"start": start, "duration": math.inf if rng.random() < 0.1 else end - start}
+
+    def amplitude(level):
+        return float(rng.choice([0.0, -0.0, rng.uniform(-0.5, 0.5) * level,
+                                 -rng.uniform(1.0, 1.5) * level]))
+
+    setpoints = (SetpointPulse(amplitude(l1), **window()),
+                 SetpointPulse(amplitude(l2), **window()))
+    magnitude = float(rng.choice([0.0, -0.0, rng.uniform(-200.0, 100.0)]))
+    dist = DisturbanceProfile(magnitude=magnitude, **window(),
+                              target=str(rng.choice(["tank1", "tank2", "both"])))
+    sc = Scenario(params=params, op_levels=(l1, l2), mpc=mpc, ts=ts, t_end=(n - 1) * ts,
+                  setpoints=setpoints, disturbance=dist, substeps=substeps,
+                  clamp_flows=bool(case % 2), linear_plant=linear_plant)
+    n = sc.n_samples()
+    disc = zoh_discretize(linearize(params, op), ts)
+    pred = build_prediction(augment(disc), mpc)
+    log = run_closed_loop(sc)
+    r = [[setpoint_value(p, k * ts) for p in setpoints] for k in range(n)]
+    hs, us = closed_loop_by_samples(params, op, pred, ts, substeps, dist, sc.clamp_flows, r,
+                                    linear_model=disc if linear_plant else None)
+    return sc, log, hs, us
+
+
+def assert_h_and_u(log, hs, us, case):
+    """The log's h1, h2, u1 and u2 equal the oracle's, in hex."""
+    for j, name in enumerate(("h1", "h2")):
+        assert hexes(getattr(log, name)) == hexes(h[j] for h in hs), (case, name)
+    for j, name in enumerate(("u1", "u2")):
+        assert hexes(getattr(log, name)) == hexes(u[j] for u in us), (case, name)
 
 
 class TestRunClosedLoop:
@@ -140,13 +193,11 @@ class TestRunClosedLoop:
 
     @pytest.mark.parametrize("ts", [0.05, 0.01])
     def test_plant_entered_at_the_logged_sample_times(self, monkeypatch, ts):
-        # the loop owns the clock: the body steps each sample from the time the
-        # loop hands it, which is the logged k * ts, and the linear plant's
-        # per-sample call is entered at that time too
+        # the loop owns the clock: the body steps each sample, on either
+        # plant, from the time the loop hands it, which is the logged k * ts
         import tankmpc.loop as loop
-        import tankmpc.plant as plant
 
-        entries, linear_entries = [], []
+        entries = []
 
         def recording_loop(*args):
             run = make_loop(*args)
@@ -157,23 +208,11 @@ class TestRunClosedLoop:
                 return run(i, t, *rest)
             return recorded
 
-        def recording_linear(*args):
-            advance = make_linear_advance(*args)
-
-            def recorded(t, *state):
-                linear_entries.append(t)
-                return advance(t, *state)
-            return recorded
-
         monkeypatch.setattr(loop, "make_loop", recording_loop)
-        monkeypatch.setattr(plant, "make_linear_advance", recording_linear)
         for linear_plant in (False, True):
             entries.clear()
-            linear_entries.clear()
             log = run_closed_loop(make_scenario(ts=ts, linear_plant=linear_plant))
-            want = hexes(log.t[:-1].tolist())
-            assert hexes(entries) == want
-            assert hexes(linear_entries) == (want if linear_plant else [])
+            assert hexes(entries) == hexes(log.t[:-1].tolist()), linear_plant
 
     def test_pulse_end_on_a_sample_time_reaches_the_plant_as_logged(self):
         # the bundled pulse ends at t = 10.0 = 200 ts, and the log shows it off
@@ -205,52 +244,27 @@ class TestRunClosedLoop:
         rng = np.random.default_rng(20261022)
         emptied = clamped = 0
         for case in range(240):
-            params, l1, l2 = random_tank_params(rng)
-            op = make_operating_point(params, l1, l2)
-            ts = float(rng.choice([0.05, 0.01, rng.uniform(0.01, 0.2)]))
-            substeps = int(rng.integers(1, 17))
-            n = int(rng.integers(2, 41))
-            npred = int(rng.integers(2, 16))
-            mpc = MpcConfig(npred, int(rng.integers(1, min(npred, 4) + 1)),
-                            float(10.0 ** rng.uniform(-2.0, 1.0)))
-
-            def edge():
-                k = int(rng.integers(0, n))
-                return float(rng.choice([k * ts, k * ts + int(rng.integers(1, 2 * substeps))
-                                         * (ts / substeps) / 2, rng.uniform(0.0, n * ts)]))
-
-            def window():
-                start, end = sorted([edge(), edge()])
-                return {"start": start,
-                        "duration": math.inf if rng.random() < 0.1 else end - start}
-
-            def amplitude(level):
-                return float(rng.choice([0.0, -0.0, rng.uniform(-0.5, 0.5) * level,
-                                         -rng.uniform(1.0, 1.5) * level]))
-
-            setpoints = (SetpointPulse(amplitude(l1), **window()),
-                         SetpointPulse(amplitude(l2), **window()))
-            magnitude = float(rng.choice([0.0, -0.0, rng.uniform(-200.0, 100.0)]))
-            dist = DisturbanceProfile(magnitude=magnitude, **window(),
-                                      target=str(rng.choice(["tank1", "tank2", "both"])))
-            sc = Scenario(params=params, op_levels=(l1, l2), mpc=mpc, ts=ts, t_end=(n - 1) * ts,
-                          setpoints=setpoints, disturbance=dist, substeps=substeps,
-                          clamp_flows=bool(case % 2))
-            n = sc.n_samples()
-            disc = zoh_discretize(linearize(params, op), ts)
-            pred = build_prediction(augment(disc), mpc)
-            log = run_closed_loop(sc)
-            r = [[setpoint_value(p, k * ts) for p in setpoints] for k in range(n)]
-            hs, us = closed_loop_by_samples(params, op, pred, ts, substeps, dist,
-                                            sc.clamp_flows, r)
-            for j, name in enumerate(("h1", "h2")):
-                assert hexes(getattr(log, name)) == hexes(h[j] for h in hs), (case, name)
-            for j, name in enumerate(("u1", "u2")):
-                assert hexes(getattr(log, name)) == hexes(u[j] for u in us), (case, name)
+            sc, log, hs, us = oracle_run(rng, case, linear_plant=False)
+            assert_h_and_u(log, hs, us, case)
+            l1, l2 = sc.op_levels
             emptied += bool(np.any(log.h1 == -l1) or np.any(log.h2 == -l2))
             clamped += sc.clamp_flows and bool(np.any(log.fi1_abs == 0.0)
                                                or np.any(log.fi2_abs == 0.0))
         assert emptied >= 10 and clamped >= 10, (emptied, clamped)
+
+    def test_linear_plant_h_and_u_match_the_sample_by_sample_oracle(self):
+        # the loop body's law, clamp memory and sampled-model step against
+        # receding_step and linear_step applied one sample at a time, in hex,
+        # on scenarios drawn as above: clamp on in half of them, edges on
+        # sample times and between them, +-0.0 inputs
+        rng = np.random.default_rng(20261023)
+        clamped = 0
+        for case in range(240):
+            sc, log, hs, us = oracle_run(rng, case, linear_plant=True)
+            assert_h_and_u(log, hs, us, case)
+            clamped += sc.clamp_flows and bool(np.any(log.fi1_abs == 0.0)
+                                               or np.any(log.fi2_abs == 0.0))
+        assert clamped >= 10, clamped
 
     def test_signal_columns_match_per_sample_values(self):
         # t, r1, r2 and u3 are built once per run and the routed disturbance is
@@ -373,7 +387,7 @@ class TestRunClosedLoop:
             run_closed_loop(sc)
         k = exc_info.value.sample_index
         assert CSV_BLOCK < 4500 <= k < sc.n_samples() - 1
-        cause = "plant state non-finite" + ("" if linear_plant else f" at t={(k + 1) * ts:.6g}")
+        cause = f"plant state non-finite at t={(k + 1) * ts:.6g}"
         assert str(exc_info.value) == f"simulation failed at sample {k} (t={k * ts:.6g} s): {cause}"
 
     def test_scenario_validation(self):
@@ -531,7 +545,7 @@ class TestControlLaw:
 class TestLinearClosedLoop:
     """Linear-plant runs with no clamp against the closed loop written as one
     linear recursion on (h, previous h, previous u), which shares no code
-    with the inline law, the linear kernel or the feed columns."""
+    with the inline law, the linear step or the feed columns."""
 
     @pytest.mark.parametrize("target", ["tank1", "tank2", "both"])
     @pytest.mark.parametrize("rw, npred, nctl, ts", [(0.01, 3, 1, 0.05), (1.0, 10, 3, 0.05),

@@ -1,4 +1,4 @@
-"""The nonlinear plant step of the loop body, the sampled linear kernel, and the
+"""The plant step of the loop body, nonlinear and sampled linear, and the
 disturbance pulse."""
 
 import logging
@@ -30,7 +30,6 @@ from tankmpc.plant import (
     PlantState,
     disturbance_flow,
     disturbance_inflows,
-    make_linear_advance,
     make_loop,
     rk4_step,
 )
@@ -273,10 +272,11 @@ def outcome(run):
         return "ArithmeticError"
 
 
-def plant_step(params, op, t, x, u, ts, substeps, profile, clamp):
+def plant_step(params, op, t, x, u, ts, substeps, profile, clamp, linear_model=None):
     """The levels after one sample of make_loop's body entered at t from the
-    levels x, its law holding the move u (zero gains), the pulse routed at t."""
-    run = make_loop(params, op, ts, substeps, profile, clamp, ZERO_GAINS)
+    levels x, its law holding the move u (zero gains), the pulse routed at t.
+    With linear_model the plant is that sampled model, and x its deviations."""
+    run = make_loop(params, op, ts, substeps, profile, clamp, ZERO_GAINS, linear_model)
     d1, d2 = disturbance_feeds(profile, op, t)
     carry = run(0, np.array([t]), np.zeros(1), np.zeros(1), np.array([d1]), np.array([d2]),
                 (*x, 0.0, 0.0, *u, False), [], False)
@@ -463,13 +463,15 @@ class TestLinearAdvance:
             f = [max(fb + ui + di, 0.0) - fb if clamp else ui + di
                  for fb, ui, di in zip(bar, u, d)]
             want = disc.a @ h + disc.b @ f
-            got = make_linear_advance(disc, op, profile, clamp)(t, *h, *u)
+            got = plant_step(params, op, t, h, u, ts, 1, profile, clamp, disc)
             assert np.max(np.abs(np.array(got) - want)) <= 1e-12, case
 
     @pytest.mark.parametrize("h, u", [((0.0, 0.0), (math.inf, 0.0)),
                                       ((0.0, 0.0), (0.0, math.nan)),
                                       ((math.nan, 0.0), (0.0, 0.0))])
     def test_non_finite_state_raises(self, h, u):
+        # the sample entered at t = 0 ends non-finite, at t = ts
         disc = zoh_discretize(linearize(DEFAULT_PARAMS, DEFAULT_OP), 0.05)
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            make_linear_advance(disc, DEFAULT_OP, NO_DISTURBANCE, False)(0.0, *h, *u)
+        with pytest.raises(ArithmeticError, match=r"^plant state non-finite at t=0\.05$"):
+            plant_step(DEFAULT_PARAMS, DEFAULT_OP, 0.0, h, u, 0.05, 1, NO_DISTURBANCE, False,
+                       disc)
