@@ -166,16 +166,6 @@ def _build(values: dict, base: RunConfig = default_run_config()) -> RunConfig:
             disturbance=DisturbanceProfile(**sections["disturbance"]),
             **sections["sim"],
         )
-        l1, l2 = scenario.op_levels
-        if not (l1 > l2 > 0):
-            raise ValueError(f"operating levels need l1 > l2 > 0, got l1={l1}, l2={l2}")
-        # the steady tank-2 feed, alpha2 sqrt(l2) - alpha1 sqrt(l1 - l2), must not be negative
-        outlet = scenario.params.alpha2 * math.sqrt(l2)
-        coupling = scenario.params.alpha1 * math.sqrt(l1 - l2)
-        if outlet < coupling:
-            raise ValueError(f"operating.l1, operating.l2, plant.alpha1 and plant.alpha2 give a "
-                             f"negative steady tank-2 feed: alpha2*sqrt(l2) = {outlet:.6g} < "
-                             f"alpha1*sqrt(l1 - l2) = {coupling:.6g}")
         samples = scenario.t_end / scenario.ts  # a float: this may overflow
         if samples >= MAX_SAMPLES:
             raise ValueError(f"sim.t_end / sim.ts = {samples:.3g} samples, "

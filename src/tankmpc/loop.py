@@ -10,6 +10,11 @@ nonlinear (or, as a diagnostic, is the sampled linear model),
 exactly the mismatch the scheme is meant to tolerate.  The scenario's
 signals at the sample times are computed once per run, before the loop,
 and the absolute feeds it applied after it, from the logged moves.
+Between input edges the closed loop often reaches an exact fixed point,
+a sample that leaves the plant and controller state bit for bit as it
+found it; the body then repeats that sample's row, unstepped, until the
+inputs change or a pulse edge comes in reach, which gives the same log
+as stepping (see `plant`).
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
@@ -96,6 +101,16 @@ class Scenario:
             raise ValueError(f"simulation horizon must be positive, got {self.t_end}")
         if self.substeps < 1:
             raise ValueError(f"need at least one integrator substep, got {self.substeps}")
+        l1, l2 = self.op_levels
+        if not (l1 > l2 > 0):
+            raise ValueError(f"operating levels need l1 > l2 > 0, got l1={l1}, l2={l2}")
+        # the steady tank-2 feed, alpha2 sqrt(l2) - alpha1 sqrt(l1 - l2), must not be negative
+        outlet = self.params.alpha2 * math.sqrt(l2)
+        coupling = self.params.alpha1 * math.sqrt(l1 - l2)
+        if outlet < coupling:
+            raise ValueError(f"operating.l1, operating.l2, plant.alpha1 and plant.alpha2 give a "
+                             f"negative steady tank-2 feed: alpha2*sqrt(l2) = {outlet:.6g} < "
+                             f"alpha1*sqrt(l1 - l2) = {coupling:.6g}")
 
     def n_samples(self) -> int:
         # guard against 15/0.05 landing just below an integer

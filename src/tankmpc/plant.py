@@ -11,6 +11,19 @@ held feed, worked out once, and one plant step from it, inline.  The
 step is all RK4 substeps of the nonlinear plant on the physical levels
 the body carries from sample to sample, or, as a diagnostic, one step of
 the sampled linear model.  No function is called per sample.
+
+Held fixed points are repeated, not stepped, and exactly.  A sample with no pulse
+edge in reach is a pure function of the carry (the levels, the last
+measurement and the remembered move) and of its setpoints and routed
+pulse: the sample and stage times enter only edge samples and messages,
+and the flag that the clamp was reported only ever turns on.  So when a
+stepped sample leaves the carry bit for bit as it found it, each sample
+after it with the same inputs, bit for bit, and no edge would log the
+same row and change nothing, and the body appends that row for them
+without stepping.  No message is lost: a non-finite state raises before
+any fixed point, and a sample whose step emptied a tank, which warns, is
+not repeated even if the tank refills by its end.
+
 `rk4_step` (one sample of the loop with zero gains and a preset move,
 on a `PlantState`) and `disturbance_flow`/`disturbance_inflows` (the
 pulse at one time) are reference forms the package does not export;
@@ -21,8 +34,10 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -148,6 +163,14 @@ def make_loop(
     plant is instead one step x <- a x + b g of that sampled model, its
     deviation state carried as levels about l = 0; a non-finite state
     raises the same error at t + ts.
+
+    On either plant a sample whose inputs (setpoints and routed pulse) have
+    the bits of the sample before it, with no pulse edge in reach of
+    either, is not stepped if the sample before left the carry unchanged,
+    bit for bit, and warned of no emptying: it appends that sample's row,
+    and so does the rest of such a stretch.  Stepping resumes at the first
+    sample whose inputs change or that has an edge.  A block's first
+    sample is always stepped.
     """
     dt = ts / substeps
     if dt <= 0:
@@ -173,14 +196,14 @@ def make_loop(
     consts = (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, op.fi1_bar, op.fi2_bar,
               half1, half2, whole1, whole2, sixth1, sixth2, dt, half, start, end,
               pulse1, pulse2, range(substeps), tuple(gains), clamp_flows, linear, ab, ts,
-              math.sqrt)
+              math.sqrt, struct.Struct("6d").pack)
 
     def run(i: int, t: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: np.ndarray,
             d2: np.ndarray, carry: Carry | None, logged: list, final: bool) -> Carry:
         # the run's constants as fast locals
         (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, fi1_bar, fi2_bar,
          half1, half2, whole1, whole2, sixth1, sixth2, dt, half, start, end,
-         pulse1, pulse2, steps, gains, clamp, linear, ab, ts, sqrt) = consts
+         pulse1, pulse2, steps, gains, clamp, linear, ab, ts, sqrt, bits) = consts
         kr11, kr12, kr21, kr22, kx11, kx12, kx21, kx22 = gains
         a11, a12, a21, a22, b11, b12, b21, b22 = ab
         # at the start the remembered measurement is the first one, so the
@@ -190,9 +213,33 @@ def make_loop(
         stop = i + t.size - 1 if final else -1
         # the samples with a pulse edge in (t, t + reach]
         edge = ((t < start) & (start <= t + reach)) | ((t < end) & (end <= t + reach))
-        for k, t_k, r1_k, r2_k, d1_k, d2_k, edge_k in zip(
-                count(i), t.tolist(), r1.tolist(), r2.tolist(), d1.tolist(), d2.tolist(),
-                edge.tolist()):
+        # the samples that would repeat the one before from the same carry:
+        # its inputs, bit for bit, and no edge on either (a block's first
+        # sample has none before it)
+        hold = np.zeros(t.size, bool)
+        hold[1:] = ~(edge[1:] | edge[:-1])
+        for col in (r1, r2, d1, d2):
+            raw = col.view(np.int64)
+            hold[1:] &= raw[1:] == raw[:-1]
+        # where each held stretch ends: the samples that are not held, and the block end
+        cuts = [*np.flatnonzero(~hold).tolist(), t.size]
+        emptied = -1  # the last sample whose step emptied a tank, and warned
+        samples = zip(count(i), t.tolist(), r1.tolist(), r2.tolist(), d1.tolist(), d2.tolist(),
+                      edge.tolist(), hold.tolist())
+        for k, t_k, r1_k, r2_k, d1_k, d2_k, edge_k, hold_k in samples:
+            if (hold_k and x1 == o1 and x2 == o2 and p1 == o3 and p2 == o4 and m1 == o5
+                    and m2 == o6 and emptied != k - 1
+                    and bits(x1, x2, p1, p2, m1, m2) == bits(o1, o2, o3, o4, o5, o6)):
+                # the sample before left the carry as it found it (== first,
+                # then the bits, which tell -0.0 from 0.0) and warned of no
+                # emptying: a fixed point, whose row the rest of the held
+                # stretch repeats without a step
+                repeats = cuts[bisect(cuts, k - i)] - (k - i)
+                logged += logged[-4:] * repeats
+                next(islice(samples, repeats - 1, repeats - 1), None)
+                continue
+            o1, o2, o3 = x1, x2, p1
+            o4, o5, o6 = p2, m1, m2
             h1, h2 = x1 - l1, x2 - l2
             e1, e2 = r1_k - h1, r2_k - h2
             dx1, dx2 = h1 - p1, h2 - p2
@@ -291,10 +338,12 @@ def make_loop(
                 if n1 < 0.0:
                     if x1 > 0.0:
                         logger.warning("tank 1 ran empty at t=%.4g s; level clamped to 0", te)
+                        emptied = k
                     n1 = 0.0
                 if n2 < 0.0:
                     if x2 > 0.0:
                         logger.warning("tank 2 ran empty at t=%.4g s; level clamped to 0", te)
+                        emptied = k
                     n2 = 0.0
                 tj = te
                 x1, x2 = n1, n2

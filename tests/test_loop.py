@@ -75,6 +75,10 @@ def oracle_run(rng, case, linear_plant):
     between them, 1-16 substeps, setpoints deep enough to empty a tank, and
     +-0.0 inputs."""
     params, l1, l2 = random_tank_params(rng)
+    outlet, coupling = params.alpha2 * math.sqrt(l2), params.alpha1 * math.sqrt(l1 - l2)
+    if outlet < coupling:
+        # Scenario refuses a negative steady tank-2 feed: the coupling is cut to half the outlet
+        params = dataclasses.replace(params, alpha1=params.alpha1 * (outlet / coupling / 2))
     op = make_operating_point(params, l1, l2)
     ts = float(rng.choice([0.05, 0.01, rng.uniform(0.01, 0.2)]))
     substeps = int(rng.integers(1, 17))
@@ -398,6 +402,185 @@ class TestRunClosedLoop:
         with pytest.raises(ValueError):
             make_scenario(substeps=0)
 
+    def test_negative_steady_feed_refused_on_the_library_path(self):
+        # levels 5.0/2.0 need a steady tank-2 feed of alpha2 sqrt(2) - alpha1 sqrt(3)
+        # = -1.12 m^3/s: the Scenario itself refuses them, before any run
+        with pytest.raises(ValueError, match=r"^operating\.l1, operating\.l2, plant\.alpha1 and "
+                           r"plant\.alpha2 give a negative steady tank-2 feed: alpha2\*sqrt\(l2\) "
+                           r"= 2\.68701 < alpha1\*sqrt\(l1 - l2\) = 3\.81051$"):
+            dataclasses.replace(DEFAULT_SCENARIO, op_levels=(5.0, 2.0))
+        with pytest.raises(ValueError, match=r"^operating levels need l1 > l2 > 0"):
+            make_scenario(op_levels=(3.5, 3.5))
+        # a zero steady feed is an operating point: tank 2 drains what tank 1 passes
+        params = dataclasses.replace(DEFAULT_PARAMS, alpha1=1.0, alpha2=1.0)
+        sc = make_scenario(params=params, op_levels=(2.0, 1.0), t_end=1.0)
+        assert make_operating_point(params, 2.0, 1.0).fi2_bar == 0.0
+        assert np.all(run_closed_loop(sc).fi2_abs >= 0.0)
+
+
+class StepCount(list):
+    """A list of logged values that counts the samples the loop body
+    stepped: a stepped sample appends its row as one tuple, a fast-forwarded
+    stretch of samples as one list."""
+
+    steps = 0
+
+    def __iadd__(self, values):
+        self.steps += isinstance(values, tuple)
+        return super().__iadd__(values)
+
+
+def run_counting_steps(monkeypatch, sc):
+    """run_closed_loop(sc) and the number of samples its loop body stepped."""
+    import tankmpc.loop as loop
+
+    steps = []
+
+    def counting_loop(*args):
+        run = make_loop(*args)
+
+        def counted(i, t, r1, r2, d1, d2, carry, logged, final):
+            rows = StepCount()
+            try:
+                return run(i, t, r1, r2, d1, d2, carry, rows, final)
+            finally:
+                logged += rows
+                steps.append(rows.steps)
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(loop, "make_loop", counting_loop)
+        log = run_closed_loop(sc)
+    return log, sum(steps)
+
+
+def held_scenarios(linear_plant):
+    """Scenarios of 1001-1501 samples at ts = 0.01 whose closed loop sits at
+    exact fixed points for long stretches: at rest, at a fixed point with the
+    clamp floor active, with both tanks held empty under the clamp, on +-0.0
+    setpoints and pulses, before a pulse edge and a setpoint edge, and the
+    bundled inputs."""
+    return [make_scenario(ts=0.01, substeps=substeps, t_end=t_end, linear_plant=linear_plant,
+                          **fields) for substeps, t_end, fields in [
+        (1, 10.0, {"setpoints": constant_setpoints(0.0, 0.0), "disturbance": NO_DISTURBANCE}),
+        (1, 12.0, {"setpoints": constant_setpoints(0.0, -4.0), "disturbance": NO_DISTURBANCE,
+                   "clamp_flows": True}),
+        (1, 12.0, {"setpoints": constant_setpoints(-5.0, -5.0), "disturbance": NO_DISTURBANCE,
+                   "clamp_flows": True}),
+        (1, 10.0, {"setpoints": (SetpointPulse(-0.0, 0.0, math.inf),
+                                 SetpointPulse(-0.0, 2.0, 3.0)),
+                   "disturbance": DisturbanceProfile(4.0, 3.0, -0.0, "both")}),
+        (2, 15.0, {"setpoints": (SetpointPulse(0.3, 9.0, 3.0), SetpointPulse(-0.2, 9.0, 3.0)),
+                   "disturbance": DisturbanceProfile(1.0, 2.005, 20.0, "tank2")}),
+        (1, 15.0, {}),
+    ]]
+
+
+class TestFixedPoints:
+    """The loop body repeats the row of a sample that left its carry
+    unchanged, bit for bit, for the samples after it with the same inputs
+    and no pulse edge, without stepping them."""
+
+    @pytest.mark.parametrize("block", [CSV_BLOCK, 400])
+    @pytest.mark.parametrize("linear_plant", [False, True])
+    def test_held_stretches_match_the_sample_by_sample_oracle(self, monkeypatch, caplog,
+                                                             linear_plant, block):
+        # in hex against receding_step and the plant applied one sample at a
+        # time, with the warnings of a run in blocks of one sample, which
+        # steps every sample; a block of 400 puts block starts inside held
+        # stretches (the run at rest is held across 400 and 800)
+        import tankmpc.loop as loop
+
+        monkeypatch.setattr(loop, "CSV_BLOCK", block)
+        samples = stepped = 0
+        for case, sc in enumerate(held_scenarios(linear_plant)):
+            op, disc, pred = _controller(sc)
+            with caplog.at_level(logging.WARNING, logger="tankmpc"):
+                caplog.clear()
+                log, steps = run_counting_steps(monkeypatch, sc)
+                messages = caplog.messages
+                caplog.clear()
+                monkeypatch.setattr(loop, "CSV_BLOCK", 1)
+                one_by_one = run_closed_loop(sc)
+                monkeypatch.setattr(loop, "CSV_BLOCK", block)
+                assert caplog.messages == messages, case
+            assert _log_bytes(one_by_one) == _log_bytes(log), case
+            r = [[setpoint_value(p, t) for p in sc.setpoints] for t in log.t.tolist()]
+            hs, us = closed_loop_by_samples(sc.params, op, pred, sc.ts, sc.substeps,
+                                            sc.disturbance, sc.clamp_flows, r,
+                                            linear_model=disc if linear_plant else None)
+            assert_h_and_u(log, hs, us, case)
+            samples += len(log)
+            stepped += steps
+            if case == 1:
+                # the fixed point holds tank 2's feed at the clamp floor
+                assert log.fi2_abs[-1] == 0.0 and hexes(hs[-1] + us[-1]) == hexes(hs[-2] + us[-2])
+        # the share of samples the body did not step, measured at 0.67 and 0.46
+        assert 1 - stepped / samples >= (0.4 if linear_plant else 0.6), (stepped, samples)
+
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_a_run_at_rest_steps_one_sample(self, monkeypatch, substeps):
+        # at rest the first sample leaves the carry as it found it, and the
+        # other 1000 repeat it: only its stages take square roots, two each
+        roots = []
+        sqrt = math.sqrt
+
+        def counting_sqrt(x):
+            roots.append(x)
+            return sqrt(x)
+
+        monkeypatch.setattr(math, "sqrt", counting_sqrt)
+        op, _, pred = _controller(DEFAULT_SCENARIO)
+        run = make_loop(DEFAULT_SCENARIO.params, op, 0.01, substeps, NO_DISTURBANCE, False,
+                        pred.gains)
+        roots.clear()
+        n = 1001
+        zeros, logged = np.zeros(n), []
+        carry = run(0, np.arange(n) * 0.01, zeros, zeros, zeros, zeros, None, logged, True)
+        assert len(roots) == 4 * 2 * substeps
+        assert hexes(logged) == hexes([0.0] * (4 * n))
+        assert hexes(carry[:6]) == hexes([op.l1, op.l2, 0.0, 0.0, 0.0, 0.0])
+
+    def test_a_carry_changed_only_in_the_sign_of_a_zero_is_no_fixed_point(self):
+        # on the linear plant at rest, a carried level of -0.0 logs h1 = -0.0
+        # and steps to 0.0: the carry compares equal, but the next sample logs
+        # h1 = 0.0, as the same samples run one block each do
+        sc = make_scenario(linear_plant=True)
+        op, disc, pred = _controller(sc)
+        run = make_loop(sc.params, op, sc.ts, 1, NO_DISTURBANCE, False, pred.gains, disc)
+        n = 5
+        t, zeros = np.arange(n) * sc.ts, np.zeros(n)
+        carry = start = (-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, False)
+        logged, by_sample = [], []
+        end = run(0, t, zeros, zeros, zeros, zeros, start, logged, False)
+        for k in range(n):
+            carry = run(k, t[k : k + 1], zeros[:1], zeros[:1], zeros[:1], zeros[:1], carry,
+                        by_sample, False)
+        assert hexes(logged) == hexes(by_sample) and hexes(end[:6]) == hexes(carry[:6])
+        assert hexes(logged[0:8:4]) == hexes([-0.0, 0.0])
+
+    def test_a_tank_emptied_at_every_sample_warns_at_every_sample(self, monkeypatch, caplog):
+        # held empty, tank 2 fills by a rounding residue in the first substep
+        # of each sample and is floored again in the second: the sample leaves
+        # the carry unchanged and warns, so it is stepped, not repeated
+        import tankmpc.loop as loop
+
+        params = TankParams(0.37446932796053556, 0.28475904196923046, 0.7937889469975279,
+                            2.416482075485289)
+        sc = make_scenario(params=params, op_levels=(5.484215165291941, 3.9031401916328368),
+                           mpc=MpcConfig(10, 3, 0.0240511752493777), ts=0.025, t_end=5.0,
+                           substeps=2, clamp_flows=True,
+                           setpoints=constant_setpoints(-7.141489586769083, -4.476252515917823),
+                           disturbance=DisturbanceProfile(0.0, math.inf, -197.019020604134))
+        with caplog.at_level(logging.WARNING, logger="tankmpc"):
+            log = run_closed_loop(sc)
+            messages = caplog.messages
+            caplog.clear()
+            monkeypatch.setattr(loop, "CSV_BLOCK", 1)
+            assert _log_bytes(run_closed_loop(sc)) == _log_bytes(log)
+        assert caplog.messages == messages
+        assert sum("tank 2 ran empty" in m for m in messages) >= 100
+
 
 def _memo_scenarios():
     """Variants of the bundled plant, most of them sharing its controller set-up."""
@@ -483,10 +666,10 @@ class TestControllerMemo:
         run_closed_loop(changed)
         assert len(builds) == 5
 
-        # a set-up that raises (tank 2 empty at the operating point) leaves
-        # the previous entry in place
-        with pytest.raises(ValueError):
-            run_closed_loop(make_scenario(op_levels=(4.0, 0.0)))
+        # a set-up that raises (a sampling period that overflows exp(A ts))
+        # leaves the previous entry in place
+        with pytest.raises(ValueError, match="overflows"):
+            run_closed_loop(make_scenario(ts=1e308, t_end=1.0))
         run_closed_loop(changed)
         assert len(builds) == 5
 
