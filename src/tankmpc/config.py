@@ -191,7 +191,7 @@ def loads_config(text: str) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return loads_config(text)
 

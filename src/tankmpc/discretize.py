@@ -26,7 +26,9 @@ def expm(a) -> np.ndarray:
 
     One degree-13 Pade approximant: a whose 1-norm exceeds theta_13 is
     scaled by 2^-s into range and the result squared s times (Higham
-    2005, Algorithm 2.3, with the degree fixed at 13).
+    2005, Algorithm 2.3, with the degree fixed at 13).  A squaring that
+    overflows leaves inf or nan in the result, without a warning; the
+    caller checks it.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -44,8 +46,9 @@ def expm(a) -> np.ndarray:
     u = a @ (_B13[1::2] @ flat).reshape(n, n)
     v = (_B13[0::2] @ flat).reshape(n, n)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
     return r
 
 
@@ -72,4 +75,9 @@ def zoh_discretize(model: LinearModel, ts: float) -> LinearModel:
     if not math.isfinite(float(np.abs(blk).max()) * float(ts) * (n + m)):
         raise ValueError(f"sampling period {ts!r} s overflows the model's exponential")
     e = expm(blk * ts)
+    # a stiff, non-normal A ts can take so many squarings that they
+    # overflow, though exp(A ts) itself is bounded
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"sampling period {ts!r} s overflows the squarings of the model's "
+                         "exponential; the sim.ts and plant.* values are out of range")
     return LinearModel(a=e[:n, :n], b=e[:n, n:], c=model.c)

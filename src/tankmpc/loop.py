@@ -14,7 +14,8 @@ Between input edges the closed loop often reaches an exact fixed point,
 a sample that leaves the plant and controller state bit for bit as it
 found it; the body then repeats that sample's row, unstepped, until the
 inputs change or a pulse edge comes in reach, which gives the same log
-as stepping (see `plant`).
+as stepping (see `plant`).  The CSV encoder formats the text of such a
+held stretch once (see `SimulationLog.to_csv_text`).
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
@@ -141,11 +142,13 @@ class SimulationLog:
         """CSV with the fixed column contract, 9 significant digits.
 
         Rows are encoded CSV_BLOCK at a time, so the temporary row-major
-        copy stays small for long runs.  Each block is one %-pass over its
-        six loop columns with the block's format (see `_block_format`).
-        The formats of every block are recalled while a log has the bits in
-        t, r1, r2 and u3 of the log encoded before it, as in the runs of a
-        tuning sweep.
+        copy stays small for long runs.  In each block a held stretch, rows
+        whose six loop columns have the bits of the row before them, is
+        formatted once, and the rows between stretches are one %-pass each
+        over their slice of the block's format (see `_encode_block`).  The
+        formats of every block, with the offsets of their rows, are
+        recalled while a log has the bits in t, r1, r2 and u3 of the log
+        encoded before it, as in the runs of a tuning sweep.
         """
         signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in _SIGNAL_COLUMNS]
         loop = [getattr(self, name) for name in _LOOP_COLUMNS]
@@ -154,9 +157,9 @@ class SimulationLog:
                           lambda: [_block_format(*(col[i : i + CSV_BLOCK] for col in signals))
                                    for i in starts])
         parts = [",".join(self.COLUMNS) + "\n"]
-        for i, fmt in zip(starts, formats):
-            values = np.column_stack([col[i : i + CSV_BLOCK] for col in loop])
-            parts.append(fmt % tuple(values.ravel().tolist()))
+        for i, (fmt, offsets) in zip(starts, formats):
+            values = np.array([col[i : i + CSV_BLOCK] for col in loop]).T.copy()  # row-major
+            _encode_block(fmt, offsets, values, parts)
         return "".join(parts)
 
 
@@ -173,12 +176,17 @@ _ROW_REST = "".join("," + ("%.9g" if name in _LOOP_COLUMNS else "{}")
                     for name in SimulationLog.COLUMNS[1:]) + "\n"
 
 
-def _block_format(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, u3: np.ndarray) -> str:
-    """The %-format of one block of CSV rows: each row's t field
-    as text, the text of r1, r2 and u3, formatted once per run of rows over
-    which none of them changes its bits (0.0 and -0.0 print differently),
-    and %.9g for each loop column.  Each run of rows is one %-pass over its
-    t values, the newline after each then replaced by the rest of the row."""
+def _block_format(t: np.ndarray, r1: np.ndarray, r2: np.ndarray,
+                  u3: np.ndarray) -> tuple[str, np.ndarray]:
+    """The %-format of one block of CSV rows, and the offset in it of each
+    row's start, followed by the format's length.
+
+    The format holds each row's t field as text, the text of r1, r2 and
+    u3, formatted once per run of rows over which none of them changes its
+    bits (0.0 and -0.0 print differently), and %.9g for each loop column.
+    Each run of rows is one %-pass over its t values, the newline after
+    each then replaced by the rest of the row.
+    """
     times = t.tolist()
     held = np.column_stack([r1, r2, u3])
     bits = held.view(np.int64)
@@ -187,7 +195,45 @@ def _block_format(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, u3: np.ndarray)
     for a, b in zip(cuts, cuts[1:]):
         rest = _ROW_REST.format(*("%.9g" % v for v in held[a].tolist()))
         parts.append(("%.9g\n" * (b - a) % tuple(times[a:b])).replace("\n", rest))
-    return "".join(parts)
+    fmt = "".join(parts)
+    offsets = np.zeros(len(times) + 1, dtype=np.intp)
+    offsets[1:] = np.flatnonzero(np.frombuffer(fmt.encode("ascii"), np.uint8) == ord("\n")) + 1
+    return fmt, offsets
+
+
+def _encode_block(fmt: str, offsets: np.ndarray, values: np.ndarray, parts: list) -> None:
+    """Append to parts the CSV text of one block: its format and row
+    offsets (see `_block_format`) filled with values, its loop columns.
+
+    A held stretch is rows [h, b) that each repeat the row before them bit
+    for bit: NaNs repeat, and 0.0 after -0.0 does not.  Its loop columns
+    take the text of row h - 1, formatted once into the rest of row h
+    after its t field, and one replace puts that text in place of every
+    equal rest in the stretch's slice of the format.  A rest that differs,
+    where r1, r2 or u3 change inside the stretch, is filled with row h - 1's
+    values by %.  The rows before, between and after the stretches are one
+    %-pass each over their slice, and only they are converted to floats.
+    """
+    rows = values.view(np.dtype((np.void, values.itemsize * values.shape[1])))[:, 0]
+    repeats = (rows[1:] == rows[:-1]).tobytes()  # byte k is 1 where row k + 1 repeats row k
+    a = 0  # the first row not yet appended
+    k = repeats.find(1)
+    while k >= 0:
+        end = repeats.find(0, k)
+        if end < 0:
+            end = len(repeats)
+        h, b = k + 1, end + 1  # rows [h, b) each repeat row h - 1
+        parts.append(fmt[offsets[a] : offsets[h]] % tuple(values[a:h].ravel().tolist()))
+        text = fmt[offsets[h] : offsets[b]]
+        rest = text[text.index(",") : text.index("\n") + 1]
+        row = tuple(values[h - 1].tolist())
+        text = text.replace(rest, rest % row)
+        if "%" in text:
+            text %= row * (text.count("%") // len(row))
+        parts.append(text)
+        a = b
+        k = repeats.find(1, end)
+    parts.append(fmt[offsets[a] :] % tuple(values[a:].ravel().tolist()))
 
 
 def _pulse(t: np.ndarray, start: float, duration: float, value: float) -> np.ndarray:

@@ -146,6 +146,14 @@ class TestLinearize:
         code, _, err = run_cli(["linearize", "--config", str(tmp_path / "nope.conf")], capsys)
         assert code == 2 and "cannot read" in err
 
+    def test_non_utf8_config_exit_2_naming_it(self, tmp_path, capsys):
+        conf = tmp_path / "latin.conf"
+        conf.write_bytes(b"\xffsim.ts = 0.1\n")
+        code, out, err = run_cli(["linearize", "--config", str(conf)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read config {conf}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
 
 class TestSimulate:
     def test_bundled_scenario_csv(self, tmp_path, capsys):
@@ -363,6 +371,18 @@ def test_sampling_period_overflow_exits_2_with_one_line(tmp_path, command):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "linearize"])
+def test_exponential_squarings_overflow_exits_2_with_one_line(tmp_path, command):
+    """plant.a1 = 1e300 at sim.ts = 1e300 overflows the squarings of
+    exp(A ts): one line naming the keys (linearize printed NaN matrices and
+    exited 0; simulate printed two numpy warnings and blamed phi.T phi)."""
+    proc, csv = cli_process(tmp_path, "plant.a1 = 1e300\nsim.ts = 1e300\n", command)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: sampling period 1e+300 s overflows the squarings of the "
+                           "model's exponential; the sim.ts and plant.* values are out of range\n")
+    assert proc.stdout == "" and not csv.exists()
+
+
 def test_prediction_overflow_exits_2_with_one_line(tmp_path):
     """plant.a2 = 1e-300 overflows phi.T phi: build_prediction names its
     stage in one line, before the first sample (was a two-line numpy
@@ -455,6 +475,7 @@ def main_on_config(values, *args):
 @example({"setpoint.h1.amplitude": 1e308})  # the plant overflows: exit 3
 @example({"sim.substeps": 10**8})  # too many RK4 steps: exit 2
 @example({"sim.ts": 1e308})  # exp(A ts) overflows: exit 2
+@example({"plant.a1": 1e300, "sim.ts": 1e300})  # exp(A ts)'s squarings overflow: exit 2
 @example({"plant.a2": 1e-300})  # phi.T phi overflows: exit 2
 @example({"setpoint.h1.amplitude": 5e-324})  # a step below the level's resolution: exit 0
 def test_simulate_exits_with_a_documented_code(values):
@@ -473,6 +494,7 @@ def test_simulate_exits_with_a_documented_code(values):
           suppress_health_check=[HealthCheck.too_slow])
 @given(CONFIGS)
 @example({"sim.ts": 1e308})
+@example({"plant.a1": 1e300, "sim.ts": 1e300})
 @example({"plant.a2": 1e-300})
 @example({"setpoint.h1.amplitude": 5e-324})
 def test_linearize_and_sweep_exit_with_a_documented_code(values):

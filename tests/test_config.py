@@ -182,6 +182,16 @@ def test_load_missing_file():
         load_config("/no/such/file.conf")
 
 
+def test_load_non_utf8_file_names_it(tmp_path):
+    """A config that is not UTF-8 is a config error that names its file
+    (the decode error named no path)."""
+    conf = tmp_path / "latin.conf"
+    conf.write_bytes(b"\xffsim.ts = 0.1\n")
+    with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(conf))}: 'utf-8' "
+                                          "codec can't decode byte 0xff in position 0"):
+        load_config(conf)
+
+
 def test_sweep_value_substitution():
     cfg = default_run_config()
     assert with_mpc_value(cfg, "rw", 0.5).scenario.mpc.rw == 0.5

@@ -1,6 +1,7 @@
 """Zero-order-hold discretization against closed forms and an eigen-oracle."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ def test_rejects_bad_inputs():
     bad = LinearModel(a=[[np.inf]], b=[[1.0]], c=[[1.0]])
     with pytest.raises(ValueError, match="finite"):
         zoh_discretize(bad, 0.05)
+
+
+def test_overflowing_squarings_rejected_without_a_warning():
+    """plant.a1 = 1e300 at ts = 1e300: the 1-norm of [A B] ts is 1.3e301,
+    finite, so expm scales it by 2^-998 and squares 998 times.  The
+    squarings overflow, though exp(A ts) is bounded (its eigenvalues are
+    e^-1.56 and 0).  One ValueError naming the keys, and no numpy
+    RuntimeWarning before it (the sampled model was NaN)."""
+    params = dataclasses.replace(DEFAULT_PARAMS, a1=1e300)
+    lin = linearize(params, make_operating_point(params, 4.0, 3.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"1e\+300 s overflows the squarings.*sim\.ts and "
+                                             r"plant\.\* values"):
+            zoh_discretize(lin, 1e300)
 
 
 @pytest.mark.parametrize("norm", [1e-8, 1e-3, 0.01, 0.2, 0.9, 2.0, 5.0, 5.5, 20.0, 60.0])

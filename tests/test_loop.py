@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tankmpc import (
     DEFAULT_PARAMS,
@@ -852,10 +854,154 @@ class TestCsvContract:
         u3[100:200], u3[CSV_BLOCK:-1] = 0.25, -0.0
         held = SimulationLog(**{**cols, "r1": r1, "r2": r2, "u3": u3})
         for log in (SimulationLog(**cols), empty, held):
-            got, want = log.to_csv_text().split("\n"), csv_text_by_value(log).split("\n")
-            diff = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
-            same = len(got) == len(want) and not diff  # a bare string diff of 4000 lines is slow
-            assert same, f"{len(got)} vs {len(want)} lines, first differing line {diff[:1]}"
+            assert_csv_by_value(log)
+
+
+def assert_csv_by_value(log):
+    """log.to_csv_text() is byte for byte the per-value encoder's text."""
+    got, want = log.to_csv_text().split("\n"), csv_text_by_value(log).split("\n")
+    diff = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
+    same = len(got) == len(want) and not diff  # a bare string diff of 4000 lines is slow
+    assert same, f"{len(got)} vs {len(want)} lines, first differing line {diff[:1]}"
+
+
+def held_log(rows, stretches=(), **columns):
+    """A SimulationLog of the loop rows, an (n, 6) array, in which each row
+    of the stretches [a, b) repeats row a - 1; t steps by 0.01, r1, r2 and u3
+    are 0.0, 0.3 and 0.0, and columns replaces any column."""
+    rows = np.array(rows, dtype=np.float64)
+    for a, b in stretches:
+        rows[a:b] = rows[a - 1]
+    n = len(rows)
+    cols = {"t": np.arange(n) * 0.01, "r1": np.zeros(n), "r2": np.full(n, 0.3), "u3": np.zeros(n),
+            **dict(zip(_LOOP_COLUMNS, rows.T.copy()))}
+    return SimulationLog(**{**cols, **columns})
+
+
+def random_rows(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, len(_LOOP_COLUMNS))) * 10.0 ** rng.integers(-5, 6, (n, 6))
+
+
+#: Float values whose spelling differs most between formatters, for drawn rows.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1.8e308,
+                  0.1, 1.5556349186104048, 123456789.5]
+
+
+class TestHeldStretches:
+    """`to_csv_text` formats the loop columns of a held stretch, rows that
+    repeat the row before them bit for bit, once.  Every layout of stretches
+    gives the per-value encoder's bytes, at CSV_BLOCK and in blocks of 7."""
+
+    #: name: (rows, stretches) for the block size B
+    LAYOUTS = {
+        "from row 1": lambda B: (20, [(1, 6)]),
+        "to the last row": lambda B: (B + 6, [(B + 2, B + 6)]),
+        "across a block boundary": lambda B: (B + 8, [(B - 2, B + 3)]),
+        "a block of one repeated row": lambda B: (2 * B + 3, [(B, 2 * B)]),
+        "a last block of one row, repeating": lambda B: (2 * B + 1, [(2 * B - 3, 2 * B + 1)]),
+        "every row repeats row 0": lambda B: (2 * B + 3, [(1, 2 * B + 3)]),
+        "stretches of one row": lambda B: (30, [(2, 3), (4, 5), (9, 10), (11, 13)]),
+        "no stretch": lambda B: (30, []),
+    }
+
+    @pytest.fixture(params=[CSV_BLOCK, 7], ids=["CSV_BLOCK", "block 7"])
+    def block(self, request, monkeypatch):
+        import tankmpc.loop as loop
+
+        monkeypatch.setattr(loop, "CSV_BLOCK", request.param)
+        monkeypatch.setattr(loop, "_last", {})  # its formats are keyed on the signals alone
+        return request.param
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layout_matches_per_value_format(self, block, layout):
+        n, stretches = self.LAYOUTS[layout](block)
+        assert_csv_by_value(held_log(random_rows(n), stretches))
+
+    def test_nan_rows(self, block):
+        rows = random_rows(20)
+        rows[4, [0, 3]] = math.nan, -math.nan
+        rows[12] = math.nan
+        assert_csv_by_value(held_log(rows, [(5, 9), (13, 20)]))
+
+    def test_zero_after_negative_zero_is_not_a_repeat(self, block):
+        # rows 2-4 hold -0.0 in one column and rows 5-8 0.0: two stretches
+        # with the same value, spelled -0 and 0
+        for j in range(len(_LOOP_COLUMNS)):
+            rows = random_rows(12, seed=j)
+            rows[2, j] = -0.0
+            rows[3:9] = rows[2]
+            rows[5:9, j] = 0.0
+            text = held_log(rows).to_csv_text().split("\n")
+            assert [line.split(",")[3 + j + (j >= 4)] for line in text[3:10]] == (
+                ["-0"] * 3 + ["0"] * 4)
+            assert_csv_by_value(held_log(rows))
+
+    def test_rows_differing_in_one_column(self, block):
+        rows = random_rows(40)
+        rows[2:40] = rows[1]
+        for j in range(len(_LOOP_COLUMNS)):
+            rows[5 + 6 * j :, j] += 1.0  # a new value from here on: one stepped row, then held
+        assert_csv_by_value(held_log(rows))
+
+    def test_held_columns_change_inside_a_stretch(self, block):
+        # the loop columns repeat from row 3 on, while r1, r2 and u3 change
+        # their text (and r2 only its sign)
+        n = 30
+        r1, r2, u3 = np.zeros(n), np.full(n, -0.0), np.zeros(n)
+        r1[8:], r2[11:20], u3[15:17] = 0.5, 0.0, math.nan
+        assert_csv_by_value(held_log(random_rows(n), [(3, n)], r1=r1, r2=r2, u3=u3))
+
+    def test_logs_with_and_without_stretches_share_block_formats(self, block, monkeypatch):
+        import tankmpc.loop as loop
+
+        made = []
+        real = loop._block_format
+        monkeypatch.setattr(loop, "_block_format", lambda *args: made.append(args) or real(*args))
+        n = 2 * block + 5
+        rows = random_rows(n)
+        logs = [held_log(rows), held_log(rows, [(1, 4), (block - 1, block + 2), (n - 3, n)]),
+                held_log(random_rows(n, seed=1), [(2, n)])]
+        want = [csv_text_by_value(log) for log in logs]
+        for k in (0, 1, 2, 1, 0, 2):
+            assert logs[k].to_csv_text() == want[k]
+        assert len(made) == 3  # one format per block, built at the first encode
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_drawn_stretch_layouts_match_per_value_format(self, data):
+        """Rows that are new, repeat the row before, or change one column of
+        it (perhaps to the same bits, or to 0.0 from -0.0), under r1, r2 and
+        u3 that change now and then; blocks of 1, 2, 3, 7 and CSV_BLOCK rows.
+
+        Derandomized, so the suite sees the same layouts on every run.
+        """
+        import tankmpc.loop as loop
+
+        block = data.draw(st.sampled_from([1, 2, 3, 7, CSV_BLOCK]), label="block")
+        n = data.draw(st.integers(1, 40), label="n")
+        value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+        kinds = data.draw(st.lists(st.sampled_from(["new", "repeat", "repeat", "one column"]),
+                                   min_size=n - 1, max_size=n - 1), label="kinds")
+        rows = [data.draw(st.lists(value, min_size=6, max_size=6))]
+        for kind in kinds:
+            row = list(rows[-1])
+            if kind == "new":
+                row = data.draw(st.lists(value, min_size=6, max_size=6))
+            elif kind == "one column":
+                row[data.draw(st.integers(0, 5))] = data.draw(value)
+            rows.append(row)
+        held = {}
+        for name in ("r1", "r2", "u3"):  # up to three edges, at drawn rows
+            edges = sorted(data.draw(st.lists(st.integers(0, n), max_size=3), label=name))
+            levels = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, math.nan]),
+                                        min_size=len(edges) + 1, max_size=len(edges) + 1))
+            held[name] = np.repeat(levels, np.diff([0, *edges, n]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loop, "CSV_BLOCK", block)
+            mp.setattr(loop, "_last", {})
+            assert_csv_by_value(held_log(rows, **held))
 
 
 class TestCsvBlockMemo:
