@@ -14,8 +14,10 @@ Between input edges the closed loop often reaches an exact fixed point,
 a sample that leaves the plant and controller state bit for bit as it
 found it; the body then repeats that sample's row, unstepped, until the
 inputs change or a pulse edge comes in reach, which gives the same log
-as stepping (see `plant`).  The CSV encoder formats the text of such a
-held stretch once (see `SimulationLog.to_csv_text`).
+as stepping (see `plant`).  The law runs on the absolute levels, so a
+held setpoint step settles there too, on the level fl(l + r) where its
+error is exactly zero.  The CSV encoder formats the text of such a held
+stretch once (see `SimulationLog.to_csv_text`).
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
@@ -148,12 +150,13 @@ class SimulationLog:
         over their slice of the block's format (see `_encode_block`).  The
         formats of every block, with the offsets of their rows, are
         recalled while a log has the bits in t, r1, r2 and u3 of the log
-        encoded before it, as in the runs of a tuning sweep.
+        encoded before it, as in the runs of a tuning sweep, and CSV_BLOCK
+        is unchanged.
         """
         signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in _SIGNAL_COLUMNS]
         loop = [getattr(self, name) for name in _LOOP_COLUMNS]
         starts = range(0, len(self), CSV_BLOCK)
-        formats = _recall("csv", tuple(col.tobytes() for col in signals),
+        formats = _recall("csv", (CSV_BLOCK, *(col.tobytes() for col in signals)),
                           lambda: [_block_format(*(col[i : i + CSV_BLOCK] for col in signals))
                                    for i in starts])
         parts = [",".join(self.COLUMNS) + "\n"]

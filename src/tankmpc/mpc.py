@@ -186,10 +186,14 @@ def receding_step(
     The increment is kr @ r - kx @ [dx; y].  In the velocity form the
     y-block of kx equals kr (every output row of psi carries an identity
     on y), so it is applied as kr @ (r - y) - kx_dx @ dx: a plant held
-    at its setpoint then gets exactly zero move.  The law is written out
-    in floats for the tank's two inputs and two outputs; the loop body of
-    `plant.make_loop` applies it inline, in the same expression order, and
-    is tested against this one-sample form.
+    at its setpoint then gets exactly zero move.  It sees only r - y and
+    dy, which one offset added to y, r and the last measurement leaves
+    unchanged, so it is the same law on deviations or on absolute levels.
+    It is written out in floats for the tank's two inputs and two outputs;
+    the loop body of `plant.make_loop` applies it inline, in the same
+    expression order, on the levels (r the setpoints plus the operating
+    levels, where a reached setpoint makes r - y exactly zero), and is
+    tested against this one-sample form called in that frame.
     """
     if len(measurement) != pred.q:
         raise ValueError(f"measurement has {len(measurement)} entries, expected {pred.q}")

@@ -55,8 +55,8 @@ logger = logging.getLogger(__name__)
 loop_logger = logging.getLogger("tankmpc.loop")
 
 #: What one block of samples hands the next: the levels x1, x2 the plant
-#: carries, the controller's last measurement p1, p2 and remembered move
-#: m1, m2, and whether the clamp has been reported.
+#: carries, the controller's last measured levels p1, p2 and remembered
+#: move m1, m2, and whether the clamp has been reported.
 Carry = tuple[float, float, float, float, float, float, bool]
 
 
@@ -137,11 +137,15 @@ def make_loop(
     i + 1, ... at the times t, with the setpoints r1, r2 and the routed
     pulse d1, d2 at those times (arrays, one entry a sample).  It starts
     from carry (None: the operating point, a zero move), appends each
-    sample's (h1, h2, u1, u2) to logged and returns the carry after the
-    last sample, which takes no plant step if final.
+    sample's (h1, h2, u1, u2), h = x - l, to logged and returns the carry
+    after the last sample, which takes no plant step if final.
 
-    Per sample the law reads h = x - l and applies `gains` (kr and the dx
-    block of kx, row by row) in `mpc.receding_step`'s expression order.
+    Per sample the law applies `gains` (kr and the dx block of kx, row by
+    row) in `mpc.receding_step`'s expression order, on the levels: to the
+    errors (r + l) - x and the increments x - p since the last measured
+    levels p.  A held setpoint is then reached at the level fl(l + r),
+    where the error is exactly zero (no level zeroes r - (x - l) when
+    l + r is not a double).
     Under clamp_flows an absolute feed that would go negative is floored
     at zero, the controller remembers the floored move so that it does
     not wind up, and the first such sample is reported.  Then the sample's
@@ -209,7 +213,7 @@ def make_loop(
         # at the start the remembered measurement is the first one, so the
         # first state increment is zero: no derivative kick
         x1, x2, p1, p2, m1, m2, warned = (
-            (l1, l2, 0.0, 0.0, 0.0, 0.0, False) if carry is None else carry)
+            (l1, l2, l1, l2, 0.0, 0.0, False) if carry is None else carry)
         stop = i + t.size - 1 if final else -1
         # the samples with a pulse edge in (t, t + reach]
         edge = ((t < start) & (start <= t + reach)) | ((t < end) & (end <= t + reach))
@@ -240,13 +244,12 @@ def make_loop(
                 continue
             o1, o2, o3 = x1, x2, p1
             o4, o5, o6 = p2, m1, m2
-            h1, h2 = x1 - l1, x2 - l2
-            e1, e2 = r1_k - h1, r2_k - h2
-            dx1, dx2 = h1 - p1, h2 - p2
+            e1, e2 = (r1_k + l1) - x1, (r2_k + l2) - x2
+            dx1, dx2 = x1 - p1, x2 - p2
             m1 = u1 = m1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2))
             m2 = u2 = m2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2))
-            p1, p2 = h1, h2
-            logged += (h1, h2, u1, u2)
+            p1, p2 = x1, x2
+            logged += (x1 - l1, x2 - l2, u1, u2)
 
             if clamp:
                 fi1, fi2 = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
@@ -371,7 +374,8 @@ def rk4_step(
     profile = NO_DISTURBANCE if disturbance is None else disturbance
     t, (h1, h2) = state
     d = np.array([disturbance_inflows(profile, op, t)])
-    carry = (max(op.l1 + h1, 0.0), max(op.l2 + h2, 0.0), h1, h2, *inflow_dev, False)
+    x1, x2 = max(op.l1 + h1, 0.0), max(op.l2 + h2, 0.0)
+    carry = (x1, x2, x1, x2, *inflow_dev, False)
     run = make_loop(params, op, dt, 1, profile, False, (0.0,) * 8)
     x1, x2, *_ = run(0, np.array([t]), np.zeros(1), np.zeros(1), d[:, 0], d[:, 1], carry, [],
                      False)

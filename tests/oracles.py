@@ -293,26 +293,30 @@ def linear_step(model, op, t, h, u, profile, clamp_flows):
 
 
 def closed_loop_by_samples(params, op, pred, ts, substeps, profile, clamp_flows, setpoints,
-                           ctrl=None, linear_model=None):
+                           ctrl=None, linear_model=None, levels=None):
     """The logged (h1, h2) and (u1, u2) of a closed-loop run, one sample at
-    a time: at t = k ts, tankmpc.receding_step on h = x - l and the setpoints
-    (r1, r2) of sample k, under clamp_flows the floored move remembered in
-    place of the commanded one, and then the plant over the sample (none
-    after the last): rk4_by_derivatives on the physical levels x, carried
-    from sample to sample, or with linear_model linear_step on the
-    deviations h, which it carries as levels about l = 0.  ctrl is the
-    controller's start, by default controller_start at h = 0."""
+    a time: at t = k ts, tankmpc.receding_step in the absolute frame, on the
+    levels x and the setpoints (r1 + l1, r2 + l2) of sample k, logging
+    h = x - l; under clamp_flows the floored move remembered in place of the
+    commanded one, and then the plant over the sample (none after the
+    last): rk4_by_derivatives on the physical levels x, carried from sample
+    to sample, or with linear_model linear_step on the deviations h, which
+    it carries as levels about l = 0.  ctrl is the controller's start, its
+    remembered measurement a level, by default controller_start at x = l.
+    If levels is a list, each sample's measured levels x are appended to it."""
     from tankmpc import receding_step
 
     l1, l2 = (op.l1, op.l2) if linear_model is None else (0.0, 0.0)
     x = [l1 + 0.0, l2 + 0.0]
-    ctrl = controller_start((0.0, 0.0), 2) if ctrl is None else ctrl
+    ctrl = controller_start((l1, l2), 2) if ctrl is None else ctrl
     bars = (op.fi1_bar, op.fi2_bar)
     hs, us = [], []
-    for k, r in enumerate(setpoints):
+    for k, (r1, r2) in enumerate(setpoints):
         t = k * ts
         h = (x[0] - l1, x[1] - l2)
-        ctrl, u = receding_step(ctrl, pred, h, r)
+        ctrl, u = receding_step(ctrl, pred, x, (r1 + l1, r2 + l2))
+        if levels is not None:
+            levels.append(tuple(x))
         hs.append(h)
         us.append(u)
         if clamp_flows:

@@ -279,7 +279,7 @@ def plant_step(params, op, t, x, u, ts, substeps, profile, clamp, linear_model=N
     run = make_loop(params, op, ts, substeps, profile, clamp, ZERO_GAINS, linear_model)
     d1, d2 = disturbance_feeds(profile, op, t)
     carry = run(0, np.array([t]), np.zeros(1), np.zeros(1), np.array([d1]), np.array([d2]),
-                (*x, 0.0, 0.0, *u, False), [], False)
+                (*x, *x, *u, False), [], False)
     return carry[:2]
 
 
@@ -360,13 +360,13 @@ class TestAdvanceKernel:
         # 8 substeps a sample, the move held at (0, -50) by zero gains, drain
         # tank 2 over several samples at k * 0.1: one event, one warning
         op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
-        start = (op.l1, op.l2, 0.0, 0.0, 0.0, -50.0, False)
+        start = (op.l1, op.l2, op.l1, op.l2, 0.0, -50.0, False)
         with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
             rows, carry = run_loop(DEFAULT_PARAMS, op, 0.1, 8, NO_DISTURBANCE, False, ZERO_GAINS,
                                    [(0.0, 0.0)] * 25, carry=start)
         hs, us = closed_loop_by_samples(DEFAULT_PARAMS, op, zero_gain_prediction(), 0.1, 8,
                                         NO_DISTURBANCE, False, [(0.0, 0.0)] * 25,
-                                        ctrl=ControllerState((0.0, 0.0), (0.0, -50.0)))
+                                        ctrl=ControllerState((op.l1, op.l2), (0.0, -50.0)))
         assert hexes(rows[:, :2]) == hexes(hs) and hexes(rows[:, 2:]) == hexes(us)
         assert rows[-1, 1] == -0.5 and carry[1] == 0.0
         empties = [rec for rec in caplog.records if "ran empty" in rec.message]
