@@ -10,14 +10,14 @@ nonlinear (or, as a diagnostic, is the sampled linear model),
 exactly the mismatch the scheme is meant to tolerate.  The scenario's
 signals at the sample times are computed once per run, before the loop,
 and the absolute feeds it applied after it, from the logged moves.
-Between input edges the closed loop often reaches an exact fixed point,
-a sample that leaves the plant and controller state bit for bit as it
-found it; the body then repeats that sample's row, unstepped, until the
-inputs change or a pulse edge comes in reach, which gives the same log
-as stepping (see `plant`).  The law runs on the absolute levels, so a
-held setpoint step settles there too, on the level fl(l + r) where its
-error is exactly zero.  The CSV encoder formats the text of such a held
-stretch once (see `SimulationLog.to_csv_text`).
+The body walks each block one stretch of held inputs at a time, and a
+stretch often reaches an exact fixed point, a sample that leaves the plant
+and controller state bit for bit as it found it: the body repeats its row,
+unstepped, for the rest of the stretch, which gives the same log as
+stepping (see `plant`).  The law runs on the absolute levels, so a held
+setpoint step settles there too, on the level fl(l + r).  Each block's
+rows are packed into the log in one pass, and the CSV encoder formats
+the text of a held stretch once (see `SimulationLog.to_csv_text`).
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
@@ -29,6 +29,7 @@ one plant its whole controller set-up.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,8 +295,8 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
                     disc if scenario.linear_plant else None)
 
     # CSV_BLOCK samples at a time, their logged values gathered in one flat
-    # list of floats; the loop body carries the plant and the controller's
-    # memory from block to block
+    # list of floats and packed into rows in one pass; the loop body carries
+    # the plant and the controller's memory from block to block
     carry = None
     for i in range(0, n, CSV_BLOCK):
         j = min(i + CSV_BLOCK, n)
@@ -306,7 +307,7 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
         except Exception as exc:
             k = i + len(logged) // width - 1  # the sample logged last raised in its step
             raise SimulationError(k, float(t_col[k]), exc) from exc
-        rows[i * width : j * width] = logged
+        struct.pack_into(f"{len(logged)}d", rows, 8 * width * i, *logged)
 
     h1_col, h2_col, u1_col, u2_col = rows.reshape(n, width).T.copy()
     # the absolute feeds the loop applied, each floored at zero under the clamp

@@ -12,17 +12,16 @@ step is all RK4 substeps of the nonlinear plant on the physical levels
 the body carries from sample to sample, or, as a diagnostic, one step of
 the sampled linear model.  No function is called per sample.
 
-Held fixed points are repeated, not stepped, and exactly.  A sample with no pulse
-edge in reach is a pure function of the carry (the levels, the last
-measurement and the remembered move) and of its setpoints and routed
-pulse: the sample and stage times enter only edge samples and messages,
-and the flag that the clamp was reported only ever turns on.  So when a
-stepped sample leaves the carry bit for bit as it found it, each sample
-after it with the same inputs, bit for bit, and no edge would log the
-same row and change nothing, and the body appends that row for them
-without stepping.  No message is lost: a non-finite state raises before
-any fixed point, and a sample whose step emptied a tank, which warns, is
-not repeated even if the tank refills by its end.
+The body walks a block one stretch at a time: samples whose setpoints
+and routed pulse keep their bits, with no pulse edge in reach.  In a
+stretch a sample is a pure function of the carry (the levels, the last
+measurement and the remembered move): the sample and stage times enter
+only edge samples and messages, and the flag that the clamp was reported
+only ever turns on.  So once a stepped sample leaves the carry bit for
+bit as it found it, the rest of its stretch would log its row and change
+nothing, and the body appends that row unstepped.  No message is lost: a
+non-finite state raises before any fixed point, and a sample whose step
+emptied a tank, which warns, is no fixed point even if it refills.
 
 `rk4_step` (one sample of the loop with zero gains and a preset move,
 on a `PlantState`) and `disturbance_flow`/`disturbance_inflows` (the
@@ -35,9 +34,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from bisect import bisect
 from dataclasses import dataclass
-from itertools import count, islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -168,13 +165,13 @@ def make_loop(
     deviation state carried as levels about l = 0; a non-finite state
     raises the same error at t + ts.
 
-    On either plant a sample whose inputs (setpoints and routed pulse) have
-    the bits of the sample before it, with no pulse edge in reach of
-    either, is not stepped if the sample before left the carry unchanged,
-    bit for bit, and warned of no emptying: it appends that sample's row,
-    and so does the rest of such a stretch.  Stepping resumes at the first
-    sample whose inputs change or that has an edge.  A block's first
-    sample is always stepped.
+    On either plant a stretch starts at a block's first sample, at each
+    sample whose setpoints or routed pulse change their bits, and at each
+    edge sample and the one after it.  Its inputs are read once, and the
+    first of its samples to leave the carry unchanged, bit for bit, and
+    warn of no emptying is a fixed point: its row is appended for the
+    rest of the stretch, unstepped.  Only edge samples keep the stage
+    clock; a message sums its time the same way.
     """
     dt = ts / substeps
     if dt <= 0:
@@ -214,142 +211,144 @@ def make_loop(
         # first state increment is zero: no derivative kick
         x1, x2, p1, p2, m1, m2, warned = (
             (l1, l2, l1, l2, 0.0, 0.0, False) if carry is None else carry)
-        stop = i + t.size - 1 if final else -1
+        stop = t.size - 1 if final else -1
+
+        def clock(k: int, j: int) -> float:  # the end of sample k's substep j, summed as tj is
+            te = t.item(k)
+            for _ in range(j + 1):
+                te += dt
+            return te
+
         # the samples with a pulse edge in (t, t + reach]
         edge = ((t < start) & (start <= t + reach)) | ((t < end) & (end <= t + reach))
-        # the samples that would repeat the one before from the same carry:
-        # its inputs, bit for bit, and no edge on either (a block's first
-        # sample has none before it)
-        hold = np.zeros(t.size, bool)
-        hold[1:] = ~(edge[1:] | edge[:-1])
-        for col in (r1, r2, d1, d2):
-            raw = col.view(np.int64)
-            hold[1:] &= raw[1:] == raw[:-1]
-        # where each held stretch ends: the samples that are not held, and the block end
-        cuts = [*np.flatnonzero(~hold).tolist(), t.size]
+        # the samples that start a stretch: a block's first, each edge sample
+        # and the one after it, and each whose inputs change their bits
+        raw = np.array([r1, r2, d1, d2]).view(np.int64)
+        new = np.ones(t.size, bool)
+        new[1:] = edge[1:] | edge[:-1] | (raw[:, 1:] != raw[:, :-1]).any(0)
+        firsts = np.flatnonzero(new)
+        stretches = zip(firsts.tolist(), [*(firsts[1:] - 1).tolist(), t.size - 1],
+                        *(col[firsts].tolist() for col in (r1, r2, d1, d2, edge)))
         emptied = -1  # the last sample whose step emptied a tank, and warned
-        samples = zip(count(i), t.tolist(), r1.tolist(), r2.tolist(), d1.tolist(), d2.tolist(),
-                      edge.tolist(), hold.tolist())
-        for k, t_k, r1_k, r2_k, d1_k, d2_k, edge_k, hold_k in samples:
-            if (hold_k and x1 == o1 and x2 == o2 and p1 == o3 and p2 == o4 and m1 == o5
-                    and m2 == o6 and emptied != k - 1
-                    and bits(x1, x2, p1, p2, m1, m2) == bits(o1, o2, o3, o4, o5, o6)):
-                # the sample before left the carry as it found it (== first,
-                # then the bits, which tell -0.0 from 0.0) and warned of no
-                # emptying: a fixed point, whose row the rest of the held
-                # stretch repeats without a step
-                repeats = cuts[bisect(cuts, k - i)] - (k - i)
-                logged += logged[-4:] * repeats
-                next(islice(samples, repeats - 1, repeats - 1), None)
-                continue
-            o1, o2, o3 = x1, x2, p1
-            o4, o5, o6 = p2, m1, m2
-            e1, e2 = (r1_k + l1) - x1, (r2_k + l2) - x2
-            dx1, dx2 = x1 - p1, x2 - p2
-            m1 = u1 = m1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2))
-            m2 = u2 = m2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2))
-            p1, p2 = x1, x2
-            logged += (x1 - l1, x2 - l2, u1, u2)
+        for first, last, r1_k, r2_k, d1_k, d2_k, edge_k in stretches:
+            c1, c2 = r1_k + l1, r2_k + l2  # the stretch's target levels
+            for k in range(first, last + 1):
+                if (k != first and x1 == o1 and x2 == o2 and p1 == o3 and p2 == o4 and m1 == o5
+                        and m2 == o6 and emptied != k - 1
+                        and bits(x1, x2, p1, p2, m1, m2) == bits(o1, o2, o3, o4, o5, o6)):
+                    # the sample before left the carry as it found it (== first, then
+                    # the bits, which tell -0.0 from 0.0) and warned of no emptying: a
+                    # fixed point, whose row the rest of the stretch repeats unstepped
+                    logged += logged[-4:] * (last + 1 - k)
+                    break
+                o1, o2, o3 = x1, x2, p1
+                o4, o5, o6 = p2, m1, m2
+                e1, e2 = c1 - x1, c2 - x2
+                dx1, dx2 = x1 - p1, x2 - p2
+                m1 = u1 = m1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2))
+                m2 = u2 = m2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2))
+                p1, p2 = x1, x2
+                logged += (x1 - l1, x2 - l2, u1, u2)
 
-            if clamp:
-                fi1, fi2 = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
-                if fi1 < 0 or fi2 < 0:
-                    if not warned:
-                        warned = True
-                        loop_logger.warning("feed-flow clamp active from sample %d (t=%.4g s)",
-                                            k, t_k)
-                    if fi1 < 0:
-                        m1 = 0.0 - fi1_bar - d1_k
-                    if fi2 < 0:
-                        m2 = 0.0 - fi2_bar - d2_k
-                # the sample's held feed, each absolute feed floored at zero
-                g1 = u1 + (max(fi1, 0.0) - fi1_bar - u1)
-                g2 = u2 + (max(fi2, 0.0) - fi2_bar - u2)
-            else:
-                # off the pulse d is 0.0, and u + 0.0 turns a -0.0 into 0.0
-                g1, g2 = u1 + d1_k, u2 + d2_k
-            if k == stop:
-                break
-            if linear:
-                n1 = a11 * x1 + a12 * x2 + (b11 * g1 + b12 * g2)
-                n2 = a21 * x1 + a22 * x2 + (b21 * g1 + b22 * g2)
-                if (n1 - n1) + (n2 - n2) != 0.0:
-                    raise ArithmeticError(f"plant state non-finite at t={t_k + ts:.6g}")
-                x1, x2 = n1, n2
-                continue
-
-            if edge_k:
-                # the feed picked again at a later stage time, across a pulse edge
                 if clamp:
-                    fon = (u1 + (max(fi1_bar + u1 + pulse1, 0.0) - fi1_bar - u1),
-                           u2 + (max(fi2_bar + u2 + pulse2, 0.0) - fi2_bar - u2))
-                    foff = (u1 + (max(fi1_bar + u1 + 0.0, 0.0) - fi1_bar - u1),
-                            u2 + (max(fi2_bar + u2 + 0.0, 0.0) - fi2_bar - u2))
+                    fi1, fi2 = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
+                    if fi1 < 0 or fi2 < 0:
+                        if not warned:
+                            warned = True
+                            loop_logger.warning("feed-flow clamp active from sample %d (t=%.4g s)",
+                                                i + k, t.item(k))
+                        if fi1 < 0:
+                            m1 = 0.0 - fi1_bar - d1_k
+                        if fi2 < 0:
+                            m2 = 0.0 - fi2_bar - d2_k
+                    # the sample's held feed, each absolute feed floored at zero
+                    g1 = u1 + (max(fi1, 0.0) - fi1_bar - u1)
+                    g2 = u2 + (max(fi2, 0.0) - fi2_bar - u2)
                 else:
-                    fon, foff = (u1 + pulse1, u2 + pulse2), (u1 + 0.0, u2 + 0.0)
-            # A step starts from the floored end of the one before, and its
-            # feed is the one its predecessor's last stage picked at that time.
-            tj = t_k
-            for _ in steps:
-                te = tj + dt
-                hd = x1 - x2
-                q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
-                f11 = g1 - q12
-                f12 = g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12
+                    # off the pulse d is 0.0, and u + 0.0 turns a -0.0 into 0.0
+                    g1, g2 = u1 + d1_k, u2 + d2_k
+                if k == stop:
+                    break
+                if linear:
+                    n1 = a11 * x1 + a12 * x2 + (b11 * g1 + b12 * g2)
+                    n2 = a21 * x1 + a22 * x2 + (b21 * g1 + b22 * g2)
+                    if (n1 - n1) + (n2 - n2) != 0.0:
+                        raise ArithmeticError(f"plant state non-finite at t={t.item(k) + ts:.6g}")
+                    x1, x2 = n1, n2
+                    continue
 
                 if edge_k:
-                    tm = tj + half
-                    g1, g2 = fon if start <= tm < end else foff
-                y1, y2 = x1 + half1 * f11, x2 + half2 * f12
-                if y1 < 0.0:
-                    y1 = 0.0
-                if y2 < 0.0:
-                    y2 = 0.0
-                hd = y1 - y2
-                q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
-                f21 = g1 - q12
-                f22 = g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12
+                    # the feed picked again at a later stage time tj, across a pulse edge
+                    if clamp:
+                        fon = (u1 + (max(fi1_bar + u1 + pulse1, 0.0) - fi1_bar - u1),
+                               u2 + (max(fi2_bar + u2 + pulse2, 0.0) - fi2_bar - u2))
+                        foff = (u1 + (max(fi1_bar + u1 + 0.0, 0.0) - fi1_bar - u1),
+                                u2 + (max(fi2_bar + u2 + 0.0, 0.0) - fi2_bar - u2))
+                    else:
+                        fon, foff = (u1 + pulse1, u2 + pulse2), (u1 + 0.0, u2 + 0.0)
+                    tj = t.item(k)
+                # A step starts from the floored end of the one before, and its
+                # feed is the one its predecessor's last stage picked at that time.
+                for j in steps:
+                    hd = x1 - x2
+                    q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
+                    f11 = g1 - q12
+                    f12 = g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12
 
-                y1, y2 = x1 + half1 * f21, x2 + half2 * f22
-                if y1 < 0.0:
-                    y1 = 0.0
-                if y2 < 0.0:
-                    y2 = 0.0
-                hd = y1 - y2
-                q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
-                f31 = g1 - q12
-                f32 = g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12
+                    if edge_k:
+                        g1, g2 = fon if start <= tj + half < end else foff
+                    y1, y2 = x1 + half1 * f11, x2 + half2 * f12
+                    if y1 < 0.0:
+                        y1 = 0.0
+                    if y2 < 0.0:
+                        y2 = 0.0
+                    hd = y1 - y2
+                    q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
+                    f21 = g1 - q12
+                    f22 = g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12
 
-                if edge_k:
-                    g1, g2 = fon if start <= te < end else foff
-                y1, y2 = x1 + whole1 * f31, x2 + whole2 * f32
-                if y1 < 0.0:
-                    y1 = 0.0
-                if y2 < 0.0:
-                    y2 = 0.0
-                hd = y1 - y2
-                q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
-                f41 = g1 - q12
-                f42 = g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12
+                    y1, y2 = x1 + half1 * f21, x2 + half2 * f22
+                    if y1 < 0.0:
+                        y1 = 0.0
+                    if y2 < 0.0:
+                        y2 = 0.0
+                    hd = y1 - y2
+                    q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
+                    f31 = g1 - q12
+                    f32 = g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12
 
-                n1 = x1 + sixth1 * (f11 + f41 + 2.0 * (f21 + f31))
-                n2 = x2 + sixth2 * (f12 + f42 + 2.0 * (f22 + f32))
-                # x - x is 0.0 for a finite x, and nan for an infinite or nan one
-                if (n1 - n1) + (n2 - n2) != 0.0:
-                    raise ArithmeticError(f"plant state non-finite at t={te:.6g}")
-                # floor the levels at empty; warn only on the step that empties a tank
-                if n1 < 0.0:
-                    if x1 > 0.0:
-                        logger.warning("tank 1 ran empty at t=%.4g s; level clamped to 0", te)
-                        emptied = k
-                    n1 = 0.0
-                if n2 < 0.0:
-                    if x2 > 0.0:
-                        logger.warning("tank 2 ran empty at t=%.4g s; level clamped to 0", te)
-                        emptied = k
-                    n2 = 0.0
-                tj = te
-                x1, x2 = n1, n2
+                    if edge_k:
+                        tj += dt
+                        g1, g2 = fon if start <= tj < end else foff
+                    y1, y2 = x1 + whole1 * f31, x2 + whole2 * f32
+                    if y1 < 0.0:
+                        y1 = 0.0
+                    if y2 < 0.0:
+                        y2 = 0.0
+                    hd = y1 - y2
+                    q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
+                    f41 = g1 - q12
+                    f42 = g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12
+
+                    n1 = x1 + sixth1 * (f11 + f41 + 2.0 * (f21 + f31))
+                    n2 = x2 + sixth2 * (f12 + f42 + 2.0 * (f22 + f32))
+                    # x - x is 0.0 for a finite x, and nan for an infinite or nan one
+                    if (n1 - n1) + (n2 - n2) != 0.0:
+                        raise ArithmeticError(f"plant state non-finite at t={clock(k, j):.6g}")
+                    # floor the levels at empty; warn only on the step that empties a tank
+                    if n1 < 0.0:
+                        if x1 > 0.0:
+                            logger.warning("tank 1 ran empty at t=%.4g s; level clamped to 0",
+                                           clock(k, j))
+                            emptied = k
+                        n1 = 0.0
+                    if n2 < 0.0:
+                        if x2 > 0.0:
+                            logger.warning("tank 2 ran empty at t=%.4g s; level clamped to 0",
+                                           clock(k, j))
+                            emptied = k
+                        n2 = 0.0
+                    x1, x2 = n1, n2
         return x1, x2, p1, p2, m1, m2, warned
 
     return run

@@ -587,6 +587,85 @@ class TestFixedPoints:
         assert sum("tank 2 ran empty" in m for m in messages) >= 100
 
 
+def drawn_scenario(data):
+    """A drawn scenario for the block-size property: both plants, 1-8
+    substeps, the clamp on or off, setpoint and pulse edges on sample times,
+    on stage times and between them, endless windows, +-0.0 inputs, pulses
+    deep enough to empty a tank, and now and then a setpoint that overflows
+    the plant."""
+    params = TankParams(*(data.draw(st.floats(lo, hi), label=name) for name, lo, hi in (
+        ("a1", 0.05, 0.5), ("a2", 0.05, 0.5), ("alpha1", 0.5, 4.0), ("alpha2", 0.5, 4.0))))
+    l2 = data.draw(st.floats(0.5, 5.0), label="l2")
+    l1 = l2 + data.draw(st.floats(0.3, 3.0), label="l1 - l2")
+    outlet, coupling = params.alpha2 * math.sqrt(l2), params.alpha1 * math.sqrt(l1 - l2)
+    if outlet < coupling:
+        # Scenario refuses a negative steady tank-2 feed: the coupling is cut to half the outlet
+        params = dataclasses.replace(params, alpha1=params.alpha1 * (outlet / coupling / 2))
+    ts = data.draw(st.one_of(st.sampled_from([0.05, 0.01]), st.floats(0.01, 0.2)), label="ts")
+    substeps = data.draw(st.integers(1, 8), label="substeps")
+    n = data.draw(st.integers(2, 120), label="samples")
+    npred = data.draw(st.integers(2, 15), label="np")
+    mpc = MpcConfig(npred, data.draw(st.integers(1, min(npred, 4)), label="nc"),
+                    10.0 ** data.draw(st.floats(-2.0, 1.0), label="log10 rw"))
+    half_stage = ts / substeps / 2
+
+    def window(name):
+        edges = [data.draw(st.one_of(
+            st.integers(0, n).map(lambda k: k * ts),
+            st.tuples(st.integers(0, n), st.integers(1, 2 * substeps)).map(
+                lambda km: km[0] * ts + km[1] * half_stage),
+            st.floats(0.0, n * ts)), label=f"{name} edge") for _ in range(2)]
+        start, end = sorted(edges)
+        endless = data.draw(st.booleans(), label=f"{name} endless")
+        return {"start": start, "duration": math.inf if endless else end - start}
+
+    def amplitude(name, level):
+        return data.draw(st.one_of(st.sampled_from([0.0, -0.0, 1e308]),
+                                   st.floats(-0.5, 0.5).map(lambda f: f * level),
+                                   st.floats(-1.5, -1.0).map(lambda f: f * level)), label=name)
+
+    setpoints = (SetpointPulse(amplitude("r1", l1), **window("r1")),
+                 SetpointPulse(amplitude("r2", l2), **window("r2")))
+    magnitude = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-400.0, 100.0)),
+                          label="pulse %")
+    target = data.draw(st.sampled_from(["tank1", "tank2", "both"]), label="target")
+    return Scenario(params=params, op_levels=(l1, l2), mpc=mpc, ts=ts, t_end=(n - 1) * ts,
+                    setpoints=setpoints,
+                    disturbance=DisturbanceProfile(magnitude=magnitude, target=target,
+                                                   **window("pulse")),
+                    substeps=substeps, clamp_flows=data.draw(st.booleans(), label="clamp"),
+                    linear_plant=data.draw(st.booleans(), label="linear"))
+
+
+class TestBlockSizes:
+    """make_loop's body walks a block one stretch of held inputs at a time,
+    so a stretch that a block boundary cuts restarts at the next block.  The
+    log, the warnings and an error's text are those of stepping every
+    sample, in blocks of one sample."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_drawn_runs_match_in_blocks_of_7_and_1(self, caplog, data):
+        """Derandomized, so the suite sees the same scenarios on every run."""
+        import tankmpc.loop as loop
+
+        sc = drawn_scenario(data)
+        caplog.set_level(logging.WARNING, logger="tankmpc")
+        outcomes = []
+        for block in (CSV_BLOCK, 7, 1):
+            caplog.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(loop, "CSV_BLOCK", block)
+                try:
+                    result = _log_bytes(run_closed_loop(sc))
+                except SimulationError as exc:
+                    result = str(exc)
+            outcomes.append((result, caplog.messages))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+
 class TestSettlingInBits:
     """The law runs on the absolute levels, so a held setpoint r is reached
     at the level fl(l + r) itself: the error is then exactly zero, the

@@ -433,6 +433,32 @@ class TestAdvanceKernel:
                 run_loop(DEFAULT_PARAMS, op, 0.05, 4, NO_DISTURBANCE, True, gains,
                          [(0.0, 0.0)] * 3, carry=start)
 
+    @pytest.mark.parametrize("edge", [False, True], ids=["no edge", "edge"])
+    def test_messages_name_the_end_of_a_later_substep(self, caplog, edge):
+        # sample 7 at ts 0.1 in 4 substeps: a level overflows at the end of
+        # substep 2, and tank 2 empties at the end of substep 1.  Each message
+        # names that end on the stage clock, 0.7 + dt + dt (+ dt); a pulse
+        # edge at 0.7 + 1.5 dt makes the sample an edge sample
+        ts, substeps, i = 0.1, 4, 7
+        dt = ts / substeps
+        ends = stage_times(i * ts, dt, substeps)[2::3]  # the end of each substep
+        profile = DisturbanceProfile(i * ts + 1.5 * dt, math.inf, 10.0) if edge else NO_DISTURBANCE
+        # a tank 1 of area 0.001 under a feed of 1.2e306 rises by 3e307 a substep
+        params = TankParams(0.001, DEFAULT_PARAMS.a2, DEFAULT_PARAMS.alpha1, DEFAULT_PARAMS.alpha2)
+        op = make_operating_point(params, 4.0, 3.5)
+        with pytest.raises(ArithmeticError) as exc_info:
+            run_loop(params, op, ts, substeps, profile, False, ZERO_GAINS, [(0.0, 0.0)],
+                     carry=(1e308, op.l2, 1e308, op.l2, 1.2e306, 0.0, False), i=i, final=False)
+        assert str(exc_info.value) == f"plant state non-finite at t={ends[2]:.6g}" != (
+            f"plant state non-finite at t={ends[1]:.6g}")
+
+        op = DEFAULT_OP
+        with caplog.at_level(logging.WARNING, logger="tankmpc"):
+            run_loop(DEFAULT_PARAMS, op, ts, substeps, profile, False, ZERO_GAINS, [(0.0, 0.0)],
+                     carry=(op.l1, 0.1, op.l1, 0.1, 0.0, -6.3, False), i=i, final=False)
+        assert caplog.messages == [f"tank 2 ran empty at t={ends[1]:.4g} s; level clamped to 0"]
+        assert f"{ends[1]:.4g}" not in (f"{ends[0]:.4g}", f"{ends[2]:.4g}")
+
 
 class TestLinearAdvance:
     def test_matches_numpy_reference(self):
