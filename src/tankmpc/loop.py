@@ -9,7 +9,8 @@ The controller runs on the linearized model while the plant stays
 nonlinear (or, as a diagnostic, is the sampled linear model),
 exactly the mismatch the scheme is meant to tolerate.  The scenario's
 signals at the sample times are computed once per run, before the loop,
-and the absolute feeds it applied after it, from the logged moves.
+and the absolute feeds it applied after it, from the logged moves: the
+clamp is reported there, once, at the first sample whose feed it floored.
 The body walks each block one stretch of held inputs at a time, and a
 stretch often reaches an exact fixed point, a sample that leaves the plant
 and controller state bit for bit as it found it: the body repeats its row,
@@ -28,6 +29,7 @@ one plant its whole controller set-up.
 
 from __future__ import annotations
 
+import logging
 import math
 import struct
 from dataclasses import dataclass, field
@@ -47,6 +49,8 @@ from .plant import (  # noqa: F401  (unused here; perfbench/tracing.BOUNDARIES
     rk4_step,
 )
 from .tank import TankParams, linearize, make_operating_point
+
+logger = logging.getLogger(__name__)
 
 #: Samples a signal must stay inside the settling band to count as settled.
 SETTLE_DWELL = 10
@@ -294,26 +298,31 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     run = make_loop(scenario.params, op, ts, scenario.substeps, dist, clamp, pred.gains,
                     disc if scenario.linear_plant else None)
 
-    # CSV_BLOCK samples at a time, their logged values gathered in one flat
-    # list of floats and packed into rows in one pass; the loop body carries
-    # the plant and the controller's memory from block to block
-    carry = None
+    # CSV_BLOCK samples at a time, their logged values gathered in one flat list of floats
+    # and packed into rows in one pass, a failed block's too; the loop body carries the
+    # plant and the controller's memory from block to block
+    carry = error = None
     for i in range(0, n, CSV_BLOCK):
         j = min(i + CSV_BLOCK, n)
         logged = []
         try:
-            carry = run(i, t_col[i:j], r1_col[i:j], r2_col[i:j], d1_col[i:j], d2_col[i:j],
+            carry = run(t_col[i:j], r1_col[i:j], r2_col[i:j], d1_col[i:j], d2_col[i:j],
                         carry, logged, j == n)
         except Exception as exc:
-            k = i + len(logged) // width - 1  # the sample logged last raised in its step
-            raise SimulationError(k, float(t_col[k]), exc) from exc
+            error, n = exc, i + len(logged) // width  # the sample logged last raised in its step
         struct.pack_into(f"{len(logged)}d", rows, 8 * width * i, *logged)
+        if error is not None:
+            break
 
-    h1_col, h2_col, u1_col, u2_col = rows.reshape(n, width).T.copy()
-    # the absolute feeds the loop applied, each floored at zero under the clamp
-    fi1_col, fi2_col = op.fi1_bar + u1_col + d1_col, op.fi2_bar + u2_col + d2_col
+    h1_col, h2_col, u1_col, u2_col = rows[: n * width].reshape(n, width).T.copy()
+    # the absolute feeds the loop applied, each floored at zero under the clamp, reported once
+    fi1_col, fi2_col = op.fi1_bar + u1_col + d1_col[:n], op.fi2_bar + u2_col + d2_col[:n]
     if clamp:
+        for k in np.flatnonzero((fi1_col < 0) | (fi2_col < 0))[:1].tolist():
+            logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_col.item(k))
         fi1_col, fi2_col = (np.where(fi < 0, 0.0, fi) for fi in (fi1_col, fi2_col))
+    if error is not None:
+        raise SimulationError(n - 1, t_col.item(n - 1), error) from error
     return SimulationLog(t=t_col, r1=r1_col, r2=r2_col, h1=h1_col, h2=h2_col, u1=u1_col,
                          u2=u2_col, u3=u3_col, fi1_abs=fi1_col, fi2_abs=fi2_col)
 

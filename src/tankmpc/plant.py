@@ -16,12 +16,12 @@ The body walks a block one stretch at a time: samples whose setpoints
 and routed pulse keep their bits, with no pulse edge in reach.  In a
 stretch a sample is a pure function of the carry (the levels, the last
 measurement and the remembered move): the sample and stage times enter
-only edge samples and messages, and the flag that the clamp was reported
-only ever turns on.  So once a stepped sample leaves the carry bit for
-bit as it found it, the rest of its stretch would log its row and change
-nothing, and the body appends that row unstepped.  No message is lost: a
-non-finite state raises before any fixed point, and a sample whose step
-emptied a tank, which warns, is no fixed point even if it refills.
+only edge samples and messages.  So once a stepped sample leaves the
+carry bit for bit as it found it, the rest of its stretch would log its
+row and change nothing, and the body appends that row unstepped.  No
+message is lost: a non-finite state raises before any fixed point, and a
+sample whose step emptied a tank, which warns, is no fixed point even if
+it refills.
 
 `rk4_step` (one sample of the loop with zero gains and a preset move,
 on a `PlantState`) and `disturbance_flow`/`disturbance_inflows` (the
@@ -48,13 +48,10 @@ from .tank import (  # noqa: F401  (nonlinear_derivatives: a boundary perfbench 
 )
 
 logger = logging.getLogger(__name__)
-#: The clamp is an event of the closed loop, and it is reported under the loop's name.
-loop_logger = logging.getLogger("tankmpc.loop")
 
 #: What one block of samples hands the next: the levels x1, x2 the plant
-#: carries, the controller's last measured levels p1, p2 and remembered
-#: move m1, m2, and whether the clamp has been reported.
-Carry = tuple[float, float, float, float, float, float, bool]
+#: carries, the controller's last measured levels p1, p2 and remembered move m1, m2.
+Carry = tuple[float, float, float, float, float, float]
 
 
 class PlantState(NamedTuple):
@@ -130,12 +127,12 @@ def make_loop(
 ) -> Callable[..., Carry]:
     """The closed loop's body, with one run's constants bound once.
 
-    Returns run(i, t, r1, r2, d1, d2, carry, logged, final): samples i,
-    i + 1, ... at the times t, with the setpoints r1, r2 and the routed
-    pulse d1, d2 at those times (arrays, one entry a sample).  It starts
-    from carry (None: the operating point, a zero move), appends each
-    sample's (h1, h2, u1, u2), h = x - l, to logged and returns the carry
-    after the last sample, which takes no plant step if final.
+    Returns run(t, r1, r2, d1, d2, carry, logged, final): the samples at
+    the times t, with the setpoints r1, r2 and the routed pulse d1, d2 at
+    those times (arrays, one entry a sample).  It starts from carry (None:
+    the operating point, a zero move), appends each sample's (h1, h2, u1,
+    u2), h = x - l, to logged and returns the carry after the last sample,
+    which takes no plant step if final.
 
     Per sample the law applies `gains` (kr and the dx block of kx, row by
     row) in `mpc.receding_step`'s expression order, on the levels: to the
@@ -144,11 +141,11 @@ def make_loop(
     where the error is exactly zero (no level zeroes r - (x - l) when
     l + r is not a double).
     Under clamp_flows an absolute feed that would go negative is floored
-    at zero, the controller remembers the floored move so that it does
-    not wind up, and the first such sample is reported.  Then the sample's
-    held feed g is worked out once: the move plus the pulse routed at t,
-    each absolute feed floored at zero under clamp_flows.  The plant steps
-    from it last, and its step is the one part of a sample that raises.
+    at zero (reported by `loop`, from the log), and the controller
+    remembers the floored move so that it does not wind up.  Then the
+    sample's held feed g is worked out once: the move plus the pulse routed
+    at t, each absolute feed floored at zero under clamp_flows.  The plant
+    steps from it last, and its step is the one part of a sample that raises.
 
     The nonlinear plant takes `substeps` classical Runge-Kutta steps of
     dt = ts / substeps on the physical levels x, floored at empty at every
@@ -170,8 +167,9 @@ def make_loop(
     edge sample and the one after it.  Its inputs are read once, and the
     first of its samples to leave the carry unchanged, bit for bit, and
     warn of no emptying is a fixed point: its row is appended for the
-    rest of the stretch, unstepped.  Only edge samples keep the stage
-    clock; a message sums its time the same way.
+    rest of the stretch, unstepped.  The law sets p to the x it found, so
+    each sample saves only p and m to tell.  Only edge samples keep the
+    stage clock; a message sums its time the same way.
     """
     dt = ts / substeps
     if dt <= 0:
@@ -199,7 +197,7 @@ def make_loop(
               pulse1, pulse2, range(substeps), tuple(gains), clamp_flows, linear, ab, ts,
               math.sqrt, struct.Struct("6d").pack)
 
-    def run(i: int, t: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: np.ndarray,
+    def run(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: np.ndarray,
             d2: np.ndarray, carry: Carry | None, logged: list, final: bool) -> Carry:
         # the run's constants as fast locals
         (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, fi1_bar, fi2_bar,
@@ -209,8 +207,7 @@ def make_loop(
         a11, a12, a21, a22, b11, b12, b21, b22 = ab
         # at the start the remembered measurement is the first one, so the
         # first state increment is zero: no derivative kick
-        x1, x2, p1, p2, m1, m2, warned = (
-            (l1, l2, l1, l2, 0.0, 0.0, False) if carry is None else carry)
+        x1, x2, p1, p2, m1, m2 = (l1, l2, l1, l2, 0.0, 0.0) if carry is None else carry
         stop = t.size - 1 if final else -1
 
         def clock(k: int, j: int) -> float:  # the end of sample k's substep j, summed as tj is
@@ -229,20 +226,20 @@ def make_loop(
         firsts = np.flatnonzero(new)
         stretches = zip(firsts.tolist(), [*(firsts[1:] - 1).tolist(), t.size - 1],
                         *(col[firsts].tolist() for col in (r1, r2, d1, d2, edge)))
-        emptied = -1  # the last sample whose step emptied a tank, and warned
+        emptied = -1  # the last sample whose step emptied a tank, which warns
         for first, last, r1_k, r2_k, d1_k, d2_k, edge_k in stretches:
             c1, c2 = r1_k + l1, r2_k + l2  # the stretch's target levels
             for k in range(first, last + 1):
-                if (k != first and x1 == o1 and x2 == o2 and p1 == o3 and p2 == o4 and m1 == o5
-                        and m2 == o6 and emptied != k - 1
-                        and bits(x1, x2, p1, p2, m1, m2) == bits(o1, o2, o3, o4, o5, o6)):
-                    # the sample before left the carry as it found it (== first, then
-                    # the bits, which tell -0.0 from 0.0) and warned of no emptying: a
-                    # fixed point, whose row the rest of the stretch repeats unstepped
+                if (k != first and x1 == p1 and x2 == p2 and p1 == q1 and p2 == q2 and m1 == s1
+                        and m2 == s2 and emptied != k - 1
+                        and bits(x1, x2, p1, p2, m1, m2) == bits(p1, p2, q1, q2, s1, s2)):
+                    # the sample before set p to the x it found and left the carry as it
+                    # found it (== first, then the bits, which tell -0.0 from 0.0), warning
+                    # of no emptying: a fixed point, whose row the stretch repeats unstepped
                     logged += logged[-4:] * (last + 1 - k)
                     break
-                o1, o2, o3 = x1, x2, p1
-                o4, o5, o6 = p2, m1, m2
+                q1, q2 = p1, p2
+                s1, s2 = m1, m2
                 e1, e2 = c1 - x1, c2 - x2
                 dx1, dx2 = x1 - p1, x2 - p2
                 m1 = u1 = m1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2))
@@ -252,15 +249,10 @@ def make_loop(
 
                 if clamp:
                     fi1, fi2 = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
-                    if fi1 < 0 or fi2 < 0:
-                        if not warned:
-                            warned = True
-                            loop_logger.warning("feed-flow clamp active from sample %d (t=%.4g s)",
-                                                i + k, t.item(k))
-                        if fi1 < 0:
-                            m1 = 0.0 - fi1_bar - d1_k
-                        if fi2 < 0:
-                            m2 = 0.0 - fi2_bar - d2_k
+                    if fi1 < 0:
+                        m1 = 0.0 - fi1_bar - d1_k
+                    if fi2 < 0:
+                        m2 = 0.0 - fi2_bar - d2_k
                     # the sample's held feed, each absolute feed floored at zero
                     g1 = u1 + (max(fi1, 0.0) - fi1_bar - u1)
                     g2 = u2 + (max(fi2, 0.0) - fi2_bar - u2)
@@ -349,7 +341,7 @@ def make_loop(
                             emptied = k
                         n2 = 0.0
                     x1, x2 = n1, n2
-        return x1, x2, p1, p2, m1, m2, warned
+        return x1, x2, p1, p2, m1, m2
 
     return run
 
@@ -374,8 +366,7 @@ def rk4_step(
     t, (h1, h2) = state
     d = np.array([disturbance_inflows(profile, op, t)])
     x1, x2 = max(op.l1 + h1, 0.0), max(op.l2 + h2, 0.0)
-    carry = (x1, x2, x1, x2, *inflow_dev, False)
+    carry = (x1, x2, x1, x2, *inflow_dev)
     run = make_loop(params, op, dt, 1, profile, False, (0.0,) * 8)
-    x1, x2, *_ = run(0, np.array([t]), np.zeros(1), np.zeros(1), d[:, 0], d[:, 1], carry, [],
-                     False)
+    x1, x2, *_ = run(np.array([t]), np.zeros(1), np.zeros(1), d[:, 0], d[:, 1], carry, [], False)
     return PlantState(t + dt, DeviationState(x1 - op.l1, x2 - op.l2))

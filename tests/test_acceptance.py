@@ -179,8 +179,8 @@ def test_criterion_7_integrator_and_plant_invariants():
             logged = []
             zero = np.zeros(n)
             make_loop(DEFAULT_PARAMS, op, ts, substeps, NO_DISTURBANCE, False, (0.0,) * 8)(
-                0, np.arange(n) * ts, zero, zero, zero, zero,
-                (op.l1 + h0, op.l2 + h0, op.l1 + h0, op.l2 + h0, 0.0, 0.0, False), logged, True)
+                np.arange(n) * ts, zero, zero, zero, zero,
+                (op.l1 + h0, op.l2 + h0, op.l1 + h0, op.l2 + h0, 0.0, 0.0), logged, True)
             return np.array(logged).reshape(n, 4)[:, :2]
 
         # equilibrium hold: drift below 1e-9 per step over 300 steps

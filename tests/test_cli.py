@@ -407,6 +407,19 @@ def test_negative_steady_feed_exits_2_with_one_line(tmp_path, command):
     assert not csv.exists()
 
 
+def test_clamp_then_failure_exits_3_with_two_lines(tmp_path):
+    """A clamped linear-plant run whose state overflows after the clamp
+    engaged: the clamp line for sample 160, then the error, and exit 3."""
+    proc, csv = cli_process(tmp_path, "sim.linear_plant = true\nsim.clamp_flows = true\n"
+                            "disturbance.magnitude = -150\nsetpoint.h1.amplitude = 1.7e308\n"
+                            "setpoint.h1.start = 11\nsetpoint.h1.duration = inf\n", "simulate")
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2, lines
+    assert "clamp active from sample 160" in lines[0] and "non-finite at t=" in lines[1]
+    assert not csv.exists()
+
+
 def test_subnormal_setpoint_step_summarized_finite(tmp_path):
     """A 5e-324 m setpoint step runs and reports finite metrics, with
     nothing on stderr (the overshoot read inf%, after a numpy warning)."""

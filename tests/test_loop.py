@@ -210,10 +210,10 @@ class TestRunClosedLoop:
         def recording_loop(*args):
             run = make_loop(*args)
 
-            def recorded(i, t, *rest):
+            def recorded(t, *rest):
                 final = rest[-1]
                 entries.extend(t.tolist()[:-1] if final else t.tolist())
-                return run(i, t, *rest)
+                return run(t, *rest)
             return recorded
 
         monkeypatch.setattr(loop, "make_loop", recording_loop)
@@ -235,10 +235,10 @@ class TestRunClosedLoop:
         disturbed, undisturbed = (
             make_loop(sc.params, op, sc.ts, sc.substeps, profile, sc.clamp_flows, pred.gains)
             for profile in (sc.disturbance, NO_DISTURBANCE))
-        carry = disturbed(0, log.t[:k], log.r1[:k], log.r2[:k], d[:k, 0], d[:k, 1], None, [],
+        carry = disturbed(log.t[:k], log.r1[:k], log.r2[:k], d[:k, 0], d[:k, 1], None, [],
                           False)
         logged = []
-        x1, x2, *_ = undisturbed(k, log.t[k : k + 1], log.r1[k : k + 1], log.r2[k : k + 1],
+        x1, x2, *_ = undisturbed(log.t[k : k + 1], log.r1[k : k + 1], log.r2[k : k + 1],
                                  np.zeros(1), np.zeros(1), carry, logged, False)
         assert hexes(logged) == hexes([getattr(log, c)[k] for c in ("h1", "h2", "u1", "u2")])
         assert hexes([x1 - op.l1, x2 - op.l2]) == hexes([log.h1[k + 1], log.h2[k + 1]])
@@ -363,6 +363,55 @@ class TestRunClosedLoop:
         assert np.min(log.fi1_abs) >= 0.0
         assert any("clamp" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("linear_plant", [False, True])
+    def test_clamp_report_names_the_first_floored_sample(self, caplog, linear_plant):
+        # one line naming the first sample whose unfloored feed fi_bar + u + d,
+        # from the sample-by-sample oracle's moves, is negative, and no line
+        # when no feed is or the clamp is off; at CSV_BLOCK and in blocks of 7 and 1
+        import tankmpc.loop as loop
+
+        rng = np.random.default_rng(20261025)
+        reported = quiet = 0
+        for case in range(60):
+            sc, _, _, us = oracle_run(rng, case, linear_plant)
+            op = make_operating_point(sc.params, *sc.op_levels)
+            floored = [k for k, (u1, u2) in enumerate(us)
+                       for d1, d2 in [disturbance_feeds(sc.disturbance, op, k * sc.ts)]
+                       if op.fi1_bar + u1 + d1 < 0 or op.fi2_bar + u2 + d2 < 0]
+            expected = [f"feed-flow clamp active from sample {k} (t={k * sc.ts:.4g} s)"
+                        for k in floored[:1] if sc.clamp_flows]
+            for block in (CSV_BLOCK, 7, 1):
+                caplog.clear()
+                with pytest.MonkeyPatch.context() as patch, \
+                        caplog.at_level(logging.WARNING, logger="tankmpc"):
+                    patch.setattr(loop, "CSV_BLOCK", block)
+                    run_closed_loop(sc)
+                clamps = [rec.message for rec in caplog.records if rec.name == "tankmpc.loop"]
+                assert clamps == expected, (case, block)
+            reported += bool(expected)
+            quiet += sc.clamp_flows and not floored
+        # measured 11 runs that clamp, first at samples 1-15, and 19 clamped runs that do not
+        assert reported >= 10 and quiet >= 10, (reported, quiet)
+
+    @pytest.mark.parametrize("block", [CSV_BLOCK, 7])
+    def test_a_failed_run_reports_its_clamp_first(self, monkeypatch, caplog, block):
+        # on the linear plant a -150 % pulse from 8 s floors the tank-1 feed
+        # from sample 160, and a 1.7e308 setpoint step from 11 s overflows the
+        # plant state in sample 221's step: the clamp line, then the error
+        import tankmpc.loop as loop
+
+        monkeypatch.setattr(loop, "CSV_BLOCK", block)
+        sc = loads_config("sim.linear_plant = true\nsim.clamp_flows = true\n"
+                          "disturbance.magnitude = -150\nsetpoint.h1.amplitude = 1.7e308\n"
+                          "setpoint.h1.start = 11\nsetpoint.h1.duration = inf\n").scenario
+        with caplog.at_level(logging.WARNING, logger="tankmpc"), \
+                pytest.raises(SimulationError) as exc_info:
+            run_closed_loop(sc)
+        assert caplog.messages == ["feed-flow clamp active from sample 160 (t=8 s)"]
+        assert exc_info.value.sample_index == 221
+        assert str(exc_info.value) == ("simulation failed at sample 221 (t=11.05 s): "
+                                       "plant state non-finite at t=11.1")
+
     def test_flow_clamp_does_not_wind_up(self):
         # setpoints far below the operating point floor the tank-1 feed; the
         # controller remembers the applied flow, so h1 does not overshoot
@@ -443,10 +492,10 @@ def run_counting_steps(monkeypatch, sc):
     def counting_loop(*args):
         run = make_loop(*args)
 
-        def counted(i, t, r1, r2, d1, d2, carry, logged, final):
+        def counted(t, r1, r2, d1, d2, carry, logged, final):
             rows = StepCount()
             try:
-                return run(i, t, r1, r2, d1, d2, carry, rows, final)
+                return run(t, r1, r2, d1, d2, carry, rows, final)
             finally:
                 logged += rows
                 steps.append(rows.steps)
@@ -540,7 +589,7 @@ class TestFixedPoints:
         roots.clear()
         n = 1001
         zeros, logged = np.zeros(n), []
-        carry = run(0, np.arange(n) * 0.01, zeros, zeros, zeros, zeros, None, logged, True)
+        carry = run(np.arange(n) * 0.01, zeros, zeros, zeros, zeros, None, logged, True)
         assert len(roots) == 4 * 2 * substeps
         assert hexes(logged) == hexes([0.0] * (4 * n))
         # the remembered measurement is a level, the operating point's
@@ -555,11 +604,11 @@ class TestFixedPoints:
         run = make_loop(sc.params, op, sc.ts, 1, NO_DISTURBANCE, False, pred.gains, disc)
         n = 5
         t, zeros = np.arange(n) * sc.ts, np.zeros(n)
-        carry = start = (-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, False)
+        carry = start = (-0.0, 0.0, -0.0, 0.0, 0.0, 0.0)
         logged, by_sample = [], []
-        end = run(0, t, zeros, zeros, zeros, zeros, start, logged, False)
+        end = run(t, zeros, zeros, zeros, zeros, start, logged, False)
         for k in range(n):
-            carry = run(k, t[k : k + 1], zeros[:1], zeros[:1], zeros[:1], zeros[:1], carry,
+            carry = run(t[k : k + 1], zeros[:1], zeros[:1], zeros[:1], zeros[:1], carry,
                         by_sample, False)
         assert hexes(logged) == hexes(by_sample) and hexes(end[:6]) == hexes(carry[:6])
         assert hexes(logged[0:8:4]) == hexes([-0.0, 0.0])
@@ -585,6 +634,22 @@ class TestFixedPoints:
             assert _log_bytes(run_closed_loop(sc)) == _log_bytes(log)
         assert caplog.messages == messages
         assert sum("tank 2 ran empty" in m for m in messages) >= 100
+
+    def test_a_run_that_clamps_and_empties_reports_the_clamp_last(self, caplog):
+        # the scenario above: the clamp, active from sample 0, is reported
+        # from the log after the loop, so after every "ran empty" line
+        params = TankParams(0.37446932796053556, 0.28475904196923046, 0.7937889469975279,
+                            2.416482075485289)
+        sc = make_scenario(params=params, op_levels=(5.484215165291941, 3.9031401916328368),
+                           mpc=MpcConfig(10, 3, 0.0240511752493777), ts=0.025, t_end=5.0,
+                           substeps=2, clamp_flows=True,
+                           setpoints=constant_setpoints(-7.141489586769083, -4.476252515917823),
+                           disturbance=DisturbanceProfile(0.0, math.inf, -197.019020604134))
+        with caplog.at_level(logging.WARNING, logger="tankmpc"):
+            run_closed_loop(sc)
+        assert caplog.messages[-1] == "feed-flow clamp active from sample 0 (t=0 s)"
+        assert sum("clamp active" in m for m in caplog.messages) == 1
+        assert sum("ran empty" in m for m in caplog.messages) >= 100
 
 
 def drawn_scenario(data):

@@ -247,7 +247,7 @@ def run_loop(params, op, ts, substeps, profile, clamp, gains, r, carry=None, i=0
     d = np.array([disturbance_feeds(profile, op, tk) for tk in t.tolist()])
     r = np.array(r, dtype=float)
     logged = []
-    carry = run(i, t, r[:, 0], r[:, 1], d[:, 0], d[:, 1], carry, logged, final)
+    carry = run(t, r[:, 0], r[:, 1], d[:, 0], d[:, 1], carry, logged, final)
     return np.array(logged).reshape(-1, 4), carry
 
 
@@ -278,8 +278,8 @@ def plant_step(params, op, t, x, u, ts, substeps, profile, clamp, linear_model=N
     With linear_model the plant is that sampled model, and x its deviations."""
     run = make_loop(params, op, ts, substeps, profile, clamp, ZERO_GAINS, linear_model)
     d1, d2 = disturbance_feeds(profile, op, t)
-    carry = run(0, np.array([t]), np.zeros(1), np.zeros(1), np.array([d1]), np.array([d2]),
-                (*x, *x, *u, False), [], False)
+    carry = run(np.array([t]), np.zeros(1), np.zeros(1), np.array([d1]), np.array([d2]),
+                (*x, *x, *u), [], False)
     return carry[:2]
 
 
@@ -360,7 +360,7 @@ class TestAdvanceKernel:
         # 8 substeps a sample, the move held at (0, -50) by zero gains, drain
         # tank 2 over several samples at k * 0.1: one event, one warning
         op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
-        start = (op.l1, op.l2, op.l1, op.l2, 0.0, -50.0, False)
+        start = (op.l1, op.l2, op.l1, op.l2, 0.0, -50.0)
         with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
             rows, carry = run_loop(DEFAULT_PARAMS, op, 0.1, 8, NO_DISTURBANCE, False, ZERO_GAINS,
                                    [(0.0, 0.0)] * 25, carry=start)
@@ -425,7 +425,7 @@ class TestAdvanceKernel:
     def test_non_finite_state_raises(self, h, u):
         # the first step of the first sample ends non-finite, at t = dt
         op = DEFAULT_OP
-        start = (op.l1 + h[0], op.l2 + h[1], *h, *u, False)
+        start = (op.l1 + h[0], op.l2 + h[1], *h, *u)
         pred = build_prediction(augment(zoh_discretize(linearize(DEFAULT_PARAMS, op), 0.05)),
                                 MpcConfig(10, 3, 1.0))
         for gains in (ZERO_GAINS, pred.gains):
@@ -448,14 +448,14 @@ class TestAdvanceKernel:
         op = make_operating_point(params, 4.0, 3.5)
         with pytest.raises(ArithmeticError) as exc_info:
             run_loop(params, op, ts, substeps, profile, False, ZERO_GAINS, [(0.0, 0.0)],
-                     carry=(1e308, op.l2, 1e308, op.l2, 1.2e306, 0.0, False), i=i, final=False)
+                     carry=(1e308, op.l2, 1e308, op.l2, 1.2e306, 0.0), i=i, final=False)
         assert str(exc_info.value) == f"plant state non-finite at t={ends[2]:.6g}" != (
             f"plant state non-finite at t={ends[1]:.6g}")
 
         op = DEFAULT_OP
         with caplog.at_level(logging.WARNING, logger="tankmpc"):
             run_loop(DEFAULT_PARAMS, op, ts, substeps, profile, False, ZERO_GAINS, [(0.0, 0.0)],
-                     carry=(op.l1, 0.1, op.l1, 0.1, 0.0, -6.3, False), i=i, final=False)
+                     carry=(op.l1, 0.1, op.l1, 0.1, 0.0, -6.3), i=i, final=False)
         assert caplog.messages == [f"tank 2 ran empty at t={ends[1]:.4g} s; level clamped to 0"]
         assert f"{ends[1]:.4g}" not in (f"{ends[0]:.4g}", f"{ends[2]:.4g}")
 
