@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    SWEEP_KEYS,
     ConfigError,
     RunConfig,
     default_run_config,
@@ -176,10 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_swp = sub.add_parser("sweep", help="re-run the scenario over a parameter list")
+    p_swp = sub.add_parser("sweep", help="re-run the scenario over a list of values of one key")
     p_swp.add_argument("--config", help="config file (defaults to the bundled scenario)")
-    p_swp.add_argument("--param", required=True, choices=("rw", "np", "nc"))
-    p_swp.add_argument("--values", required=True, help="comma-separated values")
+    p_swp.add_argument("--param", required=True, choices=SWEEP_KEYS, metavar="KEY",
+                       help="a config key but output.path; rw, np and nc name mpc.*")
+    p_swp.add_argument("--values", required=True,
+                       help="comma-separated values; write --values=-1,1 if the first is negative")
     p_swp.add_argument("--out-dir", required=True, help="directory for per-value CSVs")
     p_swp.set_defaults(func=cmd_sweep)
     return parser

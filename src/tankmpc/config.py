@@ -100,6 +100,10 @@ def _flat(cfg: RunConfig) -> dict:
 #: The type of every config key's value, from the defaults.
 _TYPES = {key: type(value) for key, value in _flat(default_run_config()).items()}
 _TYPES["output.path"] = str
+#: The key each name of `sweep --param` sets: rw, np and nc are mpc.*, and
+#: every other key but output.path is itself.
+SWEEP_KEYS = {name: key for key in _TYPES if key != "output.path"
+              for name in (key.removeprefix("mpc."), key)}
 
 
 def _parse_value(key: str, raw):
@@ -213,12 +217,10 @@ def bundled_config_path() -> Path:
 
 
 def with_mpc_value(cfg: RunConfig, name: str, value) -> RunConfig:
-    """Copy of cfg with one MPC parameter (rw, np, nc) replaced.
-
-    The value, its raw text or a number, is parsed and passes every check
-    a config file's value would.
-    """
-    if name not in ("rw", "np", "nc"):
-        raise ConfigError(f"unknown sweep parameter {name!r} (expected rw, np or nc)")
-    key = f"mpc.{name}"
+    """Copy of cfg with its key SWEEP_KEYS[name] set to value, parsed and checked
+    as a config file's value is.  The name is from when only mpc.* could be
+    swept; it stays because perfbench's workloads and tracer call it by that name."""
+    key = SWEEP_KEYS.get(name)
+    if key is None:
+        raise ConfigError(f"unknown sweep parameter {name!r} (not in config.SWEEP_KEYS)")
     return _build({key: _parse_value(key, value)}, base=cfg)

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 import tankmpc
 from tankmpc.cli import main
+from tankmpc.config import SWEEP_KEYS
+from test_config import NON_DEFAULT
 
 
 def run_cli(argv, capsys):
@@ -310,6 +312,76 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc_info:
             main(["sweep", "--param", "ts", "--values", "1", "--out-dir", "x"])
         assert exc_info.value.code == 2
+
+    def test_negative_first_value_in_the_equals_form(self, tmp_path, capsys):
+        """argparse reads `--values -150,10` as an option (it exempts only a
+        plain negative number), so a negative first value takes `--values=`."""
+        out_dir = tmp_path / "d"
+        argv = ["sweep", "--param", "disturbance.magnitude", "--out-dir", str(out_dir)]
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--values", "-150,10"])
+        assert exc_info.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli([*argv, "--values=-150,10"], capsys)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[1:]] == [
+            "disturbance.magnitude=-150", "disturbance.magnitude=10"]
+
+    def test_disturbance_study_matches_simulate(self, monkeypatch, tmp_path, capsys):
+        """The paper's disturbance study is one sweep: each value's CSV is
+        `simulate` on its one-line config, and the values share one
+        controller set-up."""
+        import tankmpc.loop as loop
+
+        builds = []
+        real = loop.build_prediction
+        monkeypatch.setattr(loop, "build_prediction",
+                            lambda aug, cfg: builds.append(cfg) or real(aug, cfg))
+        monkeypatch.setattr(loop, "_last", {})
+        out_dir = tmp_path / "d"
+        code, _, _ = run_cli(["sweep", "--param", "disturbance.magnitude", "--values=-150,10",
+                              "--out-dir", str(out_dir)], capsys)
+        assert code == 0 and len(builds) == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "disturbance.magnitude_-150.csv", "disturbance.magnitude_10.csv"]
+        for value in ("-150", "10"):
+            ref_conf, ref_csv = tmp_path / "ref.conf", tmp_path / "ref.csv"
+            ref_conf.write_text(f"disturbance.magnitude = {value}\n")
+            assert run_cli(["simulate", "--config", str(ref_conf), "--out", str(ref_csv)],
+                           capsys)[0] == 0
+            assert (out_dir / f"disturbance.magnitude_{value}.csv").read_bytes() == \
+                ref_csv.read_bytes(), value
+
+    def test_full_key_sweeps_as_its_short_name(self, tmp_path, capsys):
+        for param in ("mpc.rw", "rw"):
+            code, _, _ = run_cli(["sweep", "--param", param, "--values", "0.5",
+                                  "--out-dir", str(tmp_path / param)], capsys)
+            assert code == 0
+        assert ((tmp_path / "mpc.rw" / "mpc.rw_0.5.csv").read_bytes()
+                == (tmp_path / "rw" / "rw_0.5.csv").read_bytes())
+
+    def test_rejects_output_path(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", "--param", "output.path", "--values", "x",
+                  "--out-dir", str(tmp_path / "x")])
+        assert exc_info.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_KEYS))
+    def test_failed_value_of_any_key_is_one_line(self, tmp_path, capsys, name):
+        """A valid value and one that fails its key's check: exit 1, the
+        valid value's CSV, one FAILED table line and no traceback."""
+        conf = tmp_path / "short.conf"
+        conf.write_text("sim.t_end = 1.0\n")
+        valid = NON_DEFAULT[SWEEP_KEYS[name]][0]
+        bad = {float: "nan", int: "2.5", bool: "yes", str: "tank3"}[type(valid)]
+        code, out, err = run_cli(["sweep", "--config", str(conf), "--param", name,
+                                  f"--values={valid},{bad}", "--out-dir", str(tmp_path / "s")],
+                                 capsys)
+        assert code == 1 and "Traceback" not in err
+        failed = [line for line in out.splitlines() if "FAILED" in line]
+        assert len(failed) == 1 and failed[0].startswith(f"  {name}={bad}  FAILED: ")
+        assert (tmp_path / "s" / f"{name}_{valid}.csv").exists()
 
 
 @pytest.mark.parametrize("command, csv", [

@@ -23,6 +23,7 @@ from tankmpc import (
 from tankmpc.config import (
     MAX_HORIZON_PRODUCT,
     MAX_RK4_STEPS,
+    SWEEP_KEYS,
     _flat,
     parse_config_text,
     with_mpc_value,
@@ -248,3 +249,34 @@ def test_swept_value_checked_like_config_value(name, value):
     cfg = default_run_config()
     assert (_outcome(lambda: with_mpc_value(cfg, name, value))
             == _outcome(lambda: loads_config(f"mpc.{name} = {value}\n")).replace("line 1: ", ""))
+
+
+@pytest.mark.parametrize("key, value, want", [
+    *[(key, value, value) for key, (value, _) in NON_DEFAULT.items() if key != "output.path"],
+    # values that fail their key's check, and an endless pulse, which passes
+    ("disturbance.magnitude", math.nan, None), ("sim.substeps", 2.5, None),
+    ("sim.clamp_flows", "yes", None), ("disturbance.target", "tank3", None),
+    ("setpoint.h1.duration", "-1", None), ("setpoint.h1.duration", "inf", math.inf),
+])
+def test_every_key_swept_like_its_config_line(key, value, want):
+    """Every key but output.path is swept by its own name through
+    SWEEP_KEYS: the value lands in the key's field, or fails with the
+    message of the one-line config that sets it."""
+    cfg = default_run_config()
+    outcome = _outcome(lambda: with_mpc_value(cfg, key, value))
+    assert outcome == _outcome(lambda: loads_config(f"{key} = {value}\n")).replace("line 1: ", "")
+    if want is None:
+        assert outcome.startswith("ConfigError: ")
+    else:
+        assert NON_DEFAULT[key][1](with_mpc_value(cfg, key, value)) == want
+
+
+def test_sweep_keys_are_the_config_keys_and_three_short_names():
+    assert SWEEP_KEYS == {**{key: key for key in DEFAULTS},
+                          "rw": "mpc.rw", "np": "mpc.np", "nc": "mpc.nc"}
+
+
+@pytest.mark.parametrize("name", ["output.path", "ts", "mpc"])
+def test_name_outside_the_sweep_table_raises(name):
+    with pytest.raises(ConfigError, match=f"^unknown sweep parameter '{name}'"):
+        with_mpc_value(default_run_config(), name, "x")
