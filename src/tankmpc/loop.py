@@ -6,19 +6,18 @@ advance the plant from k ts, the run's one clock.  All of that is one
 loop body, `plant.make_loop`, which this module runs once per block of
 CSV_BLOCK samples; no function is called per sample, on either plant.
 The controller runs on the linearized model while the plant stays
-nonlinear (or, as a diagnostic, is the sampled linear model),
-exactly the mismatch the scheme is meant to tolerate.  The scenario's
-signals at the sample times are computed once per run, before the loop,
-and the absolute feeds it applied after it, from the logged moves: the
-clamp is reported there, once, at the first sample whose feed it floored.
-The body walks each block one stretch of held inputs at a time, and a
-stretch often reaches an exact fixed point, a sample that leaves the plant
-and controller state bit for bit as it found it: the body repeats its row,
-unstepped, for the rest of the stretch, which gives the same log as
-stepping (see `plant`).  The law runs on the absolute levels, so a held
-setpoint step settles there too, on the level fl(l + r).  Each block's
-rows are packed into the log in one pass, and the CSV encoder formats
-the text of a held stretch once (see `SimulationLog.to_csv_text`).
+nonlinear (or, as a diagnostic, is the sampled linear model), exactly
+the mismatch the scheme is meant to tolerate.  The scenario's signals at
+the sample times, and the samples a pulse edge splits, are worked out
+once per run, before the loop, and the absolute feeds it applied after
+it, from the logged moves: the clamp is reported there, once, at the
+first sample whose feed it floored.  The body repeats the row of an
+exact fixed point of a stretch of held inputs, unstepped, which gives
+the same log as stepping (see `plant.make_loop`); the law runs on the
+absolute levels, so a held setpoint step settles there too, on the level
+fl(l + r).  Each block's rows are packed into the log in one pass, and
+the CSV encoder formats the text of a held stretch once (see
+`SimulationLog.to_csv_text`).
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
@@ -48,7 +47,7 @@ from .plant import (  # noqa: F401  (unused here; perfbench/tracing.BOUNDARIES
     make_loop,
     rk4_step,
 )
-from .tank import TankParams, linearize, make_operating_point
+from .tank import OperatingPoint, TankParams, linearize, make_operating_point
 
 logger = logging.getLogger(__name__)
 
@@ -249,6 +248,28 @@ def _pulse(t: np.ndarray, start: float, duration: float, value: float) -> np.nda
     return np.where((start <= t) & (t < start + duration), value, 0.0)
 
 
+def _routed_pulse(t: np.ndarray, profile: DisturbanceProfile, op: OperatingPoint):
+    """The pulse at the sample times t, as its flow u3 and its feeds d1, d2
+    (the flow routed), and the samples it splits, cuts = {k: pieces}:
+    sample k at each edge e, t_k < e < t_{k+1}, of a pulse that adds flow
+    (on a sample time an edge needs no split: d_k holds over the sample).
+    Its pieces [t_k, e_1), ..., [e_n, t_{k+1}) are (start, length, d1, d2),
+    each holding the routed pulse at its start, by `_pulse`'s comparisons."""
+    start, end = profile.start, profile.start + profile.duration
+    flow = profile.flow(op)
+    routed = profile.route(flow)
+    u3, d1, d2 = (_pulse(t, profile.start, profile.duration, f) for f in (flow, *routed))
+    cuts = {}
+    for e in (start, end) if start < end and any(routed) else ():
+        k = int(np.searchsorted(t, e)) - 1  # t_k < e <= t_{k+1}
+        if 0 <= k < t.size - 1 and e < t.item(k + 1):
+            cuts.setdefault(k, [t.item(k)]).append(e)
+    for k, starts in cuts.items():
+        cuts[k] = tuple((s, e - s, *(routed if start <= s < end else (0.0, 0.0)))
+                        for s, e in zip(starts, [*starts[1:], t.item(k + 1)]))
+    return u3, d1, d2, cuts
+
+
 class SimulationError(RuntimeError):
     """A sub-module failure, annotated with the sample it happened at."""
 
@@ -283,19 +304,16 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     n = scenario.n_samples()
     ts = scenario.ts
     sp1, sp2 = scenario.setpoints
-    dist = scenario.disturbance
-    # the scenario's signals at the sample times, once per run
+    # the scenario's signals at the sample times, and the samples a pulse edge splits, once per run
     t_col = np.arange(n) * ts  # k * ts, bit for bit
     r1_col = _pulse(t_col, sp1.start, sp1.duration, sp1.amplitude)
     r2_col = _pulse(t_col, sp2.start, sp2.duration, sp2.amplitude)
-    flow = dist.flow(op)
-    u3_col = _pulse(t_col, dist.start, dist.duration, flow)
-    d1_col, d2_col = (_pulse(t_col, dist.start, dist.duration, d) for d in dist.route(flow))
+    u3_col, d1_col, d2_col, cuts = _routed_pulse(t_col, scenario.disturbance, op)
 
     width = 4  # h1, h2, u1, u2 are logged; the feeds follow from u after the loop
     rows = np.empty(n * width)  # the logged columns, row by row
     clamp = scenario.clamp_flows
-    run = make_loop(scenario.params, op, ts, scenario.substeps, dist, clamp, pred.gains,
+    run = make_loop(scenario.params, op, ts, scenario.substeps, clamp, pred.gains,
                     disc if scenario.linear_plant else None)
 
     # CSV_BLOCK samples at a time, their logged values gathered in one flat list of floats
@@ -307,7 +325,7 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
         logged = []
         try:
             carry = run(t_col[i:j], r1_col[i:j], r2_col[i:j], d1_col[i:j], d2_col[i:j],
-                        carry, logged, j == n)
+                        {k - i: c for k, c in cuts.items() if i <= k < j}, carry, logged, j == n)
         except Exception as exc:
             error, n = exc, i + len(logged) // width  # the sample logged last raised in its step
         struct.pack_into(f"{len(logged)}d", rows, 8 * width * i, *logged)

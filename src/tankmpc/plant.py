@@ -1,27 +1,18 @@
 """The plants a closed-loop run drives, and the loop body that drives them.
 
 The true square-root dynamics are integrated with a fixed-step
-classical Runge-Kutta scheme between controller samples; the control
-flows are held constant over each sample while the disturbance flow is
-resolved at the integrator stage times.  `make_loop` binds one run's
-constants (the plant, the step size, the pulse, the clamp and the
-fixed gain) into one loop body that runs a block of samples on plain
-floats: per sample the fixed-gain law, the clamp memory, the sample's
-held feed, worked out once, and one plant step from it, inline.  The
-step is all RK4 substeps of the nonlinear plant on the physical levels
-the body carries from sample to sample, or, as a diagnostic, one step of
-the sampled linear model.  No function is called per sample.
-
-The body walks a block one stretch at a time: samples whose setpoints
-and routed pulse keep their bits, with no pulse edge in reach.  In a
-stretch a sample is a pure function of the carry (the levels, the last
-measurement and the remembered move): the sample and stage times enter
-only edge samples and messages.  So once a stepped sample leaves the
-carry bit for bit as it found it, the rest of its stretch would log its
-row and change nothing, and the body appends that row unstepped.  No
-message is lost: a non-finite state raises before any fixed point, and a
-sample whose step emptied a tank, which warns, is no fixed point even if
-it refills.
+classical Runge-Kutta scheme between controller samples, every step on
+one feed: the control flows and the disturbance pulse are held over a
+sample, which `loop` splits at each pulse edge inside it, each piece on
+the pulse at its own start.  `make_loop` binds one run's constants (the
+plant, the step size, the clamp and the fixed gain) into one loop body
+that runs a block of samples on plain floats: per sample the fixed-gain
+law, the clamp memory, the sample's held feed, worked out once, and one
+plant step from it, inline: all RK4 substeps of the nonlinear plant on
+the physical levels the body carries from sample to sample, or, as a
+diagnostic, one step of the sampled linear model.  No function is called
+per sample, and a sample at an exact fixed point of a stretch of held
+inputs is repeated unstepped (see `make_loop`).
 
 `rk4_step` (one sample of the loop with zero gains and a preset move,
 on a `PlantState`) and `disturbance_flow`/`disturbance_inflows` (the
@@ -120,19 +111,19 @@ def make_loop(
     op: OperatingPoint,
     ts: float,
     substeps: int,
-    profile: DisturbanceProfile,
     clamp_flows: bool,
     gains: tuple[float, ...],
     linear_model: LinearModel | None = None,
 ) -> Callable[..., Carry]:
     """The closed loop's body, with one run's constants bound once.
 
-    Returns run(t, r1, r2, d1, d2, carry, logged, final): the samples at
-    the times t, with the setpoints r1, r2 and the routed pulse d1, d2 at
-    those times (arrays, one entry a sample).  It starts from carry (None:
-    the operating point, a zero move), appends each sample's (h1, h2, u1,
-    u2), h = x - l, to logged and returns the carry after the last sample,
-    which takes no plant step if final.
+    Returns run(t, r1, r2, d1, d2, cuts, carry, logged, final): the samples
+    at the times t, with the setpoints r1, r2 and the routed pulse d1, d2
+    at those times (arrays, one entry a sample), and the samples split at a
+    pulse edge, by index in t (see `loop._routed_pulse`).  It starts from
+    carry (None: the operating point, a zero move), appends each sample's
+    (h1, h2, u1, u2), h = x - l, to logged and returns the carry after the
+    last sample, which takes no plant step if final.
 
     Per sample the law applies `gains` (kr and the dx block of kx, row by
     row) in `mpc.receding_step`'s expression order, on the levels: to the
@@ -148,28 +139,29 @@ def make_loop(
     steps from it last, and its step is the one part of a sample that raises.
 
     The nonlinear plant takes `substeps` classical Runge-Kutta steps of
-    dt = ts / substeps on the physical levels x, floored at empty at every
+    dt = ts / substeps on g (a split sample takes them of length/substeps
+    on each piece in turn, on the move plus the piece's routed pulse,
+    floored as g is), on the physical levels x, floored at empty at every
     stage and step end.  A stage computes the net flows, the feed less the
     deviation outflows of `tank.nonlinear_derivatives` (so a plant at rest
     stays at exactly h = 0), and moves the levels by a flow times (dt/2)/a,
-    dt/a or (dt/6)/a.  The first stage takes g.  Only if a pulse edge lies
-    in (t, t + 2 substeps dt] is the feed picked again at the later stage
-    times t + dt/2 and t + dt: held control plus the pulse routed on
-    [start, start + duration), floored under clamp_flows.  The step that
-    empties a tank logs a warning, and a non-finite state raises
-    ArithmeticError naming the time it was reached.  With linear_model the
-    plant is instead one step x <- a x + b g of that sampled model, its
-    deviation state carried as levels about l = 0; a non-finite state
-    raises the same error at t + ts.
+    dt/a or (dt/6)/a.  The step that empties a tank logs a warning, and a
+    non-finite state raises ArithmeticError naming the time it was
+    reached, its piece's start plus its step added once per step.  With
+    linear_model the plant is instead one step x <- a x + b g of that
+    sampled model, split or not, its deviation state carried as levels
+    about l = 0; a non-finite state raises the same error at t + ts.
 
     On either plant a stretch starts at a block's first sample, at each
     sample whose setpoints or routed pulse change their bits, and at each
-    edge sample and the one after it.  Its inputs are read once, and the
-    first of its samples to leave the carry unchanged, bit for bit, and
-    warn of no emptying is a fixed point: its row is appended for the
-    rest of the stretch, unstepped.  The law sets p to the x it found, so
-    each sample saves only p and m to tell.  Only edge samples keep the
-    stage clock; a message sums its time the same way.
+    split sample and the one after it.  Its inputs are read once, and in
+    it a sample is a pure function of the carry (the sample times enter
+    only messages): so the first of its samples to leave the carry
+    unchanged, bit for bit, is a fixed point, whose row is appended for
+    the rest of the stretch, unstepped.  No message is lost: a non-finite
+    state raises first, and a sample that emptied a tank, which warns, is
+    no fixed point.  The law sets p to the x it found, so each sample
+    saves only p and m to tell.
     """
     dt = ts / substeps
     if dt <= 0:
@@ -178,31 +170,22 @@ def make_loop(
     l1, l2 = (0.0, 0.0) if linear else (op.l1, op.l2)
     # the sampled model's a and then b, row by row
     ab = np.concatenate([linear_model.a, linear_model.b], None).tolist() if linear else [0.0] * 8
-    alpha1, alpha2 = params.alpha1, params.alpha2
+    alpha1, alpha2, a1, a2 = params.alpha1, params.alpha2, params.a1, params.a2
     q12_bar = alpha1 * math.sqrt(op.l1 - op.l2)
     sqrt_l2 = math.sqrt(op.l2)
-    half = dt / 2
-    # per tank, the level a net flow moves it by over half a step, a step and a sixth of one
-    half1, half2 = half / params.a1, half / params.a2
-    whole1, whole2 = dt / params.a1, dt / params.a2
-    sixth1, sixth2 = (dt / 6) / params.a1, (dt / 6) / params.a2
-    start, end = profile.start, profile.start + profile.duration
-    pulse1, pulse2 = profile.route(profile.flow(op))
-    # every stage time of a sample entered at t lies in [t, t + reach]: a
-    # rounded t + dt is the float nearest the sum, and t itself is a float
-    # dt away from it, so each step moves the clock by at most 2 dt
-    reach = 2 * substeps * dt
-    consts = (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, op.fi1_bar, op.fi2_bar,
-              half1, half2, whole1, whole2, sixth1, sixth2, dt, half, start, end,
-              pulse1, pulse2, range(substeps), tuple(gains), clamp_flows, linear, ab, ts,
+
+    def sizes(h: float) -> tuple[float, ...]:  # per tank, over half a step h, a step, a sixth
+        return (h / 2) / a1, (h / 2) / a2, h / a1, h / a2, (h / 6) / a1, (h / 6) / a2
+
+    consts = (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, op.fi1_bar, op.fi2_bar, sizes(dt), sizes,
+              substeps, range(substeps), ts, tuple(gains), clamp_flows, linear, ab,
               math.sqrt, struct.Struct("6d").pack)
 
-    def run(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: np.ndarray,
-            d2: np.ndarray, carry: Carry | None, logged: list, final: bool) -> Carry:
+    def run(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+            cuts: dict, carry: Carry | None, logged: list, final: bool) -> Carry:
         # the run's constants as fast locals
-        (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, fi1_bar, fi2_bar,
-         half1, half2, whole1, whole2, sixth1, sixth2, dt, half, start, end,
-         pulse1, pulse2, steps, gains, clamp, linear, ab, ts, sqrt, bits) = consts
+        (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, fi1_bar, fi2_bar, plain, sizes,
+         substeps, sample_steps, ts, gains, clamp, linear, ab, sqrt, bits) = consts
         kr11, kr12, kr21, kr22, kx11, kx12, kx21, kx22 = gains
         a11, a12, a21, a22, b11, b12, b21, b22 = ab
         # at the start the remembered measurement is the first one, so the
@@ -210,25 +193,28 @@ def make_loop(
         x1, x2, p1, p2, m1, m2 = (l1, l2, l1, l2, 0.0, 0.0) if carry is None else carry
         stop = t.size - 1 if final else -1
 
-        def clock(k: int, j: int) -> float:  # the end of sample k's substep j, summed as tj is
-            te = t.item(k)
-            for _ in range(j + 1):
-                te += dt
+        def clock(k: int, j: int) -> float:  # the end of sample k's step j
+            te, length = cuts[k][j // substeps][:2] if k in cuts else (t.item(k), ts)
+            for _ in range(j % substeps + 1):
+                te += length / substeps
             return te
 
-        # the samples with a pulse edge in (t, t + reach]
-        edge = ((t < start) & (start <= t + reach)) | ((t < end) & (end <= t + reach))
-        # the samples that start a stretch: a block's first, each edge sample
-        # and the one after it, and each whose inputs change their bits
+        # the samples that start a stretch: a block's first, each whose inputs
+        # change their bits, and each split sample and the one after it
         raw = np.array([r1, r2, d1, d2]).view(np.int64)
         new = np.ones(t.size, bool)
-        new[1:] = edge[1:] | edge[:-1] | (raw[:, 1:] != raw[:, :-1]).any(0)
+        new[1:] = (raw[:, 1:] != raw[:, :-1]).any(0)
+        for k in cuts:
+            new[k : k + 2] = True
         firsts = np.flatnonzero(new)
         stretches = zip(firsts.tolist(), [*(firsts[1:] - 1).tolist(), t.size - 1],
-                        *(col[firsts].tolist() for col in (r1, r2, d1, d2, edge)))
+                        *(col[firsts].tolist() for col in (r1, r2, d1, d2)))
         emptied = -1  # the last sample whose step emptied a tank, which warns
-        for first, last, r1_k, r2_k, d1_k, d2_k, edge_k in stretches:
+        for first, last, r1_k, r2_k, d1_k, d2_k in stretches:
             c1, c2 = r1_k + l1, r2_k + l2  # the stretch's target levels
+            half1, half2, whole1, whole2, sixth1, sixth2 = plain
+            cut = cuts.get(first)  # a split sample's pieces: the next one from step `switch` on
+            steps, switch = (sample_steps, -1) if cut is None else (range(len(cut) * substeps), 0)
             for k in range(first, last + 1):
                 if (k != first and x1 == p1 and x2 == p2 and p1 == q1 and p2 == q2 and m1 == s1
                         and m2 == s2 and emptied != k - 1
@@ -269,26 +255,24 @@ def make_loop(
                     x1, x2 = n1, n2
                     continue
 
-                if edge_k:
-                    # the feed picked again at a later stage time tj, across a pulse edge
-                    if clamp:
-                        fon = (u1 + (max(fi1_bar + u1 + pulse1, 0.0) - fi1_bar - u1),
-                               u2 + (max(fi2_bar + u2 + pulse2, 0.0) - fi2_bar - u2))
-                        foff = (u1 + (max(fi1_bar + u1 + 0.0, 0.0) - fi1_bar - u1),
-                                u2 + (max(fi2_bar + u2 + 0.0, 0.0) - fi2_bar - u2))
-                    else:
-                        fon, foff = (u1 + pulse1, u2 + pulse2), (u1 + 0.0, u2 + 0.0)
-                    tj = t.item(k)
-                # A step starts from the floored end of the one before, and its
-                # feed is the one its predecessor's last stage picked at that time.
+                # A step starts from the floored end of the one before.
                 for j in steps:
+                    if j == switch:
+                        # a split sample's next piece: its step sizes, and its feed, the
+                        # move plus the piece's routed pulse floored as g is
+                        _, length, dp1, dp2 = cut[j // substeps]
+                        half1, half2, whole1, whole2, sixth1, sixth2 = sizes(length / substeps)
+                        if clamp:
+                            g1 = u1 + (max(fi1_bar + u1 + dp1, 0.0) - fi1_bar - u1)
+                            g2 = u2 + (max(fi2_bar + u2 + dp2, 0.0) - fi2_bar - u2)
+                        else:
+                            g1, g2 = u1 + dp1, u2 + dp2
+                        switch += substeps
                     hd = x1 - x2
                     q12 = alpha1 * (sqrt(hd) if hd >= 0.0 else -sqrt(-hd)) - q12_bar
                     f11 = g1 - q12
                     f12 = g2 - alpha2 * (sqrt(x2) - sqrt_l2) + q12
 
-                    if edge_k:
-                        g1, g2 = fon if start <= tj + half < end else foff
                     y1, y2 = x1 + half1 * f11, x2 + half2 * f12
                     if y1 < 0.0:
                         y1 = 0.0
@@ -309,9 +293,6 @@ def make_loop(
                     f31 = g1 - q12
                     f32 = g2 - alpha2 * (sqrt(y2) - sqrt_l2) + q12
 
-                    if edge_k:
-                        tj += dt
-                        g1, g2 = fon if start <= tj < end else foff
                     y1, y2 = x1 + whole1 * f31, x2 + whole2 * f32
                     if y1 < 0.0:
                         y1 = 0.0
@@ -357,16 +338,18 @@ def rk4_step(
     """Advance the nonlinear plant one classical Runge-Kutta step.
 
     inflow_dev holds the zero-order-held control flows; disturbance, if
-    given, is the feed pulse, resolved at the stage times t, t+dt/2 and
-    t+dt.  The step is one sample of `make_loop`'s body with zero gains,
-    the move preset to inflow_dev and one substep; levels below empty
-    enter it as empty.
+    given, is the feed pulse, held from t and from each edge inside
+    (t, t + dt), where it splits the step.  The step is one sample of
+    `make_loop`'s body with zero gains, the move preset and one substep;
+    levels below empty enter it as empty.
     """
-    profile = NO_DISTURBANCE if disturbance is None else disturbance
+    from .loop import _routed_pulse  # loop imports this module
+
     t, (h1, h2) = state
-    d = np.array([disturbance_inflows(profile, op, t)])
+    times = np.array([t, t + dt])  # the sample, and the time it ends
+    _, d1, d2, cuts = _routed_pulse(times, disturbance or NO_DISTURBANCE, op)
     x1, x2 = max(op.l1 + h1, 0.0), max(op.l2 + h2, 0.0)
-    carry = (x1, x2, x1, x2, *inflow_dev)
-    run = make_loop(params, op, dt, 1, profile, False, (0.0,) * 8)
-    x1, x2, *_ = run(np.array([t]), np.zeros(1), np.zeros(1), d[:, 0], d[:, 1], carry, [], False)
+    run = make_loop(params, op, dt, 1, False, (0.0,) * 8)
+    x1, x2, *_ = run(times, np.zeros(2), np.zeros(2), d1, d2, cuts, (x1, x2, x1, x2, *inflow_dev),
+                     [], True)
     return PlantState(t + dt, DeviationState(x1 - op.l1, x2 - op.l2))

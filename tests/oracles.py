@@ -237,39 +237,58 @@ def level_rates(params, op, x, fi1, fi2):
     return f1 * (1.0 / params.a1), f2 * (1.0 / params.a2)
 
 
-def rk4_by_derivatives(params, op, t, x, u, dt, substeps, profile, clamp_flows):
-    """`substeps` classical Runge-Kutta steps of the plant from the physical
-    levels x = (x1, x2) at time t, and the levels after them.  Each stage
-    takes net_flows with the feed resolved by disturbance_feeds at its stage
-    time, and moves a level by its flow times (dt/2)/a, dt/a or (dt/6)/a;
-    the stage flows combine as f1 + f4 + 2 (f2 + f3).  Stage levels are
-    floored at empty, as is each step's end, which must be finite."""
+def rk4_by_derivatives(params, op, t, t_next, x, u, ts, substeps, profile, clamp_flows):
+    """The physical levels after the sample [t, t_next) of the plant from the
+    levels x = (x1, x2), by classical Runge-Kutta steps on one feed each.
+    The sample is cut at each pulse edge strictly inside it across which
+    disturbance_feeds changes its bits; each piece [s, s') then takes
+    `substeps` steps of (s' - s)/substeps on the feed at s, and an uncut
+    sample takes `substeps` steps of ts/substeps on the feed at t.  A feed
+    is the move u plus disturbance_feeds, each absolute feed floored at
+    zero under clamp_flows.  Each stage takes net_flows and moves a level
+    by its flow times (h/2)/a, h/a or (h/6)/a for a step h; the stage flows
+    combine as f1 + f4 + 2 (f2 + f3).  Stage levels are floored at empty,
+    as is each step's end, which must be finite."""
     areas = (params.a1, params.a2)
     bars = (op.fi1_bar, op.fi2_bar)
-    half = [dt / 2 / a for a in areas]
-    whole = [dt / a for a in areas]
-    sixth = [dt / 6 / a for a in areas]
 
-    def flows(x, at):
+    def feed(at):
         d = disturbance_feeds(profile, op, at)
         if clamp_flows:
             d = [max(bar + ui + di, 0.0) - bar - ui for bar, ui, di in zip(bars, u, d)]
-        fi = [ui + di for ui, di in zip(u, d)]
+        return [ui + di for ui, di in zip(u, d)]
+
+    starts = [t]
+    for e in sorted([profile.start, profile.start + profile.duration]):
+        before, after = (disturbance_feeds(profile, op, at) for at in (starts[-1], e))
+        if t < e < t_next and [v.hex() for v in before] != [v.hex() for v in after]:
+            starts.append(e)
+    if len(starts) == 1:
+        pieces = [(t, ts)]
+    else:
+        pieces = [(s, end - s) for s, end in zip(starts, starts[1:] + [t_next])]
+
+    def flows(x, fi):
         return net_flows(params, op, [0.0 if xi < 0.0 else xi for xi in x], *fi)
 
     def moved(x, c, f):
         return [xi + ci * fi for xi, ci, fi in zip(x, c, f)]
 
-    for _ in range(substeps):
-        f1 = flows(x, t)
-        f2 = flows(moved(x, half, f1), t + dt / 2)
-        f3 = flows(moved(x, half, f2), t + dt / 2)
-        f4 = flows(moved(x, whole, f3), t + dt)
-        x = moved(x, sixth, [a + d + 2.0 * (b + c) for a, b, c, d in zip(f1, f2, f3, f4)])
-        if not all(math.isfinite(xi) for xi in x):
-            raise ArithmeticError("plant state non-finite")
-        x = [0.0 if xi < 0.0 else xi for xi in x]
-        t = t + dt
+    for s, length in pieces:
+        fi = feed(s)
+        h = length / substeps
+        half = [h / 2 / a for a in areas]
+        whole = [h / a for a in areas]
+        sixth = [h / 6 / a for a in areas]
+        for _ in range(substeps):
+            f1 = flows(x, fi)
+            f2 = flows(moved(x, half, f1), fi)
+            f3 = flows(moved(x, half, f2), fi)
+            f4 = flows(moved(x, whole, f3), fi)
+            x = moved(x, sixth, [a + d + 2.0 * (b + c) for a, b, c, d in zip(f1, f2, f3, f4)])
+            if not all(math.isfinite(xi) for xi in x):
+                raise ArithmeticError("plant state non-finite")
+            x = [0.0 if xi < 0.0 else xi for xi in x]
     return x
 
 
@@ -299,8 +318,8 @@ def closed_loop_by_samples(params, op, pred, ts, substeps, profile, clamp_flows,
     levels x and the setpoints (r1 + l1, r2 + l2) of sample k, logging
     h = x - l; under clamp_flows the floored move remembered in place of the
     commanded one, and then the plant over the sample (none after the
-    last): rk4_by_derivatives on the physical levels x, carried from sample
-    to sample, or with linear_model linear_step on the deviations h, which
+    last): rk4_by_derivatives over [k ts, (k + 1) ts) on the physical levels
+    x, carried from sample to sample, or with linear_model linear_step on the deviations h, which
     it carries as levels about l = 0.  ctrl is the controller's start, its
     remembered measurement a level, by default controller_start at x = l.
     If levels is a list, each sample's measured levels x are appended to it."""
@@ -327,7 +346,7 @@ def closed_loop_by_samples(params, op, pred, ts, substeps, profile, clamp_flows,
         if k == len(setpoints) - 1:
             break
         if linear_model is None:
-            x = rk4_by_derivatives(params, op, t, x, u, ts / substeps, substeps, profile,
+            x = rk4_by_derivatives(params, op, t, (k + 1) * ts, x, u, ts, substeps, profile,
                                    clamp_flows)
         else:
             x = linear_step(linear_model, op, t, x, u, profile, clamp_flows)

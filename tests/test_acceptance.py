@@ -33,7 +33,7 @@ from tankmpc import (
     summarize,
     zoh_discretize,
 )
-from tankmpc.plant import NO_DISTURBANCE, make_loop
+from tankmpc.plant import make_loop
 
 from oracles import (
     fd_gradient,
@@ -178,8 +178,8 @@ def test_criterion_7_integrator_and_plant_invariants():
         def run(ts, substeps, n, h0):
             logged = []
             zero = np.zeros(n)
-            make_loop(DEFAULT_PARAMS, op, ts, substeps, NO_DISTURBANCE, False, (0.0,) * 8)(
-                np.arange(n) * ts, zero, zero, zero, zero,
+            make_loop(DEFAULT_PARAMS, op, ts, substeps, False, (0.0,) * 8)(
+                np.arange(n) * ts, zero, zero, zero, zero, {},
                 (op.l1 + h0, op.l2 + h0, op.l1 + h0, op.l2 + h0, 0.0, 0.0), logged, True)
             return np.array(logged).reshape(n, 4)[:, :2]
 
