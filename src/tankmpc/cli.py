@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 partial sweep failure, 2 configuration error,
 3 runtime (solver/integrator/IO/out-of-memory) error.
+
+The argument parser is built once per process, when this module is
+imported, and `main` only parses with it: a process that calls `main`
+many times (a tuning study choosing each value from the last) pays
+argparse's set-up once.  Parsing writes only to its namespace, and help
+reads the terminal's width when it is printed.
 """
 
 from __future__ import annotations
@@ -188,8 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError and LinAlgError included

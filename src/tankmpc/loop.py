@@ -11,13 +11,13 @@ the mismatch the scheme is meant to tolerate.  The scenario's signals at
 the sample times, and the samples a pulse edge splits, are worked out
 once per run, before the loop, and the absolute feeds it applied after
 it, from the logged moves: the clamp is reported there, once, at the
-first sample whose feed it floored.  The body repeats the row of an
-exact fixed point of a stretch of held inputs, unstepped, which gives
-the same log as stepping (see `plant.make_loop`); the law runs on the
-absolute levels, so a held setpoint step settles there too, on the level
-fl(l + r).  Each block's rows are packed into the log in one pass, and
-the CSV encoder formats the text of a held stretch once (see
-`SimulationLog.to_csv_text`).
+first sample whose feed it floored, in the sample or in a later piece of
+a split one.  The body repeats the row of an exact fixed point of a
+stretch of held inputs, unstepped, which gives the same log as stepping
+(see `plant.make_loop`); the law runs on the absolute levels, so a held
+setpoint step settles there too, on the level fl(l + r).  Each block's
+rows are packed into the log in one pass, and the CSV encoder formats
+the text of a held stretch once (see `SimulationLog.to_csv_text`).
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
@@ -336,7 +336,13 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     # the absolute feeds the loop applied, each floored at zero under the clamp, reported once
     fi1_col, fi2_col = op.fi1_bar + u1_col + d1_col[:n], op.fi2_bar + u2_col + d2_col[:n]
     if clamp:
-        for k in np.flatnonzero((fi1_col < 0) | (fi2_col < 0))[:1].tolist():
+        # at a sample time, or in a later piece of a split sample, which holds its own
+        # pulse (the nonlinear body's feed; the linear plant holds d_k over the sample)
+        floored = np.flatnonzero((fi1_col < 0) | (fi2_col < 0))[:1].tolist() + [
+            k for k, pieces in cuts.items() if k < n and not scenario.linear_plant
+            for _, _, dp1, dp2 in pieces[1:]
+            if op.fi1_bar + u1_col.item(k) + dp1 < 0 or op.fi2_bar + u2_col.item(k) + dp2 < 0]
+        for k in sorted(floored)[:1]:
             logger.warning("feed-flow clamp active from sample %d (t=%.4g s)", k, t_col.item(k))
         fi1_col, fi2_col = (np.where(fi < 0, 0.0, fi) for fi in (fi1_col, fi2_col))
     if error is not None:

@@ -132,11 +132,12 @@ def make_loop(
     where the error is exactly zero (no level zeroes r - (x - l) when
     l + r is not a double).
     Under clamp_flows an absolute feed that would go negative is floored
-    at zero (reported by `loop`, from the log), and the controller
-    remembers the floored move so that it does not wind up.  Then the
-    sample's held feed g is worked out once: the move plus the pulse routed
-    at t, each absolute feed floored at zero under clamp_flows.  The plant
-    steps from it last, and its step is the one part of a sample that raises.
+    at zero (reported by `loop`, from the log and the split samples'
+    pieces), and the controller remembers the floored move so that it does
+    not wind up.  Then the sample's held feed g is worked out once: the
+    move plus the pulse routed at t, each absolute feed floored at zero
+    under clamp_flows.  The plant steps from it last, and its step is the
+    one part of a sample that raises.
 
     The nonlinear plant takes `substeps` classical Runge-Kutta steps of
     dt = ts / substeps on g (a split sample takes them of length/substeps

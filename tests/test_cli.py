@@ -384,6 +384,72 @@ class TestSweep:
         assert (tmp_path / "s" / f"{name}_{valid}.csv").exists()
 
 
+class TestOneParser:
+    """`main` parses with the one parser built when `tankmpc.cli` is
+    imported, so calls in one process must not see each other."""
+
+    def test_calls_in_one_process_do_not_see_each_other(self, monkeypatch, tmp_path, capsys):
+        # a sweep, a usage error, help, a simulate and the sweep again, twice
+        # over and then with build_parser broken: each call gives the exit
+        # code, stdout, stderr and CSV bytes of the first call of its argv
+        import tankmpc.cli as cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        short = tmp_path / "short.conf"  # only the simulate call names a config
+        short.write_text("sim.t_end = 1\n")
+        sweep = ["sweep", "--param", "rw", "--values", "0.5", "--out-dir", str(tmp_path / "s")]
+        calls = [
+            (sweep, tmp_path / "s" / "rw_0.5.csv"),
+            (["sweep", "--values", "1", "--out-dir", str(tmp_path / "e")], None),
+            (["sweep", "--help"], None),
+            (["simulate", "--config", str(short), "--out", str(tmp_path / "run.csv")],
+             tmp_path / "run.csv"),
+            (sweep, tmp_path / "s" / "rw_0.5.csv"),
+        ]
+
+        def outcome(argv, csv):
+            if csv is not None:
+                csv.unlink(missing_ok=True)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err, csv.read_bytes() if csv is not None else None
+
+        first = {}
+        for _ in range(2):
+            for argv, csv in calls:
+                result = outcome(argv, csv)
+                assert result == first.setdefault(tuple(argv), result), argv
+
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        for argv, csv in calls:
+            assert outcome(argv, csv) == first[tuple(argv)]
+        assert [first[tuple(argv)][0] for argv, _ in calls] == [0, 2, 0, 0, 0]
+        assert first[tuple(calls[1][0])][2].startswith("usage: tankmpc sweep")
+
+    def test_help_wraps_to_the_width_at_the_call(self, monkeypatch, capsys):
+        # COLUMNS is set after tankmpc.cli is imported, and the help follows it
+        def sweep_help(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc_info:
+                main(["sweep", "-h"])
+            assert exc_info.value.code == 0
+            return capsys.readouterr().out.splitlines()
+
+        narrow = sweep_help(50)
+        assert max(map(len, narrow)) <= 50
+        assert not any("if the first is negative" in line for line in narrow)
+        wide = sweep_help(200)
+        assert any(line.split() == ["--values", "VALUES", "comma-separated", "values;", "write",
+                                    "--values=-1,1", "if", "the", "first", "is", "negative"]
+                   for line in wide)
+
+
 @pytest.mark.parametrize("command, csv", [
     ("simulate --out {dir}/run.csv", "run.csv"),
     ("sweep --param rw --values 2 --out-dir {dir}", "rw_2.csv"),

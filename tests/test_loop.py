@@ -363,8 +363,10 @@ class TestRunClosedLoop:
     @pytest.mark.parametrize("linear_plant", [False, True])
     def test_clamp_report_names_the_first_floored_sample(self, caplog, linear_plant):
         # one line naming the first sample whose unfloored feed fi_bar + u + d,
-        # from the sample-by-sample oracle's moves, is negative, and no line
-        # when no feed is or the clamp is off; at CSV_BLOCK and in blocks of 7 and 1
+        # from the sample-by-sample oracle's moves, is negative, at its time or,
+        # on the nonlinear plant, from a pulse edge inside a sample it steps;
+        # no line when no feed is or the clamp is off; at CSV_BLOCK and in
+        # blocks of 7 and 1
         import tankmpc.loop as loop
 
         rng = np.random.default_rng(20261025)
@@ -372,8 +374,16 @@ class TestRunClosedLoop:
         for case in range(60):
             sc, _, _, us = oracle_run(rng, case, linear_plant)
             op = make_operating_point(sc.params, *sc.op_levels)
-            floored = [k for k, (u1, u2) in enumerate(us)
-                       for d1, d2 in [disturbance_feeds(sc.disturbance, op, k * sc.ts)]
+            dist, ts, last = sc.disturbance, sc.ts, len(us) - 1
+
+            def feed_times(k):
+                ends = (dist.start, dist.start + dist.duration)
+                edges = [] if linear_plant or k == last else [
+                    e for e in ends if k * ts < e < (k + 1) * ts]
+                return [k * ts, *edges]
+
+            floored = [k for k, (u1, u2) in enumerate(us) for at in feed_times(k)
+                       for d1, d2 in [disturbance_feeds(dist, op, at)]
                        if op.fi1_bar + u1 + d1 < 0 or op.fi2_bar + u2 + d2 < 0]
             expected = [f"feed-flow clamp active from sample {k} (t={k * sc.ts:.4g} s)"
                         for k in floored[:1] if sc.clamp_flows]
@@ -754,6 +764,26 @@ class TestBlockSizes:
                 patch.setattr(loop, "CSV_BLOCK", block)
                 outcomes.append((_log_bytes(run_closed_loop(sc)), caplog.messages))
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    @pytest.mark.parametrize("start, duration, first", [
+        (6.3 * 0.05, 7.2 * 0.05, "sample 6 (t=0.3 s)"),
+        (20.2 * 0.05, 0.5 * 0.05, "sample 20 (t=1 s)"),
+    ], ids=["edges inside samples 6 and 13", "pulse inside sample 20"])
+    def test_a_clamp_in_a_later_piece_is_reported(self, caplog, start, duration, first):
+        # a -300 % pulse from inside a sample floors both feeds only in that
+        # sample's later piece (-2.83 and -2.81 m^3/s inside sample 20): one
+        # line names it, at CSV_BLOCK and in blocks of 7 and 1
+        import tankmpc.loop as loop
+
+        sc = make_scenario(t_end=2.0, clamp_flows=True,
+                           disturbance=DisturbanceProfile(start, duration, -300.0, "both"))
+        for block in (CSV_BLOCK, 7, 1):
+            caplog.clear()
+            with pytest.MonkeyPatch.context() as patch, \
+                    caplog.at_level(logging.WARNING, logger="tankmpc"):
+                patch.setattr(loop, "CSV_BLOCK", block)
+                run_closed_loop(sc)
+            assert caplog.messages == [f"feed-flow clamp active from {first}"], block
 
 
 class TestSettlingInBits:
