@@ -3,8 +3,9 @@
 Per sample: read the plant levels, form the setpoint, apply the
 fixed-gain control move, hold the absolute flows over the interval, and
 advance the plant from k ts, the run's one clock.  All of that is one
-loop body, `plant.make_loop`, which this module runs once per block of
-CSV_BLOCK samples; no function is called per sample, on either plant.
+loop body, `plant.make_loop`, which this module calls once per run and
+which writes each sample's row into the log's buffer; no other function
+is called per sample, on either plant.
 The controller runs on the linearized model while the plant stays
 nonlinear (or, as a diagnostic, is the sampled linear model), exactly
 the mismatch the scheme is meant to tolerate.  The scenario's signals at
@@ -15,9 +16,9 @@ first sample whose feed it floored, in the sample or in a later piece of
 a split one.  The body repeats the row of an exact fixed point of a
 stretch of held inputs, unstepped, which gives the same log as stepping
 (see `plant.make_loop`); the law runs on the absolute levels, so a held
-setpoint step settles there too, on the level fl(l + r).  Each block's
-rows are packed into the log in one pass, and the CSV encoder formats
-the text of a held stretch once (see `SimulationLog.to_csv_text`).
+setpoint step settles there too, on the level fl(l + r).  The CSV
+encoder formats the text of a held stretch once (see
+`SimulationLog.to_csv_text`).
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,20 +42,19 @@ from .plant import (  # noqa: F401  (unused here; perfbench/tracing.BOUNDARIES
     # names disturbance_flow, disturbance_inflows and rk4_step in this module)
     NO_DISTURBANCE,
     DisturbanceProfile,
+    _pulse,
+    _routed_pulse,
     disturbance_flow,
     disturbance_inflows,
     make_loop,
     rk4_step,
 )
-from .tank import OperatingPoint, TankParams, linearize, make_operating_point
+from .tank import TankParams, linearize, make_operating_point
 
 logger = logging.getLogger(__name__)
 
 #: Samples a signal must stay inside the settling band to count as settled.
 SETTLE_DWELL = 10
-
-#: Rows the CSV encoder formats, and the loop converts to and from floats, at a time.
-CSV_BLOCK = 4096
 
 #: The last value `_recall` built of each kind, {kind: (key, value)}.
 _last: dict[str, tuple] = {}
@@ -122,6 +121,10 @@ class Scenario:
     def n_samples(self) -> int:
         # guard against 15/0.05 landing just below an integer
         return int(math.floor(self.t_end / self.ts + 1e-9)) + 1
+
+
+#: Rows the CSV encoder formats at a time (see `SimulationLog.to_csv_text`).
+CSV_BLOCK = 4096
 
 
 @dataclass
@@ -243,33 +246,6 @@ def _encode_block(fmt: str, offsets: np.ndarray, values: np.ndarray, parts: list
     parts.append(fmt[offsets[a] :] % tuple(values[a:].ravel().tolist()))
 
 
-def _pulse(t: np.ndarray, start: float, duration: float, value: float) -> np.ndarray:
-    """value on [start, start + duration) and 0.0 elsewhere, at the times t."""
-    return np.where((start <= t) & (t < start + duration), value, 0.0)
-
-
-def _routed_pulse(t: np.ndarray, profile: DisturbanceProfile, op: OperatingPoint):
-    """The pulse at the sample times t, as its flow u3 and its feeds d1, d2
-    (the flow routed), and the samples it splits, cuts = {k: pieces}:
-    sample k at each edge e, t_k < e < t_{k+1}, of a pulse that adds flow
-    (on a sample time an edge needs no split: d_k holds over the sample).
-    Its pieces [t_k, e_1), ..., [e_n, t_{k+1}) are (start, length, d1, d2),
-    each holding the routed pulse at its start, by `_pulse`'s comparisons."""
-    start, end = profile.start, profile.start + profile.duration
-    flow = profile.flow(op)
-    routed = profile.route(flow)
-    u3, d1, d2 = (_pulse(t, profile.start, profile.duration, f) for f in (flow, *routed))
-    cuts = {}
-    for e in (start, end) if start < end and any(routed) else ():
-        k = int(np.searchsorted(t, e)) - 1  # t_k < e <= t_{k+1}
-        if 0 <= k < t.size - 1 and e < t.item(k + 1):
-            cuts.setdefault(k, [t.item(k)]).append(e)
-    for k, starts in cuts.items():
-        cuts[k] = tuple((s, e - s, *(routed if start <= s < end else (0.0, 0.0)))
-                        for s, e in zip(starts, [*starts[1:], t.item(k + 1)]))
-    return u3, d1, d2, cuts
-
-
 class SimulationError(RuntimeError):
     """A sub-module failure, annotated with the sample it happened at."""
 
@@ -310,29 +286,21 @@ def run_closed_loop(scenario: Scenario) -> SimulationLog:
     r2_col = _pulse(t_col, sp2.start, sp2.duration, sp2.amplitude)
     u3_col, d1_col, d2_col, cuts = _routed_pulse(t_col, scenario.disturbance, op)
 
-    width = 4  # h1, h2, u1, u2 are logged; the feeds follow from u after the loop
-    rows = np.empty(n * width)  # the logged columns, row by row
+    # h1, h2, u1, u2 by sample, which the loop body writes; the feeds follow from u after it
+    rows = np.full((n, 4), np.nan)
     clamp = scenario.clamp_flows
     run = make_loop(scenario.params, op, ts, scenario.substeps, clamp, pred.gains,
                     disc if scenario.linear_plant else None)
+    error = None
+    try:
+        run(t_col, r1_col, r2_col, d1_col, d2_col, cuts, None, rows, True)
+    except Exception as exc:
+        # the body writes a sample's row before its step, the part that raises, and the
+        # levels it carries are finite (they start so, and it raises on a non-finite one),
+        # so every h1 it wrote is finite: the first NaN h1 follows the sample that raised
+        error, n = exc, int(np.isnan(rows[:, 0]).argmax())
 
-    # CSV_BLOCK samples at a time, their logged values gathered in one flat list of floats
-    # and packed into rows in one pass, a failed block's too; the loop body carries the
-    # plant and the controller's memory from block to block
-    carry = error = None
-    for i in range(0, n, CSV_BLOCK):
-        j = min(i + CSV_BLOCK, n)
-        logged = []
-        try:
-            carry = run(t_col[i:j], r1_col[i:j], r2_col[i:j], d1_col[i:j], d2_col[i:j],
-                        {k - i: c for k, c in cuts.items() if i <= k < j}, carry, logged, j == n)
-        except Exception as exc:
-            error, n = exc, i + len(logged) // width  # the sample logged last raised in its step
-        struct.pack_into(f"{len(logged)}d", rows, 8 * width * i, *logged)
-        if error is not None:
-            break
-
-    h1_col, h2_col, u1_col, u2_col = rows[: n * width].reshape(n, width).T.copy()
+    h1_col, h2_col, u1_col, u2_col = rows[:n].T.copy()
     # the absolute feeds the loop applied, each floored at zero under the clamp, reported once
     fi1_col, fi2_col = op.fi1_bar + u1_col + d1_col[:n], op.fi2_bar + u2_col + d2_col[:n]
     if clamp:

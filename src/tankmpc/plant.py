@@ -3,16 +3,17 @@
 The true square-root dynamics are integrated with a fixed-step
 classical Runge-Kutta scheme between controller samples, every step on
 one feed: the control flows and the disturbance pulse are held over a
-sample, which `loop` splits at each pulse edge inside it, each piece on
-the pulse at its own start.  `make_loop` binds one run's constants (the
-plant, the step size, the clamp and the fixed gain) into one loop body
-that runs a block of samples on plain floats: per sample the fixed-gain
+sample, which `_routed_pulse` splits at each pulse edge inside it, each
+piece on the pulse at its own start.  `make_loop` binds one run's
+constants (the plant, the step size, the clamp and the fixed gain) into
+one loop body that runs the samples of a run on plain floats, writing
+each sample's row into the caller's array: per sample the fixed-gain
 law, the clamp memory, the sample's held feed, worked out once, and one
 plant step from it, inline: all RK4 substeps of the nonlinear plant on
 the physical levels the body carries from sample to sample, or, as a
 diagnostic, one step of the sampled linear model.  No function is called
-per sample, and a sample at an exact fixed point of a stretch of held
-inputs is repeated unstepped (see `make_loop`).
+per sample but the row write, and a sample at an exact fixed point of a
+stretch of held inputs is repeated unstepped (see `make_loop`).
 
 `rk4_step` (one sample of the loop with zero gains and a preset move,
 on a `PlantState`) and `disturbance_flow`/`disturbance_inflows` (the
@@ -40,8 +41,9 @@ from .tank import (  # noqa: F401  (nonlinear_derivatives: a boundary perfbench 
 
 logger = logging.getLogger(__name__)
 
-#: What one block of samples hands the next: the levels x1, x2 the plant
-#: carries, the controller's last measured levels p1, p2 and remembered move m1, m2.
+#: What one call of the loop body hands the next, which runs the samples after
+#: its own: the levels x1, x2 the plant carries, the controller's last measured
+#: levels p1, p2 and remembered move m1, m2.
 Carry = tuple[float, float, float, float, float, float]
 
 
@@ -106,6 +108,33 @@ def disturbance_inflows(
     return profile.route(disturbance_flow(profile, op, t))
 
 
+def _pulse(t: np.ndarray, start: float, duration: float, value: float) -> np.ndarray:
+    """value on [start, start + duration) and 0.0 elsewhere, at the times t."""
+    return np.where((start <= t) & (t < start + duration), value, 0.0)
+
+
+def _routed_pulse(t: np.ndarray, profile: DisturbanceProfile, op: OperatingPoint):
+    """The pulse at the sample times t, as its flow u3 and its feeds d1, d2
+    (the flow routed), and the samples it splits, cuts = {k: pieces}:
+    sample k at each edge e, t_k < e < t_{k+1}, of a pulse that adds flow
+    (on a sample time an edge needs no split: d_k holds over the sample).
+    Its pieces [t_k, e_1), ..., [e_n, t_{k+1}) are (start, length, d1, d2),
+    each holding the routed pulse at its start, by `_pulse`'s comparisons."""
+    start, end = profile.start, profile.start + profile.duration
+    flow = profile.flow(op)
+    routed = profile.route(flow)
+    u3, d1, d2 = (_pulse(t, profile.start, profile.duration, f) for f in (flow, *routed))
+    cuts = {}
+    for e in (start, end) if start < end and any(routed) else ():
+        k = int(np.searchsorted(t, e)) - 1  # t_k < e <= t_{k+1}
+        if 0 <= k < t.size - 1 and e < t.item(k + 1):
+            cuts.setdefault(k, [t.item(k)]).append(e)
+    for k, starts in cuts.items():
+        cuts[k] = tuple((s, e - s, *(routed if start <= s < end else (0.0, 0.0)))
+                        for s, e in zip(starts, [*starts[1:], t.item(k + 1)]))
+    return u3, d1, d2, cuts
+
+
 def make_loop(
     params: TankParams,
     op: OperatingPoint,
@@ -117,13 +146,15 @@ def make_loop(
 ) -> Callable[..., Carry]:
     """The closed loop's body, with one run's constants bound once.
 
-    Returns run(t, r1, r2, d1, d2, cuts, carry, logged, final): the samples
+    Returns run(t, r1, r2, d1, d2, cuts, carry, rows, final): the samples
     at the times t, with the setpoints r1, r2 and the routed pulse d1, d2
     at those times (arrays, one entry a sample), and the samples split at a
-    pulse edge, by index in t (see `loop._routed_pulse`).  It starts from
-    carry (None: the operating point, a zero move), appends each sample's
-    (h1, h2, u1, u2), h = x - l, to logged and returns the carry after the
-    last sample, which takes no plant step if final.
+    pulse edge, by index in t (see `_routed_pulse`).  It starts from carry
+    (None: the operating point, a zero move), writes sample k's
+    (h1, h2, u1, u2), h = x - l, into row k of rows, a C-contiguous float64
+    array of at least t.size rows of 4, and returns the carry after the
+    last sample, which takes no plant step if final.  A sample's row is
+    written before its plant step, the one part of a sample that raises.
 
     Per sample the law applies `gains` (kr and the dx block of kx, row by
     row) in `mpc.receding_step`'s expression order, on the levels: to the
@@ -153,13 +184,13 @@ def make_loop(
     sampled model, split or not, its deviation state carried as levels
     about l = 0; a non-finite state raises the same error at t + ts.
 
-    On either plant a stretch starts at a block's first sample, at each
+    On either plant a stretch starts at the first sample of t, at each
     sample whose setpoints or routed pulse change their bits, and at each
     split sample and the one after it.  Its inputs are read once, and in
     it a sample is a pure function of the carry (the sample times enter
     only messages): so the first of its samples to leave the carry
-    unchanged, bit for bit, is a fixed point, whose row is appended for
-    the rest of the stretch, unstepped.  No message is lost: a non-finite
+    unchanged, bit for bit, is a fixed point, whose row is copied into the
+    rest of the stretch, unstepped.  No message is lost: a non-finite
     state raises first, and a sample that emptied a tank, which warns, is
     no fixed point.  The law sets p to the x it found, so each sample
     saves only p and m to tell.
@@ -180,13 +211,13 @@ def make_loop(
 
     consts = (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, op.fi1_bar, op.fi2_bar, sizes(dt), sizes,
               substeps, range(substeps), ts, tuple(gains), clamp_flows, linear, ab,
-              math.sqrt, struct.Struct("6d").pack)
+              math.sqrt, struct.Struct("6d").pack, struct.Struct("4d").pack_into)
 
     def run(t: np.ndarray, r1: np.ndarray, r2: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-            cuts: dict, carry: Carry | None, logged: list, final: bool) -> Carry:
+            cuts: dict, carry: Carry | None, rows: np.ndarray, final: bool) -> Carry:
         # the run's constants as fast locals
         (alpha1, alpha2, q12_bar, sqrt_l2, l1, l2, fi1_bar, fi2_bar, plain, sizes,
-         substeps, sample_steps, ts, gains, clamp, linear, ab, sqrt, bits) = consts
+         substeps, sample_steps, ts, gains, clamp, linear, ab, sqrt, bits, write) = consts
         kr11, kr12, kr21, kr22, kx11, kx12, kx21, kx22 = gains
         a11, a12, a21, a22, b11, b12, b21, b22 = ab
         # at the start the remembered measurement is the first one, so the
@@ -200,7 +231,7 @@ def make_loop(
                 te += length / substeps
             return te
 
-        # the samples that start a stretch: a block's first, each whose inputs
+        # the samples that start a stretch: the first, each whose inputs
         # change their bits, and each split sample and the one after it
         raw = np.array([r1, r2, d1, d2]).view(np.int64)
         new = np.ones(t.size, bool)
@@ -223,7 +254,7 @@ def make_loop(
                     # the sample before set p to the x it found and left the carry as it
                     # found it (== first, then the bits, which tell -0.0 from 0.0), warning
                     # of no emptying: a fixed point, whose row the stretch repeats unstepped
-                    logged += logged[-4:] * (last + 1 - k)
+                    rows[k : last + 1] = rows[k - 1]
                     break
                 q1, q2 = p1, p2
                 s1, s2 = m1, m2
@@ -232,7 +263,7 @@ def make_loop(
                 m1 = u1 = m1 + ((kr11 * e1 + kr12 * e2) - (kx11 * dx1 + kx12 * dx2))
                 m2 = u2 = m2 + ((kr21 * e1 + kr22 * e2) - (kx21 * dx1 + kx22 * dx2))
                 p1, p2 = x1, x2
-                logged += (x1 - l1, x2 - l2, u1, u2)
+                write(rows, k << 5, x1 - l1, x2 - l2, u1, u2)  # row k, of 32 bytes
 
                 if clamp:
                     fi1, fi2 = fi1_bar + u1 + d1_k, fi2_bar + u2 + d2_k
@@ -344,13 +375,11 @@ def rk4_step(
     `make_loop`'s body with zero gains, the move preset and one substep;
     levels below empty enter it as empty.
     """
-    from .loop import _routed_pulse  # loop imports this module
-
     t, (h1, h2) = state
     times = np.array([t, t + dt])  # the sample, and the time it ends
     _, d1, d2, cuts = _routed_pulse(times, disturbance or NO_DISTURBANCE, op)
     x1, x2 = max(op.l1 + h1, 0.0), max(op.l2 + h2, 0.0)
     run = make_loop(params, op, dt, 1, False, (0.0,) * 8)
     x1, x2, *_ = run(times, np.zeros(2), np.zeros(2), d1, d2, cuts, (x1, x2, x1, x2, *inflow_dev),
-                     [], True)
+                     np.empty((2, 4)), True)
     return PlantState(t + dt, DeviationState(x1 - op.l1, x2 - op.l2))

@@ -176,12 +176,12 @@ def test_criterion_7_integrator_and_plant_invariants():
 
         # the loop body's plant steps with zero gains and a zero move
         def run(ts, substeps, n, h0):
-            logged = []
+            rows = np.empty((n, 4))
             zero = np.zeros(n)
             make_loop(DEFAULT_PARAMS, op, ts, substeps, False, (0.0,) * 8)(
                 np.arange(n) * ts, zero, zero, zero, zero, {},
-                (op.l1 + h0, op.l2 + h0, op.l1 + h0, op.l2 + h0, 0.0, 0.0), logged, True)
-            return np.array(logged).reshape(n, 4)[:, :2]
+                (op.l1 + h0, op.l2 + h0, op.l1 + h0, op.l2 + h0, 0.0, 0.0), rows, True)
+            return rows[:, :2]
 
         # equilibrium hold: drift below 1e-9 per step over 300 steps
         h = run(0.0125, 1, 301, 0.0)

@@ -3,6 +3,8 @@
 import dataclasses
 import logging
 import math
+import struct
+import types
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from tankmpc import (
 from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL, _controller
 from tankmpc.plant import (
     NO_DISTURBANCE,
+    _routed_pulse,
     disturbance_flow,
     disturbance_inflows,
     make_loop,
@@ -70,6 +73,30 @@ DEFAULT_SCENARIO = make_scenario()
 
 def hexes(values):
     return [float(v).hex() for v in values]
+
+
+def body_in_blocks(patch, block):
+    """Have run_closed_loop's one call of its loop body run the samples in
+    blocks of `block` instead, each block a call of its own on its slice of
+    the columns, the cuts and the rows, from the carry the call before it
+    returned, and final only on the last: a block of one sample never
+    takes the stretch or fixed-point path."""
+    import tankmpc.loop as loop
+
+    def loop_in_blocks(*args):
+        run = make_loop(*args)
+
+        def blocks(t, r1, r2, d1, d2, cuts, carry, rows, final):
+            n = t.size
+            for i in range(0, n, block):
+                j = min(i + block, n)
+                carry = run(t[i:j], r1[i:j], r2[i:j], d1[i:j], d2[i:j],
+                            {k - i: c for k, c in cuts.items() if i <= k < j}, carry, rows[i:j],
+                            final and j == n)
+            return carry
+        return blocks
+
+    patch.setattr(loop, "make_loop", loop_in_blocks)
 
 
 def oracle_run(rng, case, linear_plant):
@@ -233,11 +260,12 @@ class TestRunClosedLoop:
         op, _, pred = _controller(sc)
         d = np.array([disturbance_feeds(sc.disturbance, op, t) for t in log.t.tolist()])
         run = make_loop(sc.params, op, sc.ts, sc.substeps, sc.clamp_flows, pred.gains)
-        carry = run(log.t[:k], log.r1[:k], log.r2[:k], d[:k, 0], d[:k, 1], {}, None, [], False)
-        logged = []
+        carry = run(log.t[:k], log.r1[:k], log.r2[:k], d[:k, 0], d[:k, 1], {}, None,
+                    np.empty((k, 4)), False)
+        row = np.empty((1, 4))
         x1, x2, *_ = run(log.t[k : k + 1], log.r1[k : k + 1], log.r2[k : k + 1], np.zeros(1),
-                         np.zeros(1), {}, carry, logged, False)
-        assert hexes(logged) == hexes([getattr(log, c)[k] for c in ("h1", "h2", "u1", "u2")])
+                         np.zeros(1), {}, carry, row, False)
+        assert hexes(row[0]) == hexes([getattr(log, c)[k] for c in ("h1", "h2", "u1", "u2")])
         assert hexes([x1 - op.l1, x2 - op.l2]) == hexes([log.h1[k + 1], log.h2[k + 1]])
 
     def test_h_and_u_match_the_sample_by_sample_oracle(self):
@@ -286,7 +314,7 @@ class TestRunClosedLoop:
 
         for case in range(41):
             ts, t_end = float(rng.uniform(0.02, 0.2)), float(rng.uniform(0.5, 3.0))
-            if case == 40:  # more samples than the loop converts to floats at a time
+            if case == 40:  # more samples than the CSV encoder formats at a time
                 ts, t_end = 0.001, (CSV_BLOCK + 2) * 0.001
             r1, r2 = (SetpointPulse(amplitude=float(rng.choice([-0.0, 0.4, -0.3])),
                                     **window(ts, t_end)) for _ in range(2))
@@ -365,10 +393,8 @@ class TestRunClosedLoop:
         # one line naming the first sample whose unfloored feed fi_bar + u + d,
         # from the sample-by-sample oracle's moves, is negative, at its time or,
         # on the nonlinear plant, from a pulse edge inside a sample it steps;
-        # no line when no feed is or the clamp is off; at CSV_BLOCK and in
-        # blocks of 7 and 1
-        import tankmpc.loop as loop
-
+        # no line when no feed is or the clamp is off; with the loop body
+        # called once and in blocks of 7 and 1 samples
         rng = np.random.default_rng(20261025)
         reported = quiet = 0
         for case in range(60):
@@ -387,11 +413,12 @@ class TestRunClosedLoop:
                        if op.fi1_bar + u1 + d1 < 0 or op.fi2_bar + u2 + d2 < 0]
             expected = [f"feed-flow clamp active from sample {k} (t={k * sc.ts:.4g} s)"
                         for k in floored[:1] if sc.clamp_flows]
-            for block in (CSV_BLOCK, 7, 1):
+            for block in (None, 7, 1):
                 caplog.clear()
                 with pytest.MonkeyPatch.context() as patch, \
                         caplog.at_level(logging.WARNING, logger="tankmpc"):
-                    patch.setattr(loop, "CSV_BLOCK", block)
+                    if block:
+                        body_in_blocks(patch, block)
                     run_closed_loop(sc)
                 clamps = [rec.message for rec in caplog.records if rec.name == "tankmpc.loop"]
                 assert clamps == expected, (case, block)
@@ -400,14 +427,13 @@ class TestRunClosedLoop:
         # measured 11 runs that clamp, first at samples 1-15, and 19 clamped runs that do not
         assert reported >= 10 and quiet >= 10, (reported, quiet)
 
-    @pytest.mark.parametrize("block", [CSV_BLOCK, 7])
+    @pytest.mark.parametrize("block", [4096, 7])
     def test_a_failed_run_reports_its_clamp_first(self, monkeypatch, caplog, block):
         # on the linear plant a -150 % pulse from 8 s floors the tank-1 feed
         # from sample 160, and a 1.7e308 setpoint step from 11 s overflows the
-        # plant state in sample 221's step: the clamp line, then the error
-        import tankmpc.loop as loop
-
-        monkeypatch.setattr(loop, "CSV_BLOCK", block)
+        # plant state in sample 221's step: the clamp line, then the error,
+        # with the loop body in blocks of 4096 (one call) and of 7 samples
+        body_in_blocks(monkeypatch, block)
         sc = loads_config("sim.linear_plant = true\nsim.clamp_flows = true\n"
                           "disturbance.magnitude = -150\nsetpoint.h1.amplitude = 1.7e308\n"
                           "setpoint.h1.start = 11\nsetpoint.h1.duration = inf\n").scenario
@@ -431,17 +457,20 @@ class TestRunClosedLoop:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failure_carries_sample_index(self):
+        # the plant state overflows in the first substep of sample 0: the first
+        # row the loop body wrote is the failed sample's, and no later one
         sc = make_scenario(setpoints=(SetpointPulse(1e308, 0.0, math.inf), SetpointPulse()),
                            t_end=1.0)
         with pytest.raises(SimulationError) as exc_info:
             run_closed_loop(sc)
-        assert exc_info.value.sample_index >= 0
-        assert "sample" in str(exc_info.value)
+        assert exc_info.value.sample_index == 0
+        assert str(exc_info.value) == ("simulation failed at sample 0 (t=0 s): "
+                                       "plant state non-finite at t=0.0125")
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("linear_plant", [False, True])
-    def test_failure_in_a_later_block_names_its_sample(self, linear_plant):
-        # a setpoint step of 1e308 past the first CSV_BLOCK samples: the error
+    def test_failure_late_in_a_long_run_names_its_sample(self, linear_plant):
+        # a setpoint step of 1e308 past the first 4096 samples: the error
         # names the sample whose plant step failed, at its logged time, and the
         # plant's own message
         ts = 0.001
@@ -450,7 +479,7 @@ class TestRunClosedLoop:
         with pytest.raises(SimulationError) as exc_info:
             run_closed_loop(sc)
         k = exc_info.value.sample_index
-        assert CSV_BLOCK < 4500 <= k < sc.n_samples() - 1
+        assert 4096 < 4500 <= k < sc.n_samples() - 1
         cause = f"plant state non-finite at t={(k + 1) * ts:.6g}"
         assert str(exc_info.value) == f"simulation failed at sample {k} (t={k * ts:.6g} s): {cause}"
 
@@ -478,40 +507,27 @@ class TestRunClosedLoop:
         assert np.all(run_closed_loop(sc).fi2_abs >= 0.0)
 
 
-class StepCount(list):
-    """A list of logged values that counts the samples the loop body
-    stepped: a stepped sample appends its row as one tuple, a fast-forwarded
-    stretch of samples as one list."""
-
-    steps = 0
-
-    def __iadd__(self, values):
-        self.steps += isinstance(values, tuple)
-        return super().__iadd__(values)
-
-
 def run_counting_steps(monkeypatch, sc):
-    """run_closed_loop(sc) and the number of samples its loop body stepped."""
-    import tankmpc.loop as loop
+    """run_closed_loop(sc) and the number of samples its loop body stepped:
+    the body writes a stepped sample's row with one pack_into of its
+    struct.Struct("4d"), and copies a fixed point's row into the rest of
+    its stretch without one."""
+    import tankmpc.plant as plant
 
-    steps = []
+    writes = []
 
-    def counting_loop(*args):
-        run = make_loop(*args)
+    def counting_struct(fmt):
+        packer = struct.Struct(fmt)
 
-        def counted(t, r1, r2, d1, d2, cuts, carry, logged, final):
-            rows = StepCount()
-            try:
-                return run(t, r1, r2, d1, d2, cuts, carry, rows, final)
-            finally:
-                logged += rows
-                steps.append(rows.steps)
-        return counted
+        def pack_into(*args):
+            writes.append(fmt)
+            packer.pack_into(*args)
+        return types.SimpleNamespace(pack=packer.pack, pack_into=pack_into)
 
     with monkeypatch.context() as patch:
-        patch.setattr(loop, "make_loop", counting_loop)
+        patch.setattr(plant, "struct", types.SimpleNamespace(Struct=counting_struct))
         log = run_closed_loop(sc)
-    return log, sum(steps)
+    return log, len(writes)
 
 
 def held_scenarios(linear_plant):
@@ -541,28 +557,28 @@ class TestFixedPoints:
     unchanged, bit for bit, for the samples after it with the same inputs
     and no split sample, without stepping them."""
 
-    @pytest.mark.parametrize("block", [CSV_BLOCK, 400])
+    @pytest.mark.parametrize("block", [4096, 400])
     @pytest.mark.parametrize("linear_plant", [False, True])
     def test_held_stretches_match_the_sample_by_sample_oracle(self, monkeypatch, caplog,
                                                              linear_plant, block):
         # in hex against receding_step and the plant applied one sample at a
-        # time, with the warnings of a run in blocks of one sample, which
-        # steps every sample; a block of 400 puts block starts inside held
+        # time, with the warnings of the loop body called on one sample at a
+        # time, which steps every sample; the body runs in blocks of 4096
+        # samples (one call) or of 400, which puts block starts inside held
         # stretches (the run at rest is held across 400 and 800)
-        import tankmpc.loop as loop
-
-        monkeypatch.setattr(loop, "CSV_BLOCK", block)
         samples = stepped = 0
         for case, sc in enumerate(held_scenarios(linear_plant)):
             op, disc, pred = _controller(sc)
             with caplog.at_level(logging.WARNING, logger="tankmpc"):
                 caplog.clear()
-                log, steps = run_counting_steps(monkeypatch, sc)
+                with monkeypatch.context() as patch:
+                    body_in_blocks(patch, block)
+                    log, steps = run_counting_steps(patch, sc)
                 messages = caplog.messages
                 caplog.clear()
-                monkeypatch.setattr(loop, "CSV_BLOCK", 1)
-                one_by_one = run_closed_loop(sc)
-                monkeypatch.setattr(loop, "CSV_BLOCK", block)
+                with monkeypatch.context() as patch:
+                    body_in_blocks(patch, 1)
+                    one_by_one = run_closed_loop(sc)
                 assert caplog.messages == messages, case
             assert _log_bytes(one_by_one) == _log_bytes(log), case
             r = [[setpoint_value(p, t) for p in sc.setpoints] for t in log.t.tolist()]
@@ -594,37 +610,37 @@ class TestFixedPoints:
         run = make_loop(DEFAULT_SCENARIO.params, op, 0.01, substeps, False, pred.gains)
         roots.clear()
         n = 1001
-        zeros, logged = np.zeros(n), []
-        carry = run(np.arange(n) * 0.01, zeros, zeros, zeros, zeros, {}, None, logged, True)
+        zeros, rows = np.zeros(n), np.empty((n, 4))
+        carry = run(np.arange(n) * 0.01, zeros, zeros, zeros, zeros, {}, None, rows, True)
         assert len(roots) == 4 * 2 * substeps
-        assert hexes(logged) == hexes([0.0] * (4 * n))
+        assert hexes(rows.ravel()) == hexes([0.0] * (4 * n))
         # the remembered measurement is a level, the operating point's
         assert hexes(carry[:6]) == hexes([op.l1, op.l2, op.l1, op.l2, 0.0, 0.0])
 
     def test_a_carry_changed_only_in_the_sign_of_a_zero_is_no_fixed_point(self):
         # on the linear plant at rest, a carried level of -0.0 logs h1 = -0.0
         # and steps to 0.0: the carry compares equal, but the next sample logs
-        # h1 = 0.0, as the same samples run one block each do
+        # h1 = 0.0, as the same samples run one call each do
         sc = make_scenario(linear_plant=True)
         op, disc, pred = _controller(sc)
         run = make_loop(sc.params, op, sc.ts, 1, False, pred.gains, disc)
         n = 5
         t, zeros = np.arange(n) * sc.ts, np.zeros(n)
         carry = start = (-0.0, 0.0, -0.0, 0.0, 0.0, 0.0)
-        logged, by_sample = [], []
-        end = run(t, zeros, zeros, zeros, zeros, {}, start, logged, False)
+        rows, by_sample = np.empty((n, 4)), np.empty((n, 4))
+        end = run(t, zeros, zeros, zeros, zeros, {}, start, rows, False)
         for k in range(n):
             carry = run(t[k : k + 1], zeros[:1], zeros[:1], zeros[:1], zeros[:1], {}, carry,
-                        by_sample, False)
-        assert hexes(logged) == hexes(by_sample) and hexes(end[:6]) == hexes(carry[:6])
-        assert hexes(logged[0:8:4]) == hexes([-0.0, 0.0])
+                        by_sample[k : k + 1], False)
+        assert hexes(rows.ravel()) == hexes(by_sample.ravel())
+        assert hexes(end[:6]) == hexes(carry[:6])
+        assert hexes(rows[:2, 0]) == hexes([-0.0, 0.0])
 
     def test_a_tank_emptied_at_every_sample_warns_at_every_sample(self, monkeypatch, caplog):
         # held empty, tank 2 fills by a rounding residue in the first substep
         # of each sample and is floored again in the second: the sample leaves
-        # the carry unchanged and warns, so it is stepped, not repeated
-        import tankmpc.loop as loop
-
+        # the carry unchanged and warns, so it is stepped, not repeated, as
+        # the loop body called on one sample at a time steps it
         params = TankParams(0.37446932796053556, 0.28475904196923046, 0.7937889469975279,
                             2.416482075485289)
         sc = make_scenario(params=params, op_levels=(5.484215165291941, 3.9031401916328368),
@@ -636,7 +652,7 @@ class TestFixedPoints:
             log = run_closed_loop(sc)
             messages = caplog.messages
             caplog.clear()
-            monkeypatch.setattr(loop, "CSV_BLOCK", 1)
+            body_in_blocks(monkeypatch, 1)
             assert _log_bytes(run_closed_loop(sc)) == _log_bytes(log)
         assert caplog.messages == messages
         assert sum("tank 2 ran empty" in m for m in messages) >= 100
@@ -714,25 +730,26 @@ def drawn_scenario(data):
 
 
 class TestBlockSizes:
-    """make_loop's body walks a block one stretch of held inputs at a time,
-    so a stretch that a block boundary cuts restarts at the next block.  The
-    log, the warnings and an error's text are those of stepping every
-    sample, in blocks of one sample."""
+    """run_closed_loop calls make_loop's body once over the run, and the
+    body walks its samples one stretch of held inputs at a time.  Called
+    instead on blocks of 7 samples, or of one, from the carry the call
+    before returned, it restarts a stretch at each block; at one sample a
+    block it steps every sample.  The log, the warnings and an error's text
+    are those of the one call."""
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_drawn_runs_match_in_blocks_of_7_and_1(self, caplog, data):
         """Derandomized, so the suite sees the same scenarios on every run."""
-        import tankmpc.loop as loop
-
         sc = drawn_scenario(data)
         caplog.set_level(logging.WARNING, logger="tankmpc")
         outcomes = []
-        for block in (CSV_BLOCK, 7, 1):
+        for block in (None, 7, 1):
             caplog.clear()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(loop, "CSV_BLOCK", block)
+                if block:
+                    body_in_blocks(patch, block)
                 try:
                     result = _log_bytes(run_closed_loop(sc))
                 except SimulationError as exc:
@@ -747,24 +764,23 @@ class TestBlockSizes:
     ], ids=["edges inside samples 6 and 13", "pulse inside sample 20"])
     @pytest.mark.parametrize("clamp", [False, True])
     def test_a_split_sample_ending_a_block(self, caplog, start, duration, split, first, clamp):
-        # each split sample is the last of a block of 7 (and of 1): the log,
-        # the warnings and the pieces are those of the run in one block; the
-        # -300 % pulse floors both feeds first in a later piece of the first
-        # split sample (-2.83 and -2.81 m^3/s inside sample 20), and the
-        # clamp reports that sample
-        import tankmpc.loop as loop
-
+        # each split sample is the last of a block of 7 (and of 1) that the
+        # loop body is called on: the log, the warnings and the pieces are
+        # those of the one call; the -300 % pulse floors both feeds first in a
+        # later piece of the first split sample (-2.83 and -2.81 m^3/s inside
+        # sample 20), and the clamp reports that sample
         sc = make_scenario(t_end=2.0, clamp_flows=clamp,
                            disturbance=DisturbanceProfile(start, duration, -300.0, "both"))
         op = make_operating_point(sc.params, *sc.op_levels)
-        cuts = loop._routed_pulse(np.arange(sc.n_samples()) * sc.ts, sc.disturbance, op)[3]
+        cuts = _routed_pulse(np.arange(sc.n_samples()) * sc.ts, sc.disturbance, op)[3]
         assert [(k, len(pieces)) for k, pieces in sorted(cuts.items())] == split
         caplog.set_level(logging.WARNING, logger="tankmpc")
         outcomes = []
-        for block in (CSV_BLOCK, 7, 1):
+        for block in (None, 7, 1):
             caplog.clear()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(loop, "CSV_BLOCK", block)
+                if block:
+                    body_in_blocks(patch, block)
                 outcomes.append((_log_bytes(run_closed_loop(sc)), caplog.messages))
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
         clamps = [m for m in outcomes[0][1] if "clamp" in m]

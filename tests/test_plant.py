@@ -25,10 +25,10 @@ from tankmpc import (
     zoh_discretize,
     linearize,
 )
-from tankmpc.loop import _routed_pulse
 from tankmpc.plant import (
     NO_DISTURBANCE,
     PlantState,
+    _routed_pulse,
     disturbance_flow,
     disturbance_inflows,
     make_loop,
@@ -266,17 +266,17 @@ def zero_gain_prediction():
 def run_loop(params, op, ts, substeps, profile, clamp, gains, r, carry=None, i=0, final=True):
     """make_loop's body over the samples i, i + 1, ... at k ts, with the
     setpoints r (one (r1, r2) row per sample), the pulse routed at each
-    sample time and the samples it splits, as a run splits them: the logged
-    (h1, h2, u1, u2) rows and the carry after them."""
+    sample time and the samples it splits, as a run splits them: the rows
+    (h1, h2, u1, u2) it wrote and the carry after them."""
     run = make_loop(params, op, ts, substeps, clamp, gains)
     times = np.arange(i, i + len(r) + 1) * ts  # and the time the last sample ends
     t = times[:-1]
     d = np.array([disturbance_feeds(profile, op, tk) for tk in t.tolist()])
     cuts = _routed_pulse(times, profile, op)[3]
     r = np.array(r, dtype=float)
-    logged = []
-    carry = run(t, r[:, 0], r[:, 1], d[:, 0], d[:, 1], cuts, carry, logged, final)
-    return np.array(logged).reshape(-1, 4), carry
+    rows = np.empty((len(r), 4))
+    carry = run(t, r[:, 0], r[:, 1], d[:, 0], d[:, 1], cuts, carry, rows, final)
+    return rows, carry
 
 
 def hexes(values):
@@ -300,7 +300,7 @@ def plant_step(params, op, t, x, u, ts, substeps, profile, clamp, linear_model=N
     d1, d2 = disturbance_feeds(profile, op, t)
     cuts = _routed_pulse(np.array([t, t + ts]), profile, op)[3]
     carry = run(np.array([t]), np.zeros(1), np.zeros(1), np.array([d1]), np.array([d2]),
-                cuts, (*x, *x, *u), [], False)
+                cuts, (*x, *x, *u), np.empty((1, 4)), False)
     return carry[:2]
 
 
