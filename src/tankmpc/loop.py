@@ -255,27 +255,77 @@ class SimulationError(RuntimeError):
 
 
 def _controller(scenario: Scenario):
-    """The operating point, the sampled model and the prediction gains of
-    the scenario's plant.  The model is set up once for consecutive runs of
-    the same plant, levels and sampling period, and the gains once for
-    consecutive runs that also share the horizons and weight."""
+    """The operating point, the sampled model, the prediction gains and the
+    rate |lambda| of the plant's fastest mode at the operating point (the
+    spectral radius of the continuous linearization).  The model and rate
+    are set up once for consecutive runs of the same plant, levels and
+    sampling period, and the gains once for consecutive runs that also
+    share the horizons and weight."""
     params, levels, ts = scenario.params, scenario.op_levels, scenario.ts
 
     def model():
         op = make_operating_point(params, *levels)
-        disc = zoh_discretize(linearize(params, op), ts)
-        return op, disc, augment(disc)
+        lin = linearize(params, op)
+        disc = zoh_discretize(lin, ts)
+        # a12 a21 >= 0, so both eigenvalues mid +- sqrt(gap^2 + a12 a21) are real
+        (a11, a12), (a21, a22) = lin.a.tolist()
+        mid, gap = (a11 + a22) / 2, (a11 - a22) / 2
+        return op, disc, augment(disc), abs(mid) + math.sqrt(gap * gap + a12 * a21)
 
     model_key = repr((params, levels, ts))
-    op, disc, aug = _recall("model", model_key, model)
+    op, disc, aug, rate = _recall("model", model_key, model)
     pred = _recall("gains", (model_key, repr(scenario.mpc)),
                    lambda: build_prediction(aug, scenario.mpc))
-    return op, disc, pred
+    return op, disc, pred, rate
+
+
+#: The real stability interval of classical RK4 is [-RK4_STABLE, 0]
+#: (Hairer & Wanner, Solving ODEs II, section IV.2).
+RK4_STABLE = 2.785293563405282
+
+
+def _rk4_stable(ts: float, substeps: int, rate: float) -> bool:
+    """Whether an RK4 step of ts / substeps is stable on a mode of rate
+    |lambda|; false for an infinite or NaN rate."""
+    return ts / substeps * rate <= RK4_STABLE
+
+
+def _check_rk4_step(scenario: Scenario, rate: float) -> None:
+    """Refuse, with one ValueError, a run whose RK4 step is unstable on the
+    plant's fastest mode at the operating point, whose log would show the
+    integrator's oscillation as the plant's response.  The message names
+    the fewest substeps that pass the same test.  Where the levels meet or
+    a tank empties the local rate is larger: this covers the operating
+    region only."""
+    ts, substeps = scenario.ts, scenario.substeps
+    if _rk4_stable(ts, substeps, rate):
+        return
+    message = (f"sim.ts = {ts:g} s over sim.substeps = {substeps} is an RK4 step of "
+               f"{ts / substeps:.4g} s, unstable on the plant's fastest mode "
+               f"(|lambda| = {rate:.4g} 1/s at the operating point): step * |lambda| = "
+               f"{ts / substeps * rate:.4g} > {RK4_STABLE:.4g}; ")
+    fewest = ts * rate / RK4_STABLE
+    if not fewest < 2**50:  # too many to count, or a rate that is not finite
+        raise ValueError(message + "the sim.ts and plant.* values are out of range")
+    fewest = max(1, math.ceil(fewest))
+    while fewest > 1 and _rk4_stable(ts, fewest - 1, rate):
+        fewest -= 1
+    while not _rk4_stable(ts, fewest, rate):
+        fewest += 1
+    raise ValueError(message + f"set sim.substeps >= {fewest}, or change sim.ts or the plant.* "
+                     "or operating.* values")
 
 
 def run_closed_loop(scenario: Scenario) -> SimulationLog:
-    """Run the full sample-control-hold-integrate loop for a scenario."""
-    op, disc, pred = _controller(scenario)
+    """Run the full sample-control-hold-integrate loop for a scenario.
+
+    The loop body assumes a stable RK4 step: a nonlinear-plant scenario
+    whose step is not is refused here, before the first sample, with one
+    ValueError (see `_check_rk4_step`).
+    """
+    op, disc, pred, rate = _controller(scenario)
+    if not scenario.linear_plant:
+        _check_rk4_step(scenario, rate)
 
     n = scenario.n_samples()
     ts = scenario.ts

@@ -174,10 +174,12 @@ def make_loop(
     dt = ts / substeps on g (a split sample takes them of length/substeps
     on each piece in turn, on the move plus the piece's routed pulse,
     floored as g is), on the physical levels x, floored at empty at every
-    stage and step end.  A stage computes the net flows, the feed less the
-    deviation outflows of `tank.nonlinear_derivatives` (so a plant at rest
-    stays at exactly h = 0), and moves the levels by a flow times (dt/2)/a,
-    dt/a or (dt/6)/a.  The step that empties a tank logs a warning, and a
+    stage and step end.  It assumes that dt is a stable RK4 step on the
+    plant's fastest mode, which `loop.run_closed_loop` enforces.  A stage
+    computes the net flows, the feed less the deviation outflows of
+    `tank.nonlinear_derivatives` (so a plant at rest stays at exactly
+    h = 0), and moves the levels by a flow times (dt/2)/a, dt/a or
+    (dt/6)/a.  The step that empties a tank logs a warning, and a
     non-finite state raises ArithmeticError naming the time it was
     reached, its piece's start plus its step added once per step.  With
     linear_model the plant is instead one step x <- a x + b g of that

@@ -31,7 +31,14 @@ from tankmpc import (
     summarize,
     zoh_discretize,
 )
-from tankmpc.loop import _LOOP_COLUMNS, CSV_BLOCK, SETTLE_DWELL, _controller
+from tankmpc.loop import (
+    _LOOP_COLUMNS,
+    CSV_BLOCK,
+    SETTLE_DWELL,
+    _check_rk4_step,
+    _controller,
+    _rk4_stable,
+)
 from tankmpc.plant import (
     NO_DISTURBANCE,
     _routed_pulse,
@@ -75,6 +82,15 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
+def stable_substeps(params, op, ts, substeps):
+    """substeps, or the fewest above it whose RK4 step is stable on the
+    plant's fastest mode, which run_closed_loop refuses otherwise."""
+    rate = float(np.abs(np.linalg.eigvals(linearize(params, op).a)).max())
+    while not _rk4_stable(ts, substeps, rate):
+        substeps += 1
+    return substeps
+
+
 def body_in_blocks(patch, block):
     """Have run_closed_loop's one call of its loop body run the samples in
     blocks of `block` instead, each block a call of its own on its slice of
@@ -113,6 +129,8 @@ def oracle_run(rng, case, linear_plant):
     op = make_operating_point(params, l1, l2)
     ts = float(rng.choice([0.05, 0.01, rng.uniform(0.01, 0.2)]))
     substeps = int(rng.integers(1, 17))
+    if not linear_plant:
+        substeps = stable_substeps(params, op, ts, substeps)
     n = int(rng.integers(2, 41))
     npred = int(rng.integers(2, 16))
     mpc = MpcConfig(npred, int(rng.integers(1, min(npred, 4) + 1)),
@@ -257,7 +275,7 @@ class TestRunClosedLoop:
         k = 200
         assert log.t[k] == 10.0 == sc.disturbance.start + sc.disturbance.duration
         assert log.u3[k] == 0.0 < log.u3[k - 1]
-        op, _, pred = _controller(sc)
+        op, _, pred, _ = _controller(sc)
         d = np.array([disturbance_feeds(sc.disturbance, op, t) for t in log.t.tolist()])
         run = make_loop(sc.params, op, sc.ts, sc.substeps, sc.clamp_flows, pred.gains)
         carry = run(log.t[:k], log.r1[:k], log.r2[:k], d[:k, 0], d[:k, 1], {}, None,
@@ -323,7 +341,7 @@ class TestRunClosedLoop:
                                       **window(ts, t_end))
             for linear_plant in (False, True):
                 sc = make_scenario(ts=ts, t_end=t_end, setpoints=(r1, r2), disturbance=dist,
-                                   substeps=1, linear_plant=linear_plant)
+                                   substeps=2, linear_plant=linear_plant)
                 op = make_operating_point(sc.params, *sc.op_levels)
                 log = run_closed_loop(sc)
                 times = [k * ts for k in range(sc.n_samples())]
@@ -568,7 +586,7 @@ class TestFixedPoints:
         # stretches (the run at rest is held across 400 and 800)
         samples = stepped = 0
         for case, sc in enumerate(held_scenarios(linear_plant)):
-            op, disc, pred = _controller(sc)
+            op, disc, pred, _ = _controller(sc)
             with caplog.at_level(logging.WARNING, logger="tankmpc"):
                 caplog.clear()
                 with monkeypatch.context() as patch:
@@ -606,7 +624,7 @@ class TestFixedPoints:
             return sqrt(x)
 
         monkeypatch.setattr(math, "sqrt", counting_sqrt)
-        op, _, pred = _controller(DEFAULT_SCENARIO)
+        op, _, pred, _ = _controller(DEFAULT_SCENARIO)
         run = make_loop(DEFAULT_SCENARIO.params, op, 0.01, substeps, False, pred.gains)
         roots.clear()
         n = 1001
@@ -622,7 +640,7 @@ class TestFixedPoints:
         # and steps to 0.0: the carry compares equal, but the next sample logs
         # h1 = 0.0, as the same samples run one call each do
         sc = make_scenario(linear_plant=True)
-        op, disc, pred = _controller(sc)
+        op, disc, pred, _ = _controller(sc)
         run = make_loop(sc.params, op, sc.ts, 1, False, pred.gains, disc)
         n = 5
         t, zeros = np.arange(n) * sc.ts, np.zeros(n)
@@ -690,7 +708,8 @@ def drawn_scenario(data):
         # Scenario refuses a negative steady tank-2 feed: the coupling is cut to half the outlet
         params = dataclasses.replace(params, alpha1=params.alpha1 * (outlet / coupling / 2))
     ts = data.draw(st.one_of(st.sampled_from([0.05, 0.01]), st.floats(0.01, 0.2)), label="ts")
-    substeps = data.draw(st.integers(1, 8), label="substeps")
+    substeps = stable_substeps(params, make_operating_point(params, l1, l2), ts,
+                               data.draw(st.integers(1, 8), label="substeps"))
     n = data.draw(st.integers(2, 120), label="samples")
     npred = data.draw(st.integers(2, 15), label="np")
     mpc = MpcConfig(npred, data.draw(st.integers(1, min(npred, 4)), label="nc"),
@@ -1088,6 +1107,66 @@ class TestSubstepConvergence:
         # measured 1.5e-4 to 1.1e-9 (bundled) and 9.7e-5 to 7.0e-10, ratios 16.4-24.5
         assert all(a >= 8.0 * b > 0.0 for a, b in zip(errs, errs[1:])), errs
         assert errs[2] < 1e-6, errs
+
+
+class TestRk4StabilityGuard:
+    """run_closed_loop refuses a nonlinear-plant RK4 step past RK4's real
+    stability interval on the plant's fastest mode at the operating point,
+    dt |lambda| > 2.785, and runs every other step as it did without the
+    guard.  The bundled config with plant.a1 changed: |lambda| ts is 0.98,
+    2.09, 4.40, 8.28 and 16.05 from a1 = 0.1963 down to 0.005."""
+
+    #: The fewest substeps that pass, for each a1 some of the cells refuse.
+    FEWEST = {0.02: 2, 0.01: 3, 0.005: 6}
+
+    def test_rate_is_the_spectral_radius(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            params, l1, l2 = random_tank_params(rng)
+            if params.alpha2 * math.sqrt(l2) < params.alpha1 * math.sqrt(l1 - l2):
+                params = dataclasses.replace(params, alpha1=0.0)  # no negative steady feed
+            sc = make_scenario(params=params, op_levels=(l1, l2))
+            op = make_operating_point(params, l1, l2)
+            radius = np.abs(np.linalg.eigvals(linearize(params, op).a)).max()
+            assert _controller(sc)[3] == pytest.approx(radius, rel=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("a1", [0.1963, 0.05, 0.02, 0.01, 0.005])
+    def test_refused_exactly_past_the_bound(self, monkeypatch, a1):
+        import tankmpc.loop as loop
+
+        fewest = self.FEWEST.get(a1, 1)
+        for substeps in (1, 2, 4, 8):
+            sc = make_scenario(params=dataclasses.replace(DEFAULT_PARAMS, a1=a1),
+                               substeps=substeps)
+            if substeps < fewest:
+                with pytest.raises(ValueError, match=rf"^sim\.ts = 0\.05 s over sim\.substeps = "
+                                   rf"{substeps} is an RK4 step .* set sim\.substeps >= "
+                                   rf"{fewest}, or change sim\.ts or the plant\.\* "):
+                    run_closed_loop(sc)
+                continue
+            log = _log_bytes(run_closed_loop(sc))
+            with monkeypatch.context() as patch:
+                patch.setattr(loop, "_check_rk4_step", lambda *args: None)
+                assert log == _log_bytes(run_closed_loop(sc)), substeps
+
+    @pytest.mark.parametrize("a1", sorted(FEWEST))
+    def test_the_named_fewest_substeps_run(self, a1):
+        sc = make_scenario(params=dataclasses.replace(DEFAULT_PARAMS, a1=a1), t_end=1.0)
+        fewest = self.FEWEST[a1]
+        with pytest.raises(ValueError, match=rf"sim\.substeps >= {fewest},"):
+            run_closed_loop(dataclasses.replace(sc, substeps=fewest - 1))
+        assert len(run_closed_loop(dataclasses.replace(sc, substeps=fewest))) == 21
+
+    def test_linear_plant_not_checked(self):
+        sc = make_scenario(params=dataclasses.replace(DEFAULT_PARAMS, a1=0.005), substeps=1,
+                           linear_plant=True)
+        assert len(run_closed_loop(sc)) == 301
+
+    @pytest.mark.parametrize("rate", [1e300, math.inf, math.nan])
+    def test_rate_past_counting_refused_without_a_count(self, rate):
+        with pytest.raises(ValueError, match=r"; the sim\.ts and plant\.\* values are out of "
+                                             r"range$"):
+            _check_rk4_step(DEFAULT_SCENARIO, rate)
 
 
 class TestCsvContract:

@@ -69,7 +69,7 @@ def test_traced_boundaries_resolve():
         assert callable(getattr(tracing._owner(owner), attr, None)), f"{owner}.{attr}"
     # the flop counter reads the prediction matrices from the second argument
     assert list(inspect.signature(tankmpc.mpc.receding_step).parameters)[1] == "pred"
-    _, _, pred = tankmpc.loop._controller(tankmpc.default_run_config().scenario)
+    _, _, pred, _ = tankmpc.loop._controller(tankmpc.default_run_config().scenario)
     flops = tracing.receding_step_flops((None, pred), {})
     assert type(flops) is int and flops > 0
 
