@@ -22,9 +22,9 @@ encoder formats the text of a held stretch once (see
 
 Work that a run shares with the run before it is done once: `_recall`
 keeps the last value built of each kind (the sampled model, the prediction
-gains, the CSV formats of a log's blocks of rows), keyed bit for bit.  So
-the runs of a tuning sweep share their model and CSV formats, and a study of
-one plant its whole controller set-up.
+gains, a log's CSV t fields), keyed bit for bit.  So the runs of a tuning
+sweep share their model, the runs of any sweep their t fields, whatever the
+swept key, and a study of one plant its whole controller set-up.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class Scenario:
         return int(math.floor(self.t_end / self.ts + 1e-9)) + 1
 
 
-#: Rows the CSV encoder formats at a time (see `SimulationLog.to_csv_text`).
+#: Rows the CSV encoder copies row-major at a time (see `SimulationLog.to_csv_text`).
 CSV_BLOCK = 4096
 
 
@@ -150,100 +150,63 @@ class SimulationLog:
     def to_csv_text(self) -> str:
         """CSV with the fixed column contract, 9 significant digits.
 
-        Rows are encoded CSV_BLOCK at a time, so the temporary row-major
-        copy stays small for long runs.  In each block a held stretch, rows
-        whose six loop columns have the bits of the row before them, is
-        formatted once, and the rows between stretches are one %-pass each
-        over their slice of the block's format (see `_encode_block`).  The
-        formats of every block, with the offsets of their rows, are
-        recalled while a log has the bits in t, r1, r2 and u3 of the log
-        encoded before it, as in the runs of a tuning sweep, and CSV_BLOCK
-        is unchanged.
+        Each row is its t field and a tail (`_ROW_TAIL`): the text of r1, r2
+        and u3, formatted once per run of rows over which none of them
+        changes its bits (0.0 and -0.0 print differently), and a %.9g for
+        each loop column.  The loop columns are copied row-major CSV_BLOCK
+        rows at a time, so the copy stays small for long runs.  A block is
+        cut into segments where a run starts or its rows turn from stepped
+        to held, a held row being one whose six loop columns have the bits
+        of the row before (NaNs repeat, and 0.0 after -0.0 does not).  A held
+        segment is one join of its t fields with the tail filled with the
+        row before it; a stepped one is one %-pass.  The t fields are
+        recalled while a log has the bits of the t column of the log
+        encoded before it, as the runs of a sweep do.
         """
-        signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in _SIGNAL_COLUMNS]
+        t = np.asarray(self.t, dtype=np.float64)
+        times = _recall("csv", t.tobytes(), lambda: _t_fields(t))
+        signals = [np.asarray(getattr(self, name), dtype=np.float64) for name in ("r1", "r2", "u3")]
+        starts = np.zeros(t.size, dtype=bool)  # where a run of r1, r2 and u3 starts
+        starts[:1] = True
+        for col in signals:
+            bits = col.view(np.int64)
+            starts[1:] |= bits[1:] != bits[:-1]
         loop = [getattr(self, name) for name in _LOOP_COLUMNS]
-        starts = range(0, len(self), CSV_BLOCK)
-        formats = _recall("csv", (CSV_BLOCK, *(col.tobytes() for col in signals)),
-                          lambda: [_block_format(*(col[i : i + CSV_BLOCK] for col in signals))
-                                   for i in starts])
         parts = [",".join(self.COLUMNS) + "\n"]
-        for i, (fmt, offsets) in zip(starts, formats):
-            values = np.array([col[i : i + CSV_BLOCK] for col in loop]).T.copy()  # row-major
-            _encode_block(fmt, offsets, values, parts)
+        for i in range(0, t.size, CSV_BLOCK):
+            values = np.array([col[i : i + CSV_BLOCK] for col in loop], dtype=np.float64).T.copy()
+            rows = values.view(np.dtype((np.void, values.itemsize * values.shape[1])))[:, 0]
+            repeats = np.zeros(rows.size, dtype=bool)
+            repeats[1:] = rows[1:] == rows[:-1]
+            cuts = starts[i : i + CSV_BLOCK].copy()
+            cuts[0] = True
+            cuts[1:] |= repeats[1:] != repeats[:-1]
+            bounds = np.flatnonzero(cuts).tolist()
+            for a, b in zip(bounds, bounds[1:] + [rows.size]):
+                if starts.item(i + a):  # else the segment continues the last one's run
+                    tail = _ROW_TAIL.format(*("%.9g" % col.item(i + a) for col in signals))
+                if repeats.item(a):
+                    filled = tail % tuple(values[a - 1].tolist())
+                    parts.append(filled.join(times[i + a : i + b]) + filled)
+                else:
+                    parts.append((tail.join(times[i + a : i + b]) + tail)
+                                 % tuple(values[a:b].ravel().tolist()))
         return "".join(parts)
 
 
-#: Log columns known before the loop runs: the time and the scenario's
-#: signals, which hold their value between its edges.
-_SIGNAL_COLUMNS = ("t", "r1", "r2", "u3")
-
 #: Log columns the loop fills sample by sample, in SimulationLog.COLUMNS order.
-_LOOP_COLUMNS = tuple(name for name in SimulationLog.COLUMNS if name not in _SIGNAL_COLUMNS)
+_LOOP_COLUMNS = tuple(name for name in SimulationLog.COLUMNS
+                      if name not in ("t", "r1", "r2", "u3"))
 
-#: A CSV row after its t field: a held column's text goes in its braces,
-#: and each loop column is a %.9g conversion.
-_ROW_REST = "".join("," + ("%.9g" if name in _LOOP_COLUMNS else "{}")
+#: A CSV row after its t field: the text of r1, r2 and u3 goes in its
+#: braces, and each loop column is a %.9g conversion.
+_ROW_TAIL = "".join("," + ("%.9g" if name in _LOOP_COLUMNS else "{}")
                     for name in SimulationLog.COLUMNS[1:]) + "\n"
 
 
-def _block_format(t: np.ndarray, r1: np.ndarray, r2: np.ndarray,
-                  u3: np.ndarray) -> tuple[str, np.ndarray]:
-    """The %-format of one block of CSV rows, and the offset in it of each
-    row's start, followed by the format's length.
-
-    The format holds each row's t field as text, the text of r1, r2 and
-    u3, formatted once per run of rows over which none of them changes its
-    bits (0.0 and -0.0 print differently), and %.9g for each loop column.
-    Each run of rows is one %-pass over its t values, the newline after
-    each then replaced by the rest of the row.
-    """
-    times = t.tolist()
-    held = np.column_stack([r1, r2, u3])
-    bits = held.view(np.int64)
-    cuts = [0, *(np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1).tolist(), len(held)]
-    parts = []
-    for a, b in zip(cuts, cuts[1:]):
-        rest = _ROW_REST.format(*("%.9g" % v for v in held[a].tolist()))
-        parts.append(("%.9g\n" * (b - a) % tuple(times[a:b])).replace("\n", rest))
-    fmt = "".join(parts)
-    offsets = np.zeros(len(times) + 1, dtype=np.intp)
-    offsets[1:] = np.flatnonzero(np.frombuffer(fmt.encode("ascii"), np.uint8) == ord("\n")) + 1
-    return fmt, offsets
-
-
-def _encode_block(fmt: str, offsets: np.ndarray, values: np.ndarray, parts: list) -> None:
-    """Append to parts the CSV text of one block: its format and row
-    offsets (see `_block_format`) filled with values, its loop columns.
-
-    A held stretch is rows [h, b) that each repeat the row before them bit
-    for bit: NaNs repeat, and 0.0 after -0.0 does not.  Its loop columns
-    take the text of row h - 1, formatted once into the rest of row h
-    after its t field, and one replace puts that text in place of every
-    equal rest in the stretch's slice of the format.  A rest that differs,
-    where r1, r2 or u3 change inside the stretch, is filled with row h - 1's
-    values by %.  The rows before, between and after the stretches are one
-    %-pass each over their slice, and only they are converted to floats.
-    """
-    rows = values.view(np.dtype((np.void, values.itemsize * values.shape[1])))[:, 0]
-    repeats = (rows[1:] == rows[:-1]).tobytes()  # byte k is 1 where row k + 1 repeats row k
-    a = 0  # the first row not yet appended
-    k = repeats.find(1)
-    while k >= 0:
-        end = repeats.find(0, k)
-        if end < 0:
-            end = len(repeats)
-        h, b = k + 1, end + 1  # rows [h, b) each repeat row h - 1
-        parts.append(fmt[offsets[a] : offsets[h]] % tuple(values[a:h].ravel().tolist()))
-        text = fmt[offsets[h] : offsets[b]]
-        rest = text[text.index(",") : text.index("\n") + 1]
-        row = tuple(values[h - 1].tolist())
-        text = text.replace(rest, rest % row)
-        if "%" in text:
-            text %= row * (text.count("%") // len(row))
-        parts.append(text)
-        a = b
-        k = repeats.find(1, end)
-    parts.append(fmt[offsets[a] :] % tuple(values[a:].ravel().tolist()))
+def _t_fields(t: np.ndarray) -> list[str]:
+    """The CSV text of each value of a log's t column."""
+    return ["%.9g" % v for v in t.tolist()]
 
 
 class SimulationError(RuntimeError):

@@ -1308,11 +1308,8 @@ class TestHeldStretches:
         assert_csv_by_value(held_log(random_rows(n), [(3, n)], r1=r1, r2=r2, u3=u3))
 
     def test_logs_with_and_without_stretches_share_block_formats(self, block, monkeypatch):
-        import tankmpc.loop as loop
-
-        made = []
-        real = loop._block_format
-        monkeypatch.setattr(loop, "_block_format", lambda *args: made.append(args) or real(*args))
+        # the three logs share their t column, so its fields are built once
+        made = spy_t_fields(monkeypatch)
         n = 2 * block + 5
         rows = random_rows(n)
         logs = [held_log(rows), held_log(rows, [(1, 4), (block - 1, block + 2), (n - 3, n)]),
@@ -1320,7 +1317,7 @@ class TestHeldStretches:
         want = [csv_text_by_value(log) for log in logs]
         for k in (0, 1, 2, 1, 0, 2):
             assert logs[k].to_csv_text() == want[k]
-        assert len(made) == 3  # one format per block, built at the first encode
+        assert len(made) == 1  # built at the first encode
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1358,9 +1355,22 @@ class TestHeldStretches:
             assert_csv_by_value(held_log(rows, **held))
 
 
+def spy_t_fields(monkeypatch):
+    """Empty `loop._last`, and return the list of t columns whose CSV
+    fields `to_csv_text` builds from then on."""
+    import tankmpc.loop as loop
+
+    made = []
+    real = loop._t_fields
+    monkeypatch.setattr(loop, "_t_fields", lambda t: made.append(t) or real(t))
+    monkeypatch.setattr(loop, "_last", {})
+    return made
+
+
 class TestCsvBlockMemo:
-    """`to_csv_text` reuses the block formats it made for the last log when
-    a log has the bits in t, r1, r2 and u3 of the log encoded before it."""
+    """`to_csv_text` reuses the t fields it made for the last log when a
+    log has the bits in t of the log encoded before it, whatever its other
+    columns hold."""
 
     @staticmethod
     def _variants(n):
@@ -1412,61 +1422,62 @@ class TestCsvBlockMemo:
 
     @pytest.mark.parametrize("change", ["r2 -0.0 for 0.0", "t one ulp up"])
     def test_bitwise_key(self, monkeypatch, change):
-        import tankmpc.loop as loop
-
-        made = []  # the arguments of each block format made
-        real = loop._block_format
-        monkeypatch.setattr(loop, "_block_format", lambda *args: made.append(args) or real(*args))
-        monkeypatch.setattr(loop, "_last", {})
+        made = spy_t_fields(monkeypatch)
         logs = self._variants(301)
         for name in ("base", "base", "same signals, other loop columns"):
             logs[name].to_csv_text()
         assert len(made) == 1  # made at the first encode, then reused
         for name in (change, "base", "base"):
-            logs[name].to_csv_text()
-        assert len(made) == 3  # the change misses once, and the base after it
+            assert logs[name].to_csv_text() == csv_text_by_value(logs[name]), name
+        # a t one ulp up misses once, and the base after it; an r2 spelled
+        # -0 in place of 0 is in the tails, not the key, so nothing misses
+        assert len(made) == {"r2 -0.0 for 0.0": 1, "t one ulp up": 3}[change]
 
-    def test_block_size_is_part_of_the_key(self, monkeypatch):
-        # the same log encoded at CSV_BLOCK, in blocks of 7 and of 3 and at
-        # CSV_BLOCK again in one process, the memo kept: each encode has the
-        # bytes of a fresh one, and each switch of the block size builds anew
+    def test_block_size_is_not_part_of_the_key(self, monkeypatch):
+        # the same log encoded in blocks of 7, of 3 and of 4096 rows in one
+        # process: each encode has the bytes of a fresh one, from one build
         import tankmpc.loop as loop
 
-        made = []
-        real = loop._block_format
-        monkeypatch.setattr(loop, "_block_format", lambda *args: made.append(args) or real(*args))
+        made = spy_t_fields(monkeypatch)
         log = self._variants(301)["base"]
         want = csv_text_by_value(log)
-        blocks = []
-        for block in (CSV_BLOCK, 7, 7, 3, CSV_BLOCK):
+        for block in (7, 3, 4096):
             monkeypatch.setattr(loop, "CSV_BLOCK", block)
-            before = len(made)
             assert log.to_csv_text() == want, block
-            blocks.append(len(made) - before)
-        assert blocks[1:] == [math.ceil(301 / 7), 0, math.ceil(301 / 3), 1]
+        assert len(made) == 1
 
     def test_second_value_of_a_long_sweep_builds_no_block_format(self, monkeypatch, tmp_path,
                                                                capsys):
         # a sim.ts = 0.001 log is 15001 rows, four blocks: the first sweep
-        # value builds their formats, and the second reuses all four
+        # value builds its t fields, and the second reuses them
         import tankmpc.cli as cli
-        import tankmpc.loop as loop
 
-        made = []
-        real = loop._block_format
-        monkeypatch.setattr(loop, "_block_format", lambda *args: made.append(args) or real(*args))
-        monkeypatch.setattr(loop, "_last", {})
+        made = spy_t_fields(monkeypatch)
         conf = tmp_path / "long.conf"
         conf.write_text("sim.ts = 0.001\n")
-        for value, builds in (("1", 4), ("2", 4)):
+        for value in ("1", "2"):
             code = cli.main(["sweep", "--config", str(conf), "--param", "rw", "--values", value,
                              "--out-dir", str(tmp_path / value)])
-            assert code == 0 and len(made) == builds
+            assert code == 0 and len(made) == 1
         capsys.readouterr()
         assert 3 * CSV_BLOCK < 15001 < 4 * CSV_BLOCK
         text = (tmp_path / "2" / "rw_2.csv").read_text()
         assert text == csv_text_by_value(run_closed_loop(loads_config(
             "sim.ts = 0.001\nmpc.rw = 2\n").scenario))
+
+    def test_disturbance_sweep_builds_the_t_fields_once(self, monkeypatch, tmp_path, capsys):
+        # each value changes the u3 column, which the tails hold, not the key
+        import tankmpc.cli as cli
+
+        made = spy_t_fields(monkeypatch)
+        code = cli.main(["sweep", "--param", "disturbance.magnitude", "--values=-150,10",
+                         "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0 and len(made) == 1
+        for value in ("-150", "10"):
+            text = (tmp_path / f"disturbance.magnitude_{value}.csv").read_text()
+            assert text == csv_text_by_value(run_closed_loop(loads_config(
+                f"disturbance.magnitude = {value}\n").scenario)), value
 
 
 class TestRecall:
