@@ -3,9 +3,9 @@
 Layering: `tank` holds the nonlinear plant, its linearization and
 `LinearModel`, the one state-space record, `discretize` samples the
 linear model, `mpc` builds the velocity-form predictive controller,
-`plant` integrates the true nonlinear dynamics, `loop` closes the loop
-over a scenario, and `cli`/`config` expose it all as a command-line
-tool.
+`plant` holds the disturbance pulse, `loop` closes the loop over a
+scenario (the loop body that integrates the true nonlinear dynamics
+included), and `cli`/`config` expose it all as a command-line tool.
 """
 
 from .config import (

@@ -81,16 +81,18 @@ def _write_csv_atomic(text: str, out_path: Path) -> None:
         except FileExistsError:
             continue
         except OSError as exc:
-            raise OSError(f"cannot write {out_path}: {exc}") from None
+            raise OSError(f"cannot write {out_path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {out_path}: {exc.strerror}") from None
         raise
 
 

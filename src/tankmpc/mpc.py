@@ -190,7 +190,7 @@ def receding_step(
     dy, which one offset added to y, r and the last measurement leaves
     unchanged, so it is the same law on deviations or on absolute levels.
     It is written out in floats for the tank's two inputs and two outputs;
-    the loop body of `plant.make_loop` applies it inline, in the same
+    the loop body of `loop.make_loop` applies it inline, in the same
     expression order, on the levels (r the setpoints plus the operating
     levels, where a reached setpoint makes r - y exactly zero), and is
     tested against this one-sample form called in that frame.

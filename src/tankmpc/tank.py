@@ -128,7 +128,7 @@ def nonlinear_derivatives(
     Returns
     -------
     (dh1_dt, dh2_dt) in m/s, exactly (0, 0) at h = 0, fi = 0: the steady
-    outflow terms cancel.  The loop body of `plant.make_loop` computes the
+    outflow terms cancel.  The loop body of `loop.make_loop` computes the
     same deviation flows on the physical levels it carries, and moves the
     levels by each flow times a step over the tank's area, so it agrees
     with these rates to a few ulps, not bit for bit.

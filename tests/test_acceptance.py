@@ -33,7 +33,7 @@ from tankmpc import (
     summarize,
     zoh_discretize,
 )
-from tankmpc.plant import make_loop
+from tankmpc.loop import make_loop
 
 from oracles import (
     fd_gradient,

@@ -215,6 +215,17 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == [target]  # the temp file is removed
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("name, reason", [("run.csv", "Is a directory"),
+                                              ("missing/run.csv", "No such file or directory")])
+    def test_output_error_names_the_output_path(self, tmp_path, capsys, name, reason):
+        # the one error line names the path asked for, not the temp file beside it
+        (tmp_path / "run.csv").mkdir()
+        out = tmp_path / name
+        code, _, err = run_cli(["simulate", "--out", str(out)], capsys)
+        assert code == 3
+        assert err == f"error: cannot write {out}: {reason}\n"
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
     def test_temp_name_collision_takes_a_fresh_name(self, tmp_path, capsys, monkeypatch):
         taken = tmp_path / f"run.csv.{bytes(6).hex()}.tmp"
         taken.write_text("not ours")

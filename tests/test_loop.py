@@ -38,14 +38,12 @@ from tankmpc.loop import (
     _check_rk4_step,
     _controller,
     _rk4_stable,
-)
-from tankmpc.plant import (
-    NO_DISTURBANCE,
     _routed_pulse,
     disturbance_flow,
     disturbance_inflows,
     make_loop,
 )
+from tankmpc.plant import NO_DISTURBANCE
 
 from test_acceptance import HOLD_CONFIG
 
@@ -438,7 +436,8 @@ class TestRunClosedLoop:
                     if block:
                         body_in_blocks(patch, block)
                     run_closed_loop(sc)
-                clamps = [rec.message for rec in caplog.records if rec.name == "tankmpc.loop"]
+                clamps = [rec.message for rec in caplog.records
+                          if rec.name == "tankmpc.loop" and "ran empty" not in rec.message]
                 assert clamps == expected, (case, block)
             reported += bool(expected)
             quiet += sc.clamp_flows and not floored
@@ -530,7 +529,7 @@ def run_counting_steps(monkeypatch, sc):
     the body writes a stepped sample's row with one pack_into of its
     struct.Struct("4d"), and copies a fixed point's row into the rest of
     its stretch without one."""
-    import tankmpc.plant as plant
+    import tankmpc.loop as loop
 
     writes = []
 
@@ -543,7 +542,7 @@ def run_counting_steps(monkeypatch, sc):
         return types.SimpleNamespace(pack=packer.pack, pack_into=pack_into)
 
     with monkeypatch.context() as patch:
-        patch.setattr(plant, "struct", types.SimpleNamespace(Struct=counting_struct))
+        patch.setattr(loop, "struct", types.SimpleNamespace(Struct=counting_struct))
         log = run_closed_loop(sc)
     return log, len(writes)
 

@@ -1,6 +1,7 @@
 """Package-level properties: the public names, what importing tankmpc
 pulls in, and the names the benchmark's tracer patches."""
 
+import ast
 import importlib.util
 import inspect
 import subprocess
@@ -33,14 +34,26 @@ def test_public_names_pinned():
 
 def test_open_loop_and_plant_reference_names_not_exported():
     """The open-loop controller forms are gone; the plant's one-step and
-    pulse reference forms are importable from tankmpc.plant only."""
+    pulse reference forms are importable from tankmpc.loop only."""
     for name in ("cost", "cost_gradient", "solve_optimal", "PlantState", "rk4_step",
                  "disturbance_flow", "disturbance_inflows"):
         assert not hasattr(tankmpc, name), name
     for name in ("PlantState", "rk4_step", "disturbance_flow", "disturbance_inflows"):
-        assert hasattr(tankmpc.plant, name), name
+        assert hasattr(tankmpc.loop, name), name
     for name in ("cost", "cost_gradient", "solve_optimal"):
         assert not hasattr(tankmpc.mpc, name), name
+
+
+def test_plant_imports_only_the_stdlib_and_tank():
+    """tankmpc.plant holds the disturbance pulse alone; the loop body and its
+    reference forms live in tankmpc.loop."""
+    modules = set()
+    for node in ast.walk(ast.parse(Path(tankmpc.plant.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules <= {"__future__", "math", "dataclasses", ".tank"}, modules
 
 
 def test_import_loads_no_scipy():

@@ -25,8 +25,7 @@ from tankmpc import (
     zoh_discretize,
     linearize,
 )
-from tankmpc.plant import (
-    NO_DISTURBANCE,
+from tankmpc.loop import (
     PlantState,
     _routed_pulse,
     disturbance_flow,
@@ -34,6 +33,7 @@ from tankmpc.plant import (
     make_loop,
     rk4_step,
 )
+from tankmpc.plant import NO_DISTURBANCE
 
 from oracles import (
     closed_loop_by_samples,
@@ -213,7 +213,7 @@ class TestRk4Step:
         # drain tank 2 hard enough to empty it
         op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
         state = PlantState(t=0.0, dev=DeviationState(0.0, 0.0))
-        with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
+        with caplog.at_level(logging.WARNING, logger="tankmpc.loop"):
             for _ in range(200):
                 state = rk4_step(DEFAULT_PARAMS, op, state, (0.0, -50.0), None, 0.0125)
         assert state.dev.h2 == -0.5  # physical level clamped at empty
@@ -223,7 +223,7 @@ class TestRk4Step:
         # drain tank 2 twice, refilling in between: two events, two warnings
         op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
         state = PlantState(t=0.0, dev=DeviationState(0.0, 0.0))
-        with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
+        with caplog.at_level(logging.WARNING, logger="tankmpc.loop"):
             for inflow in ((0.0, -50.0), (0.0, 50.0), (0.0, -50.0)):
                 for _ in range(100):
                     state = rk4_step(DEFAULT_PARAMS, op, state, inflow, None, 0.0125)
@@ -234,7 +234,7 @@ class TestRk4Step:
     def test_closed_loop_emptying_logged_once(self, caplog):
         # a setpoint at the bottom of tank 2 holds it empty for ~100 samples
         scenario = loads_config("setpoint.h2.amplitude = -3.5\nmpc.rw = 0.01\n").scenario
-        with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
+        with caplog.at_level(logging.WARNING, logger="tankmpc.loop"):
             log = run_closed_loop(scenario)
         at_empty = log.h2 == -scenario.op_levels[1]
         assert at_empty.sum() > 50
@@ -369,7 +369,7 @@ class TestAdvanceKernel:
         # tank 2 over several samples at k * 0.1: one event, one warning
         op = make_operating_point(DEFAULT_PARAMS, 1.0, 0.5)
         start = (op.l1, op.l2, op.l1, op.l2, 0.0, -50.0)
-        with caplog.at_level(logging.WARNING, logger="tankmpc.plant"):
+        with caplog.at_level(logging.WARNING, logger="tankmpc.loop"):
             rows, carry = run_loop(DEFAULT_PARAMS, op, 0.1, 8, NO_DISTURBANCE, False, ZERO_GAINS,
                                    [(0.0, 0.0)] * 25, carry=start)
         hs, us = closed_loop_by_samples(DEFAULT_PARAMS, op, zero_gain_prediction(), 0.1, 8,
